@@ -4,9 +4,7 @@
 
 Run from the root of a checkout of the commit whose outputs become the
 reference.  It runs every round of each workload's pool once and writes
-``bench/reference/<workload>.json.gz``.  Distances of the clouds-2d workload
-are first cross-checked against ``scipy.optimize.linprog(method="highs")``
-on the same cost matrix; a disagreement stops the recording.
+``bench/reference/<workload>.json.gz``.
 """
 
 from __future__ import annotations
@@ -15,50 +13,8 @@ import gzip
 import json
 import sys
 
-import numpy as np
-
 import workloads as wl
 from run import BENCH, import_gfstack
-
-HIGHS_RTOL = 1e-9
-
-
-def highs_distance(a, b, p: float, with_values: bool) -> float:
-    """The TL^p (or W_p) distance as a dense linear program solved by HiGHS."""
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-
-    x, y = a.measure.atoms, b.measure.atoms
-    C = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)) ** p
-    if with_values:
-        C = C + np.abs(a.values[:, None] - b.values[None, :]) ** p
-    m, n = C.shape
-    cells = np.arange(m * n)
-    rows = np.concatenate([cells // n, m + cells % n])
-    A = coo_matrix((np.ones(2 * m * n), (rows, np.concatenate([cells, cells]))),
-                   shape=(m + n, m * n))
-    rhs = np.concatenate([a.measure.weights, b.measure.weights])
-    res = linprog(C.reshape(-1), A_eq=A.tocsr(), b_eq=rhs, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS failed: {res.message}")
-    return float(max(res.fun, 0.0) ** (1.0 / p))
-
-
-def cross_check_clouds(gfstack, outputs: dict) -> dict:
-    highs = {}
-    for n in wl.CLOUD_SIZES:
-        for k in wl.CLOUD_PAIRS:
-            a, b = wl.cloud_pair(gfstack, n, k)
-            tag = f"n={n}:pair={k}"
-            for key, p, with_values in ((f"tlp_p1:{tag}", 1.0, True),
-                                        (f"tlp_p2:{tag}", 2.0, True),
-                                        (f"w2:{tag}", 2.0, False)):
-                d = highs_distance(a, b, p, with_values)
-                ours = outputs[key]
-                if abs(d - ours) > HIGHS_RTOL * max(1.0, abs(ours)):
-                    raise SystemExit(f"record: {key}: simplex {ours!r} vs HiGHS {d!r}")
-                highs[key] = d
-    return highs
 
 
 def record(gfstack, workload: str):
@@ -68,8 +24,6 @@ def record(gfstack, workload: str):
             outputs[op.key] = op.call()
         print(f"{workload}: {len(outputs)} outputs", file=sys.stderr, flush=True)
     payload = {"workload": workload, "outputs": outputs}
-    if workload == "clouds-2d":
-        payload["highs"] = cross_check_clouds(gfstack, outputs)
     path = BENCH / "reference" / f"{workload}.json.gz"
     path.parent.mkdir(exist_ok=True)
     text = json.dumps(payload, indent=0, sort_keys=True) + "\n"

@@ -33,7 +33,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 11  # fresh interpreters per untraced run, one after each round
 IMPORTTIME_REPEATS = 3
 MIN_CYCLES = 2  # repeats of the batch in an untraced run
 MIN_TRACED_PASSES = 2
@@ -71,16 +71,13 @@ def load_reference(workload: str) -> dict:
 # set-up and import time, each in a fresh interpreter
 
 
-def measure_setup(workload: str, seed: int) -> float:
-    """Median wall time of a fresh interpreter importing gfstack and building the inputs."""
+def time_setup(workload: str, seed: int) -> float:
+    """Wall time of one fresh interpreter importing gfstack and building the inputs."""
     cmd = [sys.executable, str(BENCH / "run.py"), "--setup-only",
            "--workload", workload, "--seed", str(seed)]
-    times = []
-    for _ in range(SETUP_REPEATS):
-        start = _clock()
-        subprocess.run(cmd, check=True, env=child_env(), stdout=subprocess.DEVNULL)
-        times.append(_clock() - start)
-    return statistics.median(times)
+    start = _clock()
+    subprocess.run(cmd, check=True, env=child_env(), stdout=subprocess.DEVNULL)
+    return _clock() - start
 
 
 _IMPORTTIME = re.compile(r"import time:\s+(\d+)\s+\|\s+(\d+)\s+\|( *)(\S+)")
@@ -175,42 +172,56 @@ def tail(times):
 def end_to_end(gfstack, workload: str, seed: int, seconds: float):
     """Repeat the seed's batch back to back; summarize each operation by its median.
 
-    On a 2-vCPU virtual machine shared with other guests, one operation's
-    time varies by +-15% between repeats, so an operation's time is the
-    median of its repeats and throughput is the batch's size over the sum of
-    those medians.
+    On a 2-vCPU virtual machine shared with other guests, the speed of the
+    machine swings by up to 1.8x from one second to the next, so an
+    operation's time is the median of its repeats and throughput is the
+    batch's size over the sum of those medians.  For the same reason the
+    set-up samples are spread through the run, one after each of the first
+    rounds, and ``setup_s`` is their median.  Set-up time counts towards
+    ``seconds``.  The latency reported is that of a round, not of an
+    operation: heat-1d's operations take either about 0.3 s or about 1 s,
+    two of each per round, so their median falls in the gap between the two
+    and reads whichever edge is nearer.
     """
-    setup_s = measure_setup(workload, seed)
-    ops = [op for rnd in wl.build_batch(gfstack, workload, seed) for op in rnd]
+    batch = wl.build_batch(gfstack, workload, seed)
+    ops = [op for rnd in batch for op in rnd]
     checker = Checker(load_reference(workload))
     samples = {op.key: [] for op in ops}
+    round_times, setups = [], []
     rows_false, cycles = 0, 0
     start = _clock()
     while cycles < MIN_CYCLES or _clock() - start < seconds:
-        _, results = run_round(checker, ops)
-        for op, (t, _) in zip(ops, results):
-            samples[op.key].append(t)
-        if cycles == 0:
-            rows_false = sum(wl.rows_false(out) for _, out in results if out is not None)
+        for rnd in batch:
+            elapsed, results = run_round(checker, rnd)
+            round_times.append(elapsed)
+            for op, (t, out) in zip(rnd, results):
+                samples[op.key].append(t)
+                if cycles == 0 and out is not None:
+                    rows_false += wl.rows_false(out)
+            if len(setups) < SETUP_REPEATS:
+                setups.append(time_setup(workload, seed))
         cycles += 1
+    while len(setups) < SETUP_REPEATS:
+        setups.append(time_setup(workload, seed))
     elapsed = _clock() - start
     medians = [statistics.median(samples[op.key]) for op in ops]
     all_times = [t for op in ops for t in samples[op.key]]
 
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"{workload} seed={seed}: batch of {len(ops)} ops run {cycles} times, "
-          f"{elapsed:.3f} s timed")
+    print(f"{workload} seed={seed}: batch of {len(ops)} ops run {cycles} times and "
+          f"{len(setups)} set-ups, {elapsed:.3f} s")
     t = tail(all_times)
     if t is None:
         print(f"op_tail_ms: not reported, {len(all_times)} samples < {2 * TAIL_BEYOND}")
     else:
         print(f"op_tail_ms: p{t[0]:.1f} over {len(all_times)} samples = {1e3 * t[1]:.3f} ms")
+    print(f"op_p50_ms: {1e3 * statistics.median(all_times):.3f} ms over {len(all_times)} samples")
     print(f"rows_false: {rows_false} asserted rows of the batch read false (as in the reference)")
     print(f"fail_frac: {checker.failed}/{checker.attempted}")
     metrics = {
-        "setup_s": (setup_s, "s"),
+        "setup_s": (statistics.median(setups), "s"),
         "ops_per_s": (len(ops) / sum(medians), "1/s"),
-        "op_p50_ms": (1e3 * statistics.median(all_times), "ms"),
+        "round_p50_ms": (1e3 * statistics.median(round_times), "ms"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
     return checker, metrics, True
@@ -241,7 +252,7 @@ COUNT_METRICS = [
     "convex.evaluate.calls",
     "convex.moreau_envelope.calls",
     "semigroup.crandall_liggett.calls",
-    "semigroup.resolvent_steps",
+    "semigroup.resolvent_applications",
     "flow.gradient_flow.calls",
     "energies.graph_prox.calls",
     "transport.solve_transport.calls",
@@ -252,15 +263,17 @@ COUNT_METRICS = [
 
 def per_layer(gfstack, workload: str, seed: int, seconds: float):
     import_s, import_scipy_s = measure_import()
-    first = wl.build_batch(gfstack, workload, seed)[0]
+    start = _clock()
+    batch = wl.build_batch(gfstack, workload, seed)
     checker = Checker(load_reference(workload))
-    _, plain = run_round(checker, first)  # warm-up, and the untraced outputs
-    plain_out = [out for _, out in plain]
+    # warm-up over the batch: the rows it asserts, and the untraced outputs
+    batch_out = [out for rnd in batch for _, out in run_round(checker, rnd)[1]]
+    first = batch[0]
+    plain_out = batch_out[:len(first)]
 
     tracer = Tracer()
     untraced_s, traced_s, passes = [], [], []
     identical, deterministic = True, True
-    start = _clock()
     while len(passes) < MIN_TRACED_PASSES or _clock() - start < seconds:
         elapsed, results = run_round(checker, first)
         untraced_s.append(elapsed)
@@ -286,8 +299,8 @@ def per_layer(gfstack, workload: str, seed: int, seconds: float):
     k = len(passes)
     counts = passes[0][0]
 
-    n_rows = sum(wl.rows(out) for out in plain_out if out is not None)
-    n_false = sum(wl.rows_false(out) for out in plain_out if out is not None)
+    n_rows = sum(wl.rows(out) for out in batch_out if out is not None)
+    n_false = sum(wl.rows_false(out) for out in batch_out if out is not None)
     cl_calls = counts.get("semigroup.crandall_liggett.calls", 0)
     metrics = {
         "cli.import_s": (import_s, "s"),
@@ -296,6 +309,8 @@ def per_layer(gfstack, workload: str, seed: int, seconds: float):
         "experiments.rows_false": (n_false, "count"),
         "semigroup.certified_frac": (
             counts.get("semigroup.certified", 0) / cl_calls if cl_calls else 0.0, "frac"),
+        # a float: the a-priori n of closed-form iterates can exceed 2**63
+        "semigroup.resolvent_steps": (float(counts.get("semigroup.resolvent_steps", 0)), "count"),
         "transport.max_marginal_err": (
             max(p[2].get("transport.max_marginal_err", 0.0) for p in passes), "mass"),
         "trace.overhead_frac": (
@@ -307,7 +322,8 @@ def per_layer(gfstack, workload: str, seed: int, seconds: float):
         metrics[name] = (int(counts.get(name, 0)), "count")
 
     print(f"{workload} seed={seed}: {k} traced and {k} untraced passes over the first "
-          f"round ({len(first)} ops); per-layer figures are per pass")
+          f"round ({len(first)} ops); per-layer figures are per pass, "
+          f"experiments.rows and .rows_false are over the batch ({len(batch_out)} ops)")
     print(f"traced outputs identical to untraced: {identical}; counts repeat: {deterministic}")
     return checker, metrics, identical and deterministic
 

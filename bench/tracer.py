@@ -55,6 +55,13 @@ def _prox_call(sums, args, kwargs):
         sums["convex.prox.generic_calls"] += 1
 
 
+def _iterate_call(sums, args, kwargs):
+    # n explicit resolvent applications, or one call of the closed-form iterate
+    R = args[0] if args else kwargs["R"]
+    n = args[2] if len(args) > 2 else kwargs["n"]
+    sums["semigroup.resolvent_applications"] += n if R.resolve_iterated is None else 1
+
+
 def _cl_return(sums, maxes, out):
     cert = out[1]
     sums["semigroup.resolvent_steps"] += cert.n
@@ -107,11 +114,14 @@ SPANS = [
 ]
 
 # Counted, not timed: these run too often for a span each.
+# (module, attribute, counter name, on_call, on_return)
 COUNTERS = [
-    ("gfstack.convex", "ProperFunctional.evaluate", "convex.evaluate", None),
-    ("gfstack.convex", "moreau_envelope", "convex.moreau_envelope", None),
+    ("gfstack.convex", "ProperFunctional.evaluate", "convex.evaluate", None, None),
+    ("gfstack.convex", "moreau_envelope", "convex.moreau_envelope", None, None),
+    ("gfstack.semigroup", "resolvent_iterate", "semigroup.resolvent_iterate",
+     _iterate_call, None),
     ("gfstack.transport", "TransportPlan.marginal_errors", "transport.marginal_errors",
-     _marginal_return),
+     None, _marginal_return),
 ]
 
 
@@ -182,7 +192,7 @@ class Tracer:
 
         return wrapper
 
-    def _counter(self, name, fn, on_return):
+    def _counter(self, name, fn, on_call, on_return):
         tracer = self
         calls = name + ".calls"
 
@@ -190,6 +200,8 @@ class Tracer:
         def wrapper(*args, **kwargs):
             sums, maxes, _ = tracer._state()
             sums[calls] += 1
+            if on_call is not None:
+                on_call(sums, args, kwargs)
             out = fn(*args, **kwargs)
             if on_return is not None:
                 on_return(sums, maxes, out)
@@ -207,9 +219,10 @@ class Tracer:
         for mod, attr, name, on_call, on_return in SPANS:
             self._install(modules, mod, attr,
                           functools.partial(self._span, name, on_call=on_call, on_return=on_return))
-        for mod, attr, name, on_return in COUNTERS:
+        for mod, attr, name, on_call, on_return in COUNTERS:
             self._install(modules, mod, attr,
-                          functools.partial(self._counter, name, on_return=on_return))
+                          functools.partial(self._counter, name, on_call=on_call,
+                                            on_return=on_return))
 
     def _install(self, modules, mod, attr, make):
         owner = sys.modules[mod]
