@@ -44,8 +44,7 @@ function/measure pair record (JSON): {{"dim": d, "atoms": [[...]],
 
 CSV schema: header '{CSV_HEADER}', rows sorted by
 (experiment, n, t, metric), floats with 12 significant digits, '\\n' line
-endings, byte-identical for identical config and seed.  Environment:
-GFSTACK_THREADS caps worker parallelism (default: hardware concurrency)."""
+endings, byte-identical for identical config and seed."""
 
 
 def build_parser() -> argparse.ArgumentParser:

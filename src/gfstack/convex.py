@@ -20,6 +20,7 @@ from .errors import ConstructionError, IntervalError, SolverDiagnosticError
 
 PROX_RESIDUAL_TOL = 1e-10
 PROX_MAX_ITER = 10_000
+PROX_GRADIENT_MAX_ITER = 1000
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -70,6 +71,9 @@ class ProperFunctional:
     shortcut the generic solver and the n-fold prox composition.
     slope_norm(x), when supplied, returns the minimal-subgradient norm
     inf ||dF(x)|| used for a-priori flow certificates.
+    gradient(x), when supplied, is the weighted Riesz gradient of a
+    differentiable F: F(x + h) = F(x) + <gradient(x), h>_w + o(h), with
+    <u, v>_w = sum_i w_i u_i v_i; it lets prox use a gradient method.
     """
 
     dim: int
@@ -79,6 +83,7 @@ class ProperFunctional:
     prox_closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     prox_iterated: Optional[Callable[[float, int, np.ndarray], np.ndarray]] = None
     slope_norm: Optional[Callable[[np.ndarray], float]] = None
+    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_hint: Optional[tuple] = None
     name: str = ""
 
@@ -235,12 +240,64 @@ def _coordinate_prox(g, y0: np.ndarray, tol: float, budget: int):
     return y, False, move
 
 
+def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.ndarray:
+    """Adaptive gradient descent on h(y) = F(y) + ||y - x||^2 / (2*gamma).
+
+    Steps follow Malitsky & Mishchenko, "Adaptive gradient descent without
+    descent" (ICML 2020), in the weighted inner product: no line search, no
+    objective values, and convergence for every convex h with a locally
+    Lipschitz gradient.  Barzilai-Borwein steps diverge on some nested Huber
+    envelopes, which are piecewise quadratic.
+
+    h is mu = 1/gamma + lam strongly convex, so ||grad h(y)|| <= eps * mu
+    certifies that y lies within eps = PROX_RESIDUAL_TOL * (1 + ||x||) of the
+    prox point; only such a y is returned.  Otherwise SolverDiagnosticError
+    carries the bound ||grad h(y)|| / mu as residual: at once when a secant
+    curvature <s, r>/<s, s> falls below mu/2 (the declared modulus is false)
+    or the gradient is not finite, and at the latest when the budget is spent.
+    """
+    mu = 1.0 / gamma + phi.lam
+    eps = PROX_RESIDUAL_TOL * (1.0 + phi.norm(x))
+
+    def grad_h(y):
+        return as_point(phi.gradient(y), phi.dim) + (y - x) / gamma
+
+    y, gy = x, grad_h(x)
+    step, theta = 1.0 / mu, np.inf
+    for _ in range(PROX_GRADIENT_MAX_ITER):
+        res = phi.norm(gy) / mu
+        if res <= eps:
+            return y
+        if not np.isfinite(res):
+            break
+        y_next = y - step * gy
+        g_next = grad_h(y_next)
+        s, r = y_next - y, g_next - gy
+        ss, sr, rr = phi.inner(s, s), phi.inner(s, r), phi.inner(r, r)
+        y, gy = y_next, g_next
+        if not sr >= 0.5 * mu * ss > 0.0:
+            raise SolverDiagnosticError(
+                f"prox gradient contradicts the declared modulus lam={phi.lam}: "
+                f"<s, r> = {sr:.3e} against mu <s, s> = {mu * ss:.3e}",
+                last_iterate=y, residual=phi.norm(gy) / mu,
+            )
+        next_step = min(np.sqrt(1.0 + theta) * step, 0.5 * np.sqrt(ss / rr))
+        step, theta = next_step, next_step / step
+    res = phi.norm(gy) / mu
+    raise SolverDiagnosticError(
+        f"prox gradient method did not converge (residual {res:.3e})",
+        last_iterate=y, residual=res,
+    )
+
+
 def prox(phi: ProperFunctional, gamma: float, x) -> np.ndarray:
     """Unique minimizer of y -> F(y) + ||y - x||^2 / (2*gamma).
 
     gamma must lie in the admissible interval for the declared modulus (any
     positive value when lam >= 0, gamma < 1/|lam| otherwise), making the
-    objective (1/gamma + lam)-strongly convex.
+    objective (1/gamma + lam)-strongly convex.  The paths, in order: the
+    closed form; a certified gradient method when phi.gradient is set; else
+    derivative-free descent for black-box functionals.
     """
     if not omega_interval_contains(gamma, -phi.lam):
         raise IntervalError(
@@ -250,6 +307,8 @@ def prox(phi: ProperFunctional, gamma: float, x) -> np.ndarray:
     x = as_point(x, phi.dim)
     if phi.prox_closed_form is not None:
         return as_point(phi.prox_closed_form(gamma, x), phi.dim)
+    if phi.gradient is not None:
+        return _gradient_prox(phi, gamma, x)
 
     g = _prox_objective(phi, gamma, x)
     y0 = x
@@ -282,7 +341,8 @@ def envelope_functional(phi: ProperFunctional, gamma: float) -> ProperFunctional
     """The envelope as a functional in its own right.
 
     Its convexity modulus is lam / (1 + gamma*lam); composing envelopes this
-    way realizes the semigroup identity in the gamma parameter.
+    way realizes the semigroup identity in the gamma parameter.  The
+    envelope is C^{1,1} with exact gradient (x - prox_gamma(x)) / gamma.
     """
     if not omega_interval_contains(gamma, -phi.lam):
         raise IntervalError(f"gamma={gamma} inadmissible for lam={phi.lam}")
@@ -292,6 +352,7 @@ def envelope_functional(phi: ProperFunctional, gamma: float) -> ProperFunctional
         value=lambda x: moreau_envelope(phi, gamma, x),
         lam=lam_env,
         weights=phi.weights,
+        gradient=lambda y: (y - prox(phi, gamma, y)) / gamma,
         domain_hint=phi.domain_hint,
         name=f"envelope({phi.name or 'phi'},{gamma:g})",
     )

@@ -9,11 +9,9 @@ only when every asserted row passes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -204,32 +202,6 @@ def rows_to_json(rows: List[Row]) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
-def worker_count() -> int:
-    env = os.environ.get("GFSTACK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"GFSTACK_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
-def _parallel_rows(tasks: List[Callable[[], List[Row]]]) -> List[Row]:
-    """Evaluate independent row-producing tasks, preserving determinism."""
-    workers = worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        out: List[Row] = []
-        for task in tasks:
-            out.extend(task())
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(lambda f: f(), tasks))
-    out = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shared instance builders
 
@@ -360,62 +332,47 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
     tol = cfg.tolerance
     zoo, graphs = _bound_zoo(rng)
     times = [0.1, 0.25, 0.5, 1.0]
-    tasks: List[Callable[[], List[Row]]] = []
 
     def energy_rows(name, phi, x0s):
-        def task():
-            rows = []
-            for x0 in x0s:
-                for t in times:
-                    rep = energy_bound_check(phi, x0, t, tol)
-                    rows.append(Row("bounds", phi.dim, t, f"energy_bound:{name}",
-                                    rep.flow_energy, rep.envelope_value, rep.slack, rep.ok))
-                    if phi.lam >= 0:
-                        minimizer = np.zeros(phi.dim)
-                        dec = decay_rate_check(phi, x0, minimizer, t, tol)
-                        rows.append(Row("bounds", phi.dim, t, f"decay_rate:{name}",
-                                        dec.lhs, dec.rhs, dec.rhs - dec.lhs, dec.ok))
-            return rows
-
-        return task
+        rows = []
+        for x0 in x0s:
+            for t in times:
+                rep = energy_bound_check(phi, x0, t, tol)
+                rows.append(Row("bounds", phi.dim, t, f"energy_bound:{name}",
+                                rep.flow_energy, rep.envelope_value, rep.slack, rep.ok))
+                if phi.lam >= 0:
+                    minimizer = np.zeros(phi.dim)
+                    dec = decay_rate_check(phi, x0, minimizer, t, tol)
+                    rows.append(Row("bounds", phi.dim, t, f"decay_rate:{name}",
+                                    dec.lhs, dec.rhs, dec.rhs - dec.lhs, dec.ok))
+        return rows
 
     def envelope_rows(name, phi, x0s):
-        def task():
-            rows = []
-            sup = 1.0 / abs(phi.lam) if phi.lam < 0 else np.inf
-            for k, x0 in enumerate(x0s):
-                g1 = 0.1 + 0.2 * k
-                g2 = min(0.7, 0.45 * sup)
-                a, b = moreau_envelope(phi, g1, x0), moreau_envelope(phi, g2, x0)
-                rows.append(Row("bounds", phi.dim, g1, f"envelope_monotone:{name}",
-                                b, a, a - b, b <= a + 1e-9))
-                if g1 + g2 < sup:
-                    nested = moreau_envelope(envelope_functional(phi, g1), g2, x0)
-                    direct = moreau_envelope(phi, g1 + g2, x0)
-                    rows.append(Row("bounds", phi.dim, g1 + g2, f"envelope_semigroup:{name}",
-                                    nested, direct, direct - nested,
-                                    abs(nested - direct) <= 1e-7))
-            return rows
-
-        return task
+        rows = []
+        sup = 1.0 / abs(phi.lam) if phi.lam < 0 else np.inf
+        for k, x0 in enumerate(x0s):
+            g1 = 0.1 + 0.2 * k
+            g2 = min(0.7, 0.45 * sup)
+            a, b = moreau_envelope(phi, g1, x0), moreau_envelope(phi, g2, x0)
+            rows.append(Row("bounds", phi.dim, g1, f"envelope_monotone:{name}",
+                            b, a, a - b, b <= a + 1e-9))
+            if g1 + g2 < sup:
+                nested = moreau_envelope(envelope_functional(phi, g1), g2, x0)
+                direct = moreau_envelope(phi, g1 + g2, x0)
+                rows.append(Row("bounds", phi.dim, g1 + g2, f"envelope_semigroup:{name}",
+                                nested, direct, direct - nested,
+                                abs(nested - direct) <= 1e-7))
+        return rows
 
     def contraction_rows(name, phi, x0s):
-        def task():
-            R = resolvent_from_functional(phi)
-            rows = []
-            for t in (0.25, 1.0):
-                rep = semigroup_contraction_check(R, t, x0s[0], x0s[1], tol)
-                rows.append(Row("bounds", phi.dim, t, f"semigroup_contraction:{name}",
-                                rep.lhs, rep.rhs, rep.rhs - rep.lhs,
-                                rep.ok))
-            return rows
-
-        return task
-
-    for name, phi, x0s in zoo:
-        tasks.append(energy_rows(name, phi, x0s))
-        tasks.append(envelope_rows(name, phi, x0s))
-        tasks.append(contraction_rows(name, phi, x0s))
+        R = resolvent_from_functional(phi)
+        rows = []
+        for t in (0.25, 1.0):
+            rep = semigroup_contraction_check(R, t, x0s[0], x0s[1], tol)
+            rows.append(Row("bounds", phi.dim, t, f"semigroup_contraction:{name}",
+                            rep.lhs, rep.rhs, rep.rhs - rep.lhs,
+                            rep.ok))
+        return rows
 
     def cl_rows():
         phi = quadratic_functional(lam=1.0)
@@ -438,8 +395,6 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
                         err, bound, bound - err, err <= bound))
         return rows
 
-    tasks.append(cl_rows)
-
     def counterexample_rows():
         rows = []
         for lam in (0.0, 4.0):
@@ -452,8 +407,6 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
                             0.0 if rep.lambda_convexity_ok else 1.0, 0.0,
                             0.0, rep.lambda_convexity_ok))
         return rows
-
-    tasks.append(counterexample_rows)
 
     def envelope_limit_rows():
         rows = []
@@ -469,9 +422,12 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
             prev = val
         return rows
 
-    tasks.append(envelope_limit_rows)
-
-    rows = _parallel_rows(tasks)
+    rows: List[Row] = []
+    for name, phi, x0s in zoo:
+        rows += energy_rows(name, phi, x0s)
+        rows += envelope_rows(name, phi, x0s)
+        rows += contraction_rows(name, phi, x0s)
+    rows += cl_rows() + counterexample_rows() + envelope_limit_rows()
 
     # weighted L^r contraction rows for the graph energies
     rng_lr = np.random.default_rng(cfg.seed + 2)

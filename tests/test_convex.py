@@ -1,11 +1,14 @@
 """Prox, Moreau envelope, and kappa behaviour against closed forms and grids."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfstack.convex import (
+    PROX_RESIDUAL_TOL,
     ProperFunctional,
     abs_functional,
     check_lambda_convexity,
@@ -17,7 +20,8 @@ from gfstack.convex import (
     prox,
     quadratic_functional,
 )
-from gfstack.errors import ConstructionError, IntervalError
+from gfstack.energies import GraphEnergy
+from gfstack.errors import ConstructionError, IntervalError, SolverDiagnosticError
 
 from oracles import grid_prox_1d
 
@@ -180,6 +184,69 @@ class TestMoreauEnvelope:
         gaps = [abs(moreau_envelope(phi, 2.0**-k, x) - phi.evaluate(x)) for k in range(1, 10)]
         assert np.all(np.diff(gaps) < 0)
         assert gaps[-1] < 1e-3
+
+
+def _closed_form_zoo(kind: int, dim: int, lam: float, seed: int) -> ProperFunctional:
+    if kind == 0:
+        return quadratic_functional(lam=lam, dim=dim)
+    if kind == 1:
+        return abs_functional(dim=dim)
+    A = np.random.default_rng(seed).random((dim + 1, dim + 1))
+    A[np.diag_indices(dim + 1)] = 0.0
+    return GraphEnergy(adjacency=A).to_functional()
+
+
+zoo_draws = st.tuples(
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.floats(0.2, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestGradientProx:
+    """The certified gradient path that envelope functionals take through prox."""
+
+    @given(zoo_draws, st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.01, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_nested_prox_matches_semigroup_identity(self, draw, g1, g2, scale):
+        phi = _closed_form_zoo(*draw)
+        x = np.random.default_rng(draw[3]).normal(size=phi.dim) * scale
+        got = prox(envelope_functional(phi, g1), g2, x)
+        # prox_{g2}(e_{g1} phi)(x) = (g1 x + g2 prox_{g1+g2} phi(x)) / (g1 + g2)
+        want = (g1 * x + g2 * prox(phi, g1 + g2, x)) / (g1 + g2)
+        eps = PROX_RESIDUAL_TOL * (1.0 + phi.norm(x))
+        assert phi.norm(got - want) <= eps
+
+    @given(zoo_draws, st.floats(0.05, 1.5), st.floats(0.01, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_envelope_gradient_matches_central_differences(self, draw, gamma, scale):
+        phi = _closed_form_zoo(*draw)
+        env = envelope_functional(phi, gamma)
+        x = np.random.default_rng(draw[3]).normal(size=phi.dim) * scale
+        grad = env.gradient(x)
+        h = 1e-6
+        for i in range(phi.dim):
+            e = np.zeros(phi.dim)
+            e[i] = h
+            partial = (env.evaluate(x + e) - env.evaluate(x - e)) / (2.0 * h)
+            # the Riesz gradient in <u, v>_w has Euclidean partials w_i * grad_i
+            assert abs(partial / phi.weights[i] - grad[i]) <= 1e-4 * (1.0 + abs(grad[i]))
+
+    @pytest.mark.parametrize("gradient", [
+        lambda y: -4.0 * y,  # gradient of the concave -2 y^2, declared 0-convex
+        lambda y: 10.0 * np.sin(40.0 * y),  # not monotone
+        lambda y: 3.0 * np.sign(y - 0.1),  # monotone but not differentiable at 0.1
+        lambda y: np.full(y.shape, np.nan),
+    ])
+    def test_false_gradient_raises_in_bounded_time(self, gradient):
+        liar = ProperFunctional(dim=1, value=lambda y: float(y[0] ** 2), lam=0.0,
+                                weights=[1.0], gradient=gradient)
+        t0 = time.perf_counter()
+        with pytest.raises(SolverDiagnosticError) as exc:
+            prox(liar, 1.0, [0.3])
+        assert time.perf_counter() - t0 < 2.0
+        assert exc.value.residual is not None
 
 
 class TestLambdaConvexity:

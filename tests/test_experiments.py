@@ -1,6 +1,7 @@
 """Experiment runner: config grammar, CSV contract, determinism, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from gfstack.experiments import (
     rows_to_csv,
     rows_to_json,
     run_experiment,
-    worker_count,
 )
 from gfstack.transport import TLpPoint, dump_tlp_point, tlp_distance, uniform_measure
 
@@ -100,17 +100,13 @@ class TestDeterminism:
         b = rows_to_csv(run_experiment(ExperimentConfig(kind="tlp_table", seed=2)))
         assert a != b
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("GFSTACK_THREADS", "2")
-        assert worker_count() == 2
-        cfg = ExperimentConfig(kind="bound_suite", seed=7)
-        two = rows_to_csv(run_experiment(cfg))
-        monkeypatch.setenv("GFSTACK_THREADS", "1")
-        one = rows_to_csv(run_experiment(cfg))
-        assert one == two
-        monkeypatch.setenv("GFSTACK_THREADS", "zebra")
-        with pytest.raises(ConfigError):
-            worker_count()
+    def test_bound_suite_seed_12_completes(self):
+        # its nested envelopes stall the derivative-free prox at residual 1e-8
+        t0 = time.perf_counter()
+        rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=12))
+        assert time.perf_counter() - t0 < 10.0
+        assert len(rows) == 211
+        assert all(r.passed for r in rows)
 
 
 class TestCli:
@@ -256,6 +252,5 @@ class TestExperimentBehaviour:
             cli_main(["d2c", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for token in ("config grammar", "kind", "sizes", "GFSTACK_THREADS",
-                      CSV_HEADER):
+        for token in ("config grammar", "kind", "sizes", CSV_HEADER):
             assert token in out
