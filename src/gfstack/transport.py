@@ -1,10 +1,11 @@
 """Exact optimal transport between empirical measures, and the TL^p metric.
 
 Distances are computed by an in-repo network simplex on the dense
-transportation graph: Bland's entering rule plus a 1e-13 perturbation of the
-marginals while pivoting, with the final flows re-solved on the optimal
-spanning tree from the exact marginals (dual feasibility, hence optimality
-of the basis, does not depend on the marginals).
+transportation graph with Bland's entering rule.  Degeneracy is broken by a
+symbolic perturbation of the marginals: every flow is a pair (exact, c)
+standing for exact + c*eps with eps infinitesimal, and pairs compare
+lexicographically.  The plan is read from the exact parts, so its marginals
+are the given ones up to floating-point rounding.
 
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
 
 MARGINAL_TOL = 1e-9
-_PIVOT_EPS = 1e-13
 _RC_TOL = 1e-12
 _MAX_PIVOTS = 200_000
 
@@ -135,7 +135,7 @@ class _SpanningTree:
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
         self.adj = [set() for _ in range(m + n)]  # node -> neighbor nodes
-        self.flows = {}  # (i, j) arc -> flow
+        self.flows = {}  # (i, j) arc -> (exact, eps coefficient) flow
 
     def add(self, i, j, flow):
         self.adj[i].add(self.m + j)
@@ -191,15 +191,22 @@ class _SpanningTree:
 
 
 def _northwest_corner(a, b):
+    """Staircase start on the perturbed marginals.
+
+    Source i supplies a[i] + (i+1)/m eps and the last sink demands
+    b[-1] + (m+1)/2 eps, so the perturbed masses balance.
+    """
     m, n = len(a), len(b)
     tree = _SpanningTree(m, n)
+    ra = [(float(a[i]), (i + 1) / m) for i in range(m)]
+    rb = [(float(x), 0.0) for x in b]
+    rb[-1] = (rb[-1][0], (m + 1) / 2)
     i = j = 0
-    ra, rb = a.copy(), b.copy()
     while True:
         f = min(ra[i], rb[j])
         tree.add(i, j, f)
-        ra[i] -= f
-        rb[j] -= f
+        ra[i] = (ra[i][0] - f[0], ra[i][1] - f[1])
+        rb[j] = (rb[j][0] - f[0], rb[j][1] - f[1])
         if i == m - 1 and j == n - 1:
             break
         # advance in the direction with remaining mass; ties go down-right
@@ -210,47 +217,16 @@ def _northwest_corner(a, b):
     return tree
 
 
-def _resolve_tree_flows(tree: _SpanningTree, a, b):
-    """Exact flows on the basis tree for the unperturbed marginals.
-
-    Leaf elimination: a leaf's single incident arc must carry the leaf's
-    remaining supply (or demand); tiny float negatives are clipped.
-    """
-    m, n = tree.m, tree.n
-    rem = np.concatenate([a, b]).astype(float)
-    arcs_at = [list() for _ in range(m + n)]
-    for (i, j) in tree.flows:
-        arcs_at[i].append((i, j))
-        arcs_at[m + j].append((i, j))
-    alive = set(tree.flows)
-    deg = np.array([len(arcs_at[k]) for k in range(m + n)])
-    leaves = [k for k in range(m + n) if deg[k] == 1]
-    flows = {}
-    while leaves:
-        node = leaves.pop()
-        arc = next((c for c in arcs_at[node] if c in alive), None)
-        if arc is None:
-            continue
-        i, j = arc
-        other = (m + j) if node == i else i
-        f = rem[node]
-        flows[arc] = f
-        alive.discard(arc)
-        rem[node] = 0.0
-        rem[other] -= f
-        deg[node] -= 1
-        deg[other] -= 1
-        if deg[other] == 1:
-            leaves.append(other)
-    return {arc: max(f, 0.0) for arc, f in flows.items()}
-
-
 def solve_transport(a, b, C):
     """Minimize sum_ij P_ij C_ij over couplings with marginals (a, b).
 
     Returns (plan matrix, optimal cost).  Dense network simplex with a
-    northwest-corner start, Bland's entering rule, and perturbed marginals
-    during pivoting only.
+    northwest-corner start and Bland's entering rule.  Flows carry the
+    marginal perturbation symbolically as (exact, eps coefficient) pairs, so
+    the ratio test is lexicographic and no feasible basis of the perturbed
+    problem is degenerate.  An exact part never goes negative: a flow
+    (f0, f1) >= theta = (t0, t1) has f0 >= t0, so f0 - t0 >= 0 in IEEE
+    arithmetic.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -261,13 +237,7 @@ def solve_transport(a, b, C):
     if abs(a.sum() - b.sum()) > 1e-9:
         raise PreconditionError("marginals must have equal total mass")
 
-    # tiny distinct supply perturbations break degeneracy while pivoting
-    eps = _PIVOT_EPS * (np.arange(m) + 1.0) / m
-    a_pert = a + eps
-    b_pert = b.copy()
-    b_pert[-1] += eps.sum()
-
-    tree = _northwest_corner(a_pert, b_pert)
+    tree = _northwest_corner(a, b)
     for _ in range(_MAX_PIVOTS):
         u, v = tree.potentials(C)
         rc = C - u[:, None] - v[None, :]
@@ -286,7 +256,7 @@ def solve_transport(a, b, C):
             arc = (x, y - m) if x < m else (y, x - m)
             cycle.append((arc[0], arc[1], sign))
             sign = -sign
-        theta = np.inf
+        theta = (np.inf, 0.0)
         leave = None
         for i, j, s in cycle[1:]:
             if s < 0 and tree.flows[(i, j)] < theta:
@@ -295,15 +265,15 @@ def solve_transport(a, b, C):
         if leave is None:
             raise SolverDiagnosticError("unbounded pivot in a bounded transportation problem")
         for i, j, s in cycle[1:]:
-            tree.flows[(i, j)] += s * theta
+            f0, f1 = tree.flows[(i, j)]
+            tree.flows[(i, j)] = (f0 + s * theta[0], f1 + s * theta[1])
         tree.remove(*leave)
         tree.add(ei, ej, theta)
     else:
         raise SolverDiagnosticError(f"network simplex exceeded {_MAX_PIVOTS} pivots")
 
-    flows = _resolve_tree_flows(tree, a, b)
     P = np.zeros((m, n))
-    for (i, j), f in flows.items():
+    for (i, j), (f, _) in tree.flows.items():
         P[i, j] = f
     return P, float(np.sum(P * C))
 
@@ -315,18 +285,12 @@ def _spatial_cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -
 
 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
-    """p-Wasserstein distance and an optimal plan between empirical measures."""
-    if mu.dim != nu.dim:
-        raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if p < 1:
-        raise PreconditionError("p must be >= 1")
-    C = _spatial_cost_matrix(mu, nu, p)
-    P, cost = solve_transport(mu.weights, nu.weights, C)
-    plan = TransportPlan(
-        pi=P, source=mu, target=nu, cost=cost, stagnation_cost=cost, cost_matrix=C
-    )
-    plan.check()
-    return float(max(cost, 0.0) ** (1.0 / p)), plan
+    """p-Wasserstein distance and an optimal plan between empirical measures.
+
+    The TL^p distance between the measures carrying zero functions: the value
+    part of its cost vanishes exactly, so the plan is the spatial one.
+    """
+    return tlp_distance(TLpPoint(mu, np.zeros(mu.n_atoms)), TLpPoint(nu, np.zeros(nu.n_atoms)), p)
 
 
 def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):

@@ -1,11 +1,14 @@
 """Exact transport distances, plans, and the function/measure-pair metric."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfstack.errors import ConstructionError, PreconditionError
+from gfstack import transport
+from gfstack.errors import ConstructionError, PreconditionError, SolverDiagnosticError
 from gfstack.transport import (
     EmpiricalMeasure,
     TLpPoint,
@@ -21,6 +24,27 @@ from gfstack.transport import (
 )
 
 from oracles import permutation_transport_optimum
+
+
+def _linprog_cost(a, b, C):
+    """Optimal cost of the transportation LP by HiGHS, an independent oracle."""
+    from scipy.optimize import linprog
+
+    m, n = C.shape
+    A_eq = []
+    for i in range(m):
+        row = np.zeros(m * n)
+        row[i * n:(i + 1) * n] = 1.0
+        A_eq.append(row)
+    for j in range(n):
+        row = np.zeros(m * n)
+        row[j::n] = 1.0
+        A_eq.append(row)
+    res = linprog(C.reshape(-1), A_eq=np.asarray(A_eq),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None),
+                  method="highs")
+    assert res.success
+    return res.fun
 
 
 def _pt(atoms, values, weights=None):
@@ -287,7 +311,7 @@ class TestSolverCore:
             assert np.all(P >= 0)
             assert np.abs(P.sum(axis=1) - a).max() < 1e-9
             assert np.abs(P.sum(axis=0) - b).max() < 1e-9
-            # dual feasibility at optimum: no negative reduced costs remain
+            # the optimum costs no more than the independent coupling a b^T
             assert cost <= float(np.sum(np.outer(a, b) * C)) + 1e-12
 
     def test_mass_mismatch_rejected(self):
@@ -303,8 +327,6 @@ class TestSolverCore:
 
 class TestAgainstLinearProgramming:
     def test_rectangular_optimum_matches_linprog(self, rng):
-        from scipy.optimize import linprog
-
         for _ in range(30):
             m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             a = rng.random(m) + 0.05
@@ -313,17 +335,53 @@ class TestAgainstLinearProgramming:
             b /= b.sum()
             C = rng.random((m, n))
             _, cost = solve_transport(a, b, C)
-            A_eq = []
-            for i in range(m):
-                row = np.zeros(m * n)
-                row[i * n:(i + 1) * n] = 1.0
-                A_eq.append(row)
-            for j in range(n):
-                row = np.zeros(m * n)
-                row[j::n] = 1.0
-                A_eq.append(row)
-            res = linprog(C.reshape(-1), A_eq=np.asarray(A_eq),
-                          b_eq=np.concatenate([a, b]), bounds=(0, None),
-                          method="highs")
-            assert res.success
-            assert abs(res.fun - cost) < 1e-9
+            assert abs(_linprog_cost(a, b, C) - cost) < 1e-9
+
+
+def _tied_weights(r, k, kind):
+    """Weights with exact ties: uniform 1/k, or dyadic counts / 2^6 summing to 1."""
+    if kind == "uniform":
+        return np.full(k, 1.0 / k)
+    cuts = np.sort(r.choice(np.arange(1, 64), size=k - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [64]])) / 64.0
+
+
+class TestDegenerateInstances:
+    """Exactly tied marginals and costs, the case the symbolic perturbation handles."""
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["uniform", "dyadic"]),
+        st.sampled_from(["integer", "monge"]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tied_marginals_match_linprog(self, m, n, weights, costs, seed):
+        r = np.random.default_rng(seed)
+        a, b = _tied_weights(r, m, weights), _tied_weights(r, n, weights)
+        if costs == "integer":
+            C = r.integers(0, 4, size=(m, n)).astype(float)
+        else:  # |x_i - y_j|^p on sorted integer atoms: a Monge cost with ties
+            x = np.sort(r.integers(0, 5, size=m)).astype(float)
+            y = np.sort(r.integers(0, 5, size=n)).astype(float)
+            C = np.abs(x[:, None] - y[None, :]) ** float(r.integers(1, 3))
+        P, cost = solve_transport(a, b, C)
+        assert abs(_linprog_cost(a, b, C) - cost) < 1e-9
+        assert P.min() >= 0.0
+        assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
+
+
+def test_pivot_cap_raises_in_bounded_time(monkeypatch):
+    # a 2-D cloud of 16 atoms needs about 150 pivots; capped at 5 the solver
+    # must give up with a diagnostic rather than return a non-optimal plan
+    monkeypatch.setattr(transport, "_MAX_PIVOTS", 5)
+    r = np.random.default_rng(16000)
+    x, y = r.random((16, 2)), r.random((16, 2))
+    C = np.sum((x[:, None] - y[None]) ** 2, axis=2)
+    w = np.full(16, 1.0 / 16)
+    t0 = time.perf_counter()
+    with pytest.raises(SolverDiagnosticError, match="exceeded 5 pivots"):
+        solve_transport(w, w, C)
+    assert time.perf_counter() - t0 < 2.0
