@@ -14,14 +14,12 @@ contraction checks for graph flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve
 
-from .convex import ProperFunctional, as_point
+from .convex import ProperFunctional, as_point, quadratic_functional
 from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
 from .flow import gradient_flow
 
@@ -78,6 +76,8 @@ def _smoothstep_table():
     """
     global _SMOOTHSTEP_SPLINE
     if _SMOOTHSTEP_SPLINE is None:
+        from scipy.interpolate import CubicSpline
+
         n = 16384
         xs = np.linspace(-1.0, 1.0, n + 1)
         mids = 0.5 * (xs[:-1] + xs[1:])
@@ -154,6 +154,8 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
     The default is the odd extension; one_sided leaves the negative axis
     identically zero (the asymmetric variant the counterexample needs).
     """
+    from scipy.interpolate import CubicSpline
+
     if a <= 0 or w <= 0:
         raise ConstructionError("need a > 0 and w > 0")
     if not 0.0 < slope <= 1.0:
@@ -231,14 +233,6 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
 # graph energies
 
 
-def _pair_matrix(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric quadratic-form matrix K with u' K u = sum_ij A_ij (u_i-u_j)^2."""
-    A = adjacency
-    row = A.sum(axis=1)
-    col = A.sum(axis=0)
-    return np.diag(row + col) - (A + A.T)
-
-
 @dataclass(frozen=True)
 class GraphEnergy:
     """F(u) = sum_ij A_ij L(u_i - u_j) over weighted nodes.
@@ -253,6 +247,7 @@ class GraphEnergy:
     loss_kind: str = "squared"
     node_weights: Optional[np.ndarray] = None
     name: str = ""
+    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.adjacency, dtype=float)
@@ -266,12 +261,17 @@ class GraphEnergy:
         w = np.full(A.shape[0], 1.0 / A.shape[0]) if w is None else np.asarray(w, dtype=float)
         if w.size != A.shape[0] or np.any(w <= 0):
             raise ConstructionError("node_weights must be positive, one per node")
-        A = A.copy()
-        w = w.copy()
-        A.flags.writeable = False
-        w.flags.writeable = False
+        A, w = A.copy(), w.copy()
         object.__setattr__(self, "adjacency", A)
         object.__setattr__(self, "node_weights", w)
+        factors = ()
+        if self.loss_kind == "squared":
+            s = 1.0 / np.sqrt(w)
+            evals, Q = np.linalg.eigh((self.pair_matrix() * s[None, :]) * s[:, None])
+            factors = (np.maximum(evals, 0.0), Q, s)
+            object.__setattr__(self, "_factors", factors)
+        for arr in (A, w, *factors):
+            arr.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -285,19 +285,19 @@ class GraphEnergy:
         return float(np.sum(self.adjacency * np.abs(diff)))
 
     def pair_matrix(self) -> np.ndarray:
-        return _pair_matrix(self.adjacency)
+        """Symmetric quadratic-form matrix K with u' K u = sum_ij A_ij (u_i-u_j)^2."""
+        A = self.adjacency
+        return np.diag(A.sum(axis=1) + A.sum(axis=0)) - (A + A.T)
 
     def spectral_factors(self):
-        """(W^{-1/2}-whitened eigensystem) of the squared-loss generator."""
-        if self.loss_kind != "squared":
+        """(evals, Q, s): W^{-1/2} K W^{-1/2} = Q diag(evals) Q' with s = W^{-1/2}.
+
+        Computed once, at construction, for the squared loss; the arrays are
+        read-only and shared by every prox of this energy.
+        """
+        if self._factors is None:
             raise PreconditionError("spectral factors exist for the squared loss only")
-        K = self.pair_matrix()
-        w = self.node_weights
-        s = 1.0 / np.sqrt(w)
-        B = (K * s[None, :]) * s[:, None]
-        evals, Q = np.linalg.eigh(B)
-        evals = np.maximum(evals, 0.0)
-        return evals, Q, s
+        return self._factors
 
     def to_functional(self) -> ProperFunctional:
         """View as a convex functional on the weighted node space.
@@ -309,14 +309,6 @@ class GraphEnergy:
         if abs(w.sum() - 1.0) > 1e-9:
             raise PreconditionError("to_functional needs probability node weights")
         if self.loss_kind == "squared":
-            evals, Q, s = self.spectral_factors()
-
-            def apply_power(gamma, n, h):
-                h = as_point(h, self.n_nodes)
-                coef = Q.T @ (h / s)
-                coef = coef * np.exp(-n * np.log1p(2.0 * gamma * evals))
-                return s * (Q @ coef)
-
             K = self.pair_matrix()
 
             def slope(u):
@@ -330,7 +322,7 @@ class GraphEnergy:
                 lam=0.0,
                 weights=w,
                 prox_closed_form=lambda g, h: graph_prox(self, g, h),
-                prox_iterated=apply_power,
+                prox_iterated=lambda g, n, h: _squared_prox_power(self, g, n, h),
                 slope_norm=slope,
                 name=self.name or "graph-squared",
             )
@@ -344,22 +336,34 @@ class GraphEnergy:
         )
 
 
+def _squared_prox_power(ge: GraphEnergy, gamma: float, k: int, h) -> np.ndarray:
+    """k-fold squared-loss prox ((W + 2 gamma K)^{-1} W)^k h in the eigenbasis.
+
+    In log space, so the power stays exact for tiny steps and huge k.
+    """
+    h = as_point(h, ge.n_nodes)
+    evals, Q, s = ge.spectral_factors()
+    coef = (Q.T @ (h / s)) * np.exp(-k * np.log1p(2.0 * gamma * evals))
+    return s * (Q @ coef)
+
+
 def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
     """Minimizer of F(u) + sum_i w_i (u_i - h_i)^2 / (2 gamma).
 
-    Squared loss: one symmetric positive-definite solve (W + 2 gamma K) u =
-    W h.  Absolute loss: ADMM splitting over the edge differences, tolerance
-    1e-10 on the primal/dual residuals.
+    Squared loss: u = (W + 2 gamma K)^{-1} W h, applied through the spectral
+    factors computed when the energy was built.  Absolute loss: ADMM
+    splitting over the edge differences, tolerance 1e-10 on the primal/dual
+    residuals.
     """
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
-    h = as_point(h, ge.n_nodes)
-    W = np.diag(ge.node_weights)
     if ge.loss_kind == "squared":
-        K = ge.pair_matrix()
-        return np.linalg.solve(W + 2.0 * gamma * K, ge.node_weights * h)
+        return _squared_prox_power(ge, gamma, 1, h)
+
+    from scipy.linalg import cho_factor, cho_solve
 
     # absolute loss: minimize (1/2g)||u-h||_W^2 + sum_e c_e |u_i - u_j|
+    h = as_point(h, ge.n_nodes)
     A = ge.adjacency
     iu, ju = np.nonzero(np.triu(A + A.T, k=1))
     c = (A + A.T)[iu, ju]
@@ -370,7 +374,7 @@ def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
     D[np.arange(len(iu)), iu] = 1.0
     D[np.arange(len(iu)), ju] = -1.0
     rho = 1.0 / gamma
-    M = W / gamma + rho * (D.T @ D)
+    M = np.diag(ge.node_weights) / gamma + rho * (D.T @ D)
     chol = cho_factor(M)
     u = h.copy()
     z = D @ u
@@ -397,16 +401,7 @@ def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
 def quadratic_map_energy(weights) -> ProperFunctional:
     """Q(u) = (1/2) sum_i w_i u_i^2: the squared weighted L2 norm, exchange-stable."""
     w = np.asarray(weights, dtype=float)
-    return ProperFunctional(
-        dim=w.size,
-        value=lambda u: 0.5 * float(np.sum(w * u * u)),
-        lam=1.0,
-        weights=w,
-        prox_closed_form=lambda g, x: x / (1.0 + g),
-        prox_iterated=lambda g, n, x: x * np.exp(-n * np.log1p(g)),
-        slope_norm=lambda x: float(np.sqrt(np.sum(w * x * x))),
-        name="quadratic-map",
-    )
+    return replace(quadratic_functional(1.0, w.size, w), name="quadratic-map")
 
 
 def graph_energy_to_record(ge: GraphEnergy) -> dict:

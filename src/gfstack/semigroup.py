@@ -141,7 +141,8 @@ def crandall_liggett(R: ResolventOperator, t: float, x, tol: float):
     (2t/sqrt(n)) * inf||A(x)|| * e^{4 max(omega,0) t} <= tol is used and the
     bound is a certified a-priori error.  Otherwise n doubles until
     consecutive iterates agree within tol/2 and the returned estimate is the
-    requested tol with the certified flag cleared.
+    requested tol with the certified flag cleared; past DOUBLING_CAP it
+    raises SolverDiagnosticError with the last gap as the residual.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
@@ -174,12 +175,13 @@ def crandall_liggett(R: ResolventOperator, t: float, x, tol: float):
         n = int(np.floor(t * R.omega)) + 1
     n = max(n, 8)
     y = resolvent_iterate(R, t, n, x)
+    gap = np.inf  # the residual if the cap binds before any gap is measured
     while True:
         if 2 * n > DOUBLING_CAP:
             raise SolverDiagnosticError(
                 f"doubling exceeded {DOUBLING_CAP} resolvent applications",
                 last_iterate=y,
-                residual=np.nan,
+                residual=gap,
             )
         y2 = resolvent_iterate(R, t, 2 * n, x)
         gap = R.norm(y2 - y)

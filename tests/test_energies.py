@@ -1,9 +1,12 @@
 """Graph energies, the smooth-truncation test family, and exchange checks."""
 
+import time
+
 import numpy as np
 import pytest
 
-from gfstack.convex import check_lambda_convexity, default_triple_sampler
+from gfstack import energies
+from gfstack.convex import PROX_RESIDUAL_TOL, check_lambda_convexity, default_triple_sampler
 from gfstack.energies import (
     GraphEnergy,
     adaptive_simpson,
@@ -16,7 +19,7 @@ from gfstack.energies import (
     quadratic_map_energy,
     weighted_lr_norm,
 )
-from gfstack.errors import ConstructionError, PreconditionError
+from gfstack.errors import ConstructionError, PreconditionError, SolverDiagnosticError
 
 from oracles import grid_prox_2d
 
@@ -242,13 +245,72 @@ class TestGraphEnergy:
     def test_spectral_power_matches_repeated_solves(self, rng):
         A = rng.random((6, 6))
         A[np.diag_indices(6)] = 0.0
-        phi = GraphEnergy(adjacency=A).to_functional()
-        h = rng.normal(size=6)
         ge = GraphEnergy(adjacency=A)
+        phi = ge.to_functional()
+        h = rng.normal(size=6)
+        w = ge.node_weights
+        M = np.diag(w) + 2.0 * 0.07 * ge.pair_matrix()
         direct = h
-        for _ in range(4):
-            direct = graph_prox(ge, 0.07, direct)
-        assert np.allclose(phi.prox_iterated(0.07, 4, h), direct, atol=1e-11)
+        for k in range(1, 5):
+            direct = np.linalg.solve(M, w * direct)
+            assert np.allclose(phi.prox_iterated(0.07, k, h), direct, atol=1e-11)
+        assert np.allclose(graph_prox(ge, 0.07, h), np.linalg.solve(M, w * h), atol=1e-11)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.05, 0.25, 1.0])
+    def test_squared_prox_forward_error_on_fine_grid(self, gamma, rng):
+        # the 1024-node Dirichlet chain is tridiagonal and diagonally dominant,
+        # so a banded LU solve is an independent reference
+        from scipy.linalg import solve_banded
+
+        from gfstack.experiments import fine_grid_dirichlet, line_measure
+
+        measure = line_measure(1024)
+        ge = fine_grid_dirichlet(measure)
+        w = ge.node_weights
+        M = np.diag(w) + 2.0 * gamma * ge.pair_matrix()
+        bands = np.zeros((3, w.size))
+        bands[0, 1:] = np.diag(M, 1)
+        bands[1] = np.diag(M)
+        bands[2, :-1] = np.diag(M, -1)
+        wnorm = lambda v: float(np.sqrt(np.sum(w * v * v)))
+        for h in (np.cos(np.pi * measure.atoms[:, 0]), rng.normal(size=w.size)):
+            ref = solve_banded((1, 1), bands, w * h)
+            err = wnorm(graph_prox(ge, gamma, h) - ref)
+            assert err <= PROX_RESIDUAL_TOL * (1.0 + wnorm(h))
+
+    def test_one_eigh_per_squared_energy(self, monkeypatch, rng):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda B: calls.append(B.shape) or eigh(B))
+        A = rng.random((5, 5))
+        A[np.diag_indices(5)] = 0.0
+        GraphEnergy(adjacency=A, loss_kind="absolute")
+        assert calls == []
+        ge = GraphEnergy(adjacency=A)
+        phi = ge.to_functional()
+        h, x, y = rng.normal(size=(3, 5))
+        graph_prox(ge, 0.3, h)
+        phi.prox_iterated(0.3, 4, h)
+        lr_contraction_check(ge, x, y, 0.5, 2.0)
+        lr_contraction_check(ge, x, y, 0.5, np.inf)
+        assert calls == [(5, 5)]
+
+    def test_spectral_factors_squared_only(self):
+        ge = GraphEnergy(adjacency=np.zeros((2, 2)), loss_kind="absolute")
+        with pytest.raises(PreconditionError):
+            ge.spectral_factors()
+
+    def test_edge_splitting_cap_raises_in_bounded_time(self, monkeypatch, rng):
+        monkeypatch.setattr(energies, "SPLIT_MAX_ITER", 3)
+        A = rng.random((5, 5))
+        A[np.diag_indices(5)] = 0.0
+        ge = GraphEnergy(adjacency=A, loss_kind="absolute")
+        start = time.perf_counter()
+        with pytest.raises(SolverDiagnosticError) as info:
+            graph_prox(ge, 0.5, rng.normal(size=5))
+        assert time.perf_counter() - start < 2.0
+        assert np.isfinite(info.value.residual) and info.value.residual > energies.SPLIT_TOL
+        assert len(info.value.last_iterate) == 5
 
     def test_probability_weights_required_for_functional(self):
         ge = GraphEnergy(adjacency=np.zeros((2, 2)), node_weights=np.array([1.0, 1.0]))

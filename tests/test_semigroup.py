@@ -1,10 +1,13 @@
 """Resolvent iteration, exponential-formula certificates, accretivity checks."""
 
+import time
+
 import numpy as np
 import pytest
 
+from gfstack import semigroup
 from gfstack.convex import abs_functional, quadratic_functional
-from gfstack.errors import IntervalError, PreconditionError
+from gfstack.errors import IntervalError, PreconditionError, SolverDiagnosticError
 from gfstack.semigroup import (
     ResolventOperator,
     check_accretive,
@@ -104,6 +107,27 @@ class TestCrandallLiggett:
             gaps.append(abs(nxt[0] - prev[0]))
             prev, n = nxt, 2 * n
         assert np.all(np.diff(gaps) < 0)
+
+    def test_doubling_cap_reports_last_gap(self, monkeypatch):
+        # tol = 1e-300 is out of reach, so doubling runs into the cap: 8 -> 16 -> 32 -> 64
+        monkeypatch.setattr(semigroup, "DOUBLING_CAP", 64)
+        R = ResolventOperator(dim=1, omega=-1.0, resolve=lambda lam, x: x / (1 + lam))
+        x = np.array([1.0])
+        start = time.perf_counter()
+        with pytest.raises(SolverDiagnosticError) as info:
+            crandall_liggett(R, 1.0, x, 1e-300)
+        assert time.perf_counter() - start < 2.0
+        y32, y64 = resolvent_iterate(R, 1.0, 32, x), resolvent_iterate(R, 1.0, 64, x)
+        assert info.value.residual == R.norm(y64 - y32)
+        assert 0.0 < info.value.residual < np.inf
+        assert np.array_equal(info.value.last_iterate, y64)
+
+    def test_doubling_cap_before_first_gap(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "DOUBLING_CAP", 8)
+        R = ResolventOperator(dim=1, omega=-1.0, resolve=lambda lam, x: x / (1 + lam))
+        with pytest.raises(SolverDiagnosticError) as info:
+            crandall_liggett(R, 1.0, 1.0, 1e-300)
+        assert info.value.residual == np.inf
 
     def test_time_zero(self, quad_resolvent):
         u, cert = crandall_liggett(quad_resolvent, 0.0, 0.7, 1e-9)
