@@ -233,6 +233,30 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
 # graph energies
 
 
+def _path_eigensystem(edges, w):
+    """Closed-form (evals, Q) of W^{-1/2} K W^{-1/2} for a path with one coefficient.
+
+    A path i - i+1 with one coefficient c and equal node weights w has
+    W^{-1/2} K W^{-1/2} = (c/w) L for the path Laplacian L, whose eigenvectors
+    are the DCT-II basis Q[i, k] = sqrt(2/n) cos(pi k (i + 1/2) / n) (column
+    0: sqrt(1/n)) with eigenvalues 4 sin^2(pi k / 2n).  Returns None for any
+    other graph.
+    """
+    iu, ju, c = edges
+    n = w.size
+    path = np.arange(n - 1)
+    if (n < 2 or iu.size != n - 1 or np.any(iu != path) or np.any(ju != path + 1)
+            or np.any(c != c[0]) or np.any(w != w[0])):
+        return None
+    k = np.arange(n)  # the node index i and the frequency k share this range
+    # cos(pi m / 2n) looked up at the exact integer phase m = (2i + 1) k mod 4n
+    phase = np.outer(2 * k + 1, k)
+    phase %= 4 * n
+    Q = np.cos(np.pi * np.arange(4 * n) / (2 * n))[phase] * np.sqrt(2.0 / n)
+    Q[:, 0] = np.sqrt(1.0 / n)
+    return (c[0] / w[0]) * 4.0 * np.sin(np.pi * k / (2 * n)) ** 2, Q
+
+
 @dataclass(frozen=True)
 class GraphEnergy:
     """F(u) = sum_ij A_ij L(u_i - u_j) over weighted nodes.
@@ -240,13 +264,16 @@ class GraphEnergy:
     loss_kind is "squared" or "absolute".  node_weights are the discrete
     measure entering the prox quadratic term and every norm; they are
     validated positive but not forced to sum to one (shipped measure-based
-    instances use probability weights).
+    instances use probability weights).  Construction stores the edge list
+    (iu, ju, c): the pairs i < j with c = A_ij + A_ji > 0, over which the
+    value, the squared-loss gradient and the absolute-loss prox are summed.
     """
 
     adjacency: np.ndarray
     loss_kind: str = "squared"
     node_weights: Optional[np.ndarray] = None
     name: str = ""
+    _edges: tuple = field(default=(), init=False, repr=False, compare=False)
     _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -264,13 +291,20 @@ class GraphEnergy:
         A, w = A.copy(), w.copy()
         object.__setattr__(self, "adjacency", A)
         object.__setattr__(self, "node_weights", w)
+        S = A + A.T
+        iu, ju = np.nonzero(np.triu(S, k=1))
+        edges = (iu, ju, S[iu, ju])
+        object.__setattr__(self, "_edges", edges)
         factors = ()
         if self.loss_kind == "squared":
             s = 1.0 / np.sqrt(w)
-            evals, Q = np.linalg.eigh((self.pair_matrix() * s[None, :]) * s[:, None])
-            factors = (np.maximum(evals, 0.0), Q, s)
+            eig = _path_eigensystem(edges, w)
+            if eig is None:
+                evals, Q = np.linalg.eigh((self.pair_matrix() * s[None, :]) * s[:, None])
+                eig = np.maximum(evals, 0.0), Q
+            factors = (*eig, s)
             object.__setattr__(self, "_factors", factors)
-        for arr in (A, w, *factors):
+        for arr in (A, w, *edges, *factors):
             arr.flags.writeable = False
 
     @property
@@ -279,10 +313,11 @@ class GraphEnergy:
 
     def value(self, u) -> float:
         u = as_point(u, self.n_nodes)
-        diff = u[:, None] - u[None, :]
+        iu, ju, c = self._edges
+        d = u[iu] - u[ju]
         if self.loss_kind == "squared":
-            return float(np.sum(self.adjacency * diff * diff))
-        return float(np.sum(self.adjacency * np.abs(diff)))
+            return float(np.sum(c * d * d))
+        return float(np.sum(c * np.abs(d)))
 
     def pair_matrix(self) -> np.ndarray:
         """Symmetric quadratic-form matrix K with u' K u = sum_ij A_ij (u_i-u_j)^2."""
@@ -292,8 +327,10 @@ class GraphEnergy:
     def spectral_factors(self):
         """(evals, Q, s): W^{-1/2} K W^{-1/2} = Q diag(evals) Q' with s = W^{-1/2}.
 
-        Computed once, at construction, for the squared loss; the arrays are
-        read-only and shared by every prox of this energy.
+        Computed once, at construction, for the squared loss: in closed form
+        (the DCT-II basis) for a path with one coefficient and equal node
+        weights, by eigh otherwise.  The arrays are read-only and shared by
+        every prox of this energy.
         """
         if self._factors is None:
             raise PreconditionError("spectral factors exist for the squared loss only")
@@ -309,11 +346,13 @@ class GraphEnergy:
         if abs(w.sum() - 1.0) > 1e-9:
             raise PreconditionError("to_functional needs probability node weights")
         if self.loss_kind == "squared":
-            K = self.pair_matrix()
+            iu, ju, c = self._edges
+            n = self.n_nodes
 
             def slope(u):
-                u = as_point(u, self.n_nodes)
-                grad_w = 2.0 * (K @ u) / w
+                u = as_point(u, n)
+                flux = c * (u[iu] - u[ju])  # K u = sum over edges of c (u_i - u_j)(e_i - e_j)
+                grad_w = 2.0 * (np.bincount(iu, flux, n) - np.bincount(ju, flux, n)) / w
                 return float(np.sqrt(np.sum(w * grad_w * grad_w)))
 
             return ProperFunctional(
@@ -352,7 +391,7 @@ def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
 
     Squared loss: u = (W + 2 gamma K)^{-1} W h, applied through the spectral
     factors computed when the energy was built.  Absolute loss: ADMM
-    splitting over the edge differences, tolerance 1e-10 on the primal/dual
+    splitting over the stored edge list's differences, tolerance 1e-10 on the primal/dual
     residuals.
     """
     if gamma <= 0:
@@ -364,9 +403,7 @@ def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
 
     # absolute loss: minimize (1/2g)||u-h||_W^2 + sum_e c_e |u_i - u_j|
     h = as_point(h, ge.n_nodes)
-    A = ge.adjacency
-    iu, ju = np.nonzero(np.triu(A + A.T, k=1))
-    c = (A + A.T)[iu, ju]
+    iu, ju, c = ge._edges
     if len(iu) == 0:
         return h.copy()
     n = ge.n_nodes

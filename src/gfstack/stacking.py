@@ -448,7 +448,6 @@ class EquicoercivityReport:
     distance_matrix: np.ndarray
     tail_cauchy: bool
     max_tail_distance: float
-    clusters: np.ndarray
     limit_distances: Optional[np.ndarray]
     limit_attained: Optional[bool]
 
@@ -464,15 +463,12 @@ def equicoercivity_probe(
     """Heuristic compactness evidence for a sublevel-set sequence.
 
     candidates are (index, point) pairs with energy <= c (validated).  The
-    probe reports the embedded pairwise distance matrix, single-linkage
-    clusters at the tolerance, whether the tail half is Cauchy, and, when a
+    probe reports the embedded pairwise distance matrix, whether the tail
+    half is Cauchy (every pairwise distance within tol), and, when a
     limit candidate is supplied, whether the distances to it decay.  This is
     sampled evidence only, clearly weaker than actual subsequence
     compactness.
     """
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import squareform
-
     idxs = [idx for idx, _ in candidates]
     pts = [x for _, x in candidates]
     for idx, x in candidates:
@@ -484,10 +480,6 @@ def equicoercivity_probe(
     for i in range(k):
         for j in range(i + 1, k):
             D[i, j] = D[j, i] = stacking_distance(s, idxs[i], pts[i], idxs[j], pts[j])
-    if k >= 2:
-        clusters = fcluster(linkage(squareform(D, checks=False), method="single"), tol, "distance")
-    else:
-        clusters = np.ones(k, dtype=int)
     tail = range(k // 2, k)
     max_tail = float(max((D[i, j] for i in tail for j in tail if j > i), default=0.0))
     limit_distances = limit_attained = None
@@ -501,7 +493,6 @@ def equicoercivity_probe(
         distance_matrix=D,
         tail_cauchy=max_tail <= tol,
         max_tail_distance=max_tail,
-        clusters=clusters,
         limit_distances=limit_distances,
         limit_attained=limit_attained,
     )

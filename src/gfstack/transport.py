@@ -5,7 +5,11 @@ transportation graph with Bland's entering rule.  Degeneracy is broken by a
 symbolic perturbation of the marginals: every flow is a pair (exact, c)
 standing for exact + c*eps with eps infinitesimal, and pairs compare
 lexicographically.  The plan is read from the exact parts, so its marginals
-are the given ones up to floating-point rounding.
+are the given ones up to floating-point rounding.  The northwest-corner
+start is built with array operations from the merged cumulative sums of the
+marginals, and the spanning tree is built only when the start's reduced
+costs show it is not optimal; on sorted 1-D atoms under a convex cost of
+x - y it is optimal already, and the solve runs no Python-level loop.
 
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
@@ -191,60 +195,54 @@ class _SpanningTree:
 
 
 def _northwest_corner(a, b):
-    """Staircase start on the perturbed marginals.
+    """Staircase start on the perturbed marginals: cells (i, j) and flows.
 
-    Source i supplies a[i] + (i+1)/m eps and the last sink demands
-    b[-1] + (m+1)/2 eps, so the perturbed masses balance.
+    Source i supplies a[i] + (i+1)/m eps, so the sources end at the merged
+    cumulative sums of a (exact parts) and of (i+1)/m (eps parts), and the
+    sinks at those of b with eps part 0, the last sink taking the sources'
+    eps total.  Merging the interior breakpoints in lexicographic order (a
+    sink before a source at an exact tie, since the source's eps part is
+    positive) walks the staircase; each cell's flow is the difference of
+    consecutive breakpoints, as an (exact, eps) pair.
     """
     m, n = len(a), len(b)
-    tree = _SpanningTree(m, n)
-    ra = [(float(a[i]), (i + 1) / m) for i in range(m)]
-    rb = [(float(x), 0.0) for x in b]
-    rb[-1] = (rb[-1][0], (m + 1) / 2)
-    i = j = 0
-    while True:
-        f = min(ra[i], rb[j])
-        tree.add(i, j, f)
-        ra[i] = (ra[i][0] - f[0], ra[i][1] - f[1])
-        rb[j] = (rb[j][0] - f[0], rb[j][1] - f[1])
-        if i == m - 1 and j == n - 1:
-            break
-        # advance in the direction with remaining mass; ties go down-right
-        if i < m - 1 and (ra[i] <= rb[j] or j == n - 1):
-            i += 1
-        else:
-            j += 1
-    return tree
+    ca, cb = np.cumsum(a), np.cumsum(b)
+    ea = np.cumsum(np.arange(1, m + 1) / m)
+    pos = np.concatenate([cb[:-1], ca[:-1]])
+    eps = np.concatenate([np.zeros(n - 1), ea[:-1]])
+    order = np.lexsort((eps, pos))
+    down = order >= n - 1  # a source breakpoint: the staircase moves to the next source
+    pos = np.concatenate([[0.0], pos[order], [min(ca[-1], cb[-1])]])
+    eps = np.concatenate([[0.0], eps[order], [ea[-1]]])
+    i = np.concatenate([[0], np.cumsum(down)])
+    j = np.concatenate([[0], np.cumsum(~down)])
+    return i, j, np.diff(pos), np.diff(eps)
 
 
-def solve_transport(a, b, C):
-    """Minimize sum_ij P_ij C_ij over couplings with marginals (a, b).
+def _staircase_potentials(C, i, j):
+    """Potentials u_0 = 0, u_i + v_j = C_ij on the staircase cells.
 
-    Returns (plan matrix, optimal cost).  Dense network simplex with a
-    northwest-corner start and Bland's entering rule.  Flows carry the
-    marginal perturbation symbolically as (exact, eps coefficient) pairs, so
-    the ratio test is lexicographic and no feasible basis of the perturbed
-    problem is degenerate.  An exact part never goes negative: a flow
-    (f0, f1) >= theta = (t0, t1) has f0 >= t0, so f0 - t0 >= 0 in IEEE
-    arithmetic.
+    Consecutive cells share a source or a sink, so a step down adds the cost
+    difference to u and a step right adds it to v.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    C = np.asarray(C, dtype=float)
-    m, n = C.shape
-    if len(a) != m or len(b) != n:
-        raise PreconditionError("marginal sizes must match the cost matrix")
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise PreconditionError("marginals must have equal total mass")
+    c = C[i, j]
+    dc = np.diff(c)
+    down = np.diff(i) > 0
+    u = np.concatenate([[0.0], np.cumsum(dc[down])])
+    v = c[0] + np.concatenate([[0.0], np.cumsum(dc[~down])])
+    return u, v
 
-    tree = _northwest_corner(a, b)
+
+def _pivot_to_optimum(tree: _SpanningTree, C):
+    """Network-simplex pivots from a feasible tree until no reduced cost is negative."""
+    m, n = C.shape
     for _ in range(_MAX_PIVOTS):
         u, v = tree.potentials(C)
         rc = C - u[:, None] - v[None, :]
         mask = rc < -_RC_TOL
         flat = np.flatnonzero(mask.reshape(-1))
         if flat.size == 0:
-            break
+            return
         enter = int(flat[0])  # Bland: lowest-index eligible arc
         ei, ej = divmod(enter, n)
         # cycle: entering arc plus the tree path from sink ej back to source ei
@@ -269,12 +267,42 @@ def solve_transport(a, b, C):
             tree.flows[(i, j)] = (f0 + s * theta[0], f1 + s * theta[1])
         tree.remove(*leave)
         tree.add(ei, ej, theta)
-    else:
-        raise SolverDiagnosticError(f"network simplex exceeded {_MAX_PIVOTS} pivots")
+    raise SolverDiagnosticError(f"network simplex exceeded {_MAX_PIVOTS} pivots")
 
+
+def solve_transport(a, b, C):
+    """Minimize sum_ij P_ij C_ij over couplings with marginals (a, b).
+
+    Returns (plan matrix, optimal cost).  Dense network simplex with a
+    northwest-corner start and Bland's entering rule.  Flows carry the
+    marginal perturbation symbolically as (exact, eps coefficient) pairs, so
+    the ratio test is lexicographic and no feasible basis of the perturbed
+    problem is degenerate.  An exact part never goes negative: a flow
+    (f0, f1) >= theta = (t0, t1) has f0 >= t0, so f0 - t0 >= 0 in IEEE
+    arithmetic.  The staircase start and its potentials are arrays, and
+    its reduced costs are checked in one array operation; the spanning tree
+    is built, and pivoted, only when one of them is below -_RC_TOL.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    C = np.asarray(C, dtype=float)
+    m, n = C.shape
+    if len(a) != m or len(b) != n:
+        raise PreconditionError("marginal sizes must match the cost matrix")
+    if abs(a.sum() - b.sum()) > 1e-9:
+        raise PreconditionError("marginals must have equal total mass")
+
+    i, j, flow, flow_eps = _northwest_corner(a, b)
+    u, v = _staircase_potentials(C, i, j)
+    if np.any(C - u[:, None] - v[None, :] < -_RC_TOL):
+        tree = _SpanningTree(m, n)
+        for cell in zip(i.tolist(), j.tolist(), zip(flow.tolist(), flow_eps.tolist())):
+            tree.add(*cell)
+        _pivot_to_optimum(tree, C)
+        i, j = np.transpose(list(tree.flows))
+        flow = [f for f, _ in tree.flows.values()]
     P = np.zeros((m, n))
-    for (i, j), (f, _) in tree.flows.items():
-        P[i, j] = f
+    P[i, j] = flow
     return P, float(np.sum(P * C))
 
 

@@ -2,7 +2,8 @@
 
 The prox oracle minimizes over a uniform grid (>= 2001 points per axis, one
 or two axes); the transport oracle enumerates permutation couplings, which
-are the extreme points for uniform equal-size marginals.
+are the extreme points for uniform equal-size marginals; the staircase
+oracle walks the northwest-corner rule one cell at a time.
 """
 
 import itertools
@@ -31,6 +32,33 @@ def grid_prox_2d(value_vec, gamma, x, lo, hi, n=2001, weights=(0.5, 0.5)):
     obj = obj + (weights[0] * (pts[0] - x[0]) ** 2 + weights[1] * (pts[1] - x[1]) ** 2) / (2.0 * gamma)
     k = int(np.argmin(obj))
     return pts[:, k].copy(), float(obj[k])
+
+
+def northwest_corner_loop(a, b):
+    """Northwest-corner cells and (exact, eps) flows by sequential subtraction.
+
+    Source i supplies a[i] + (i+1)/m eps and the last sink demands
+    b[-1] + (m+1)/2 eps; each cell takes the lexicographic minimum of the
+    two residuals, and the walk moves to the next source when the source's
+    residual is the smaller (ties included) or the sinks are exhausted.
+    """
+    m, n = len(a), len(b)
+    ra = [(float(a[i]), (i + 1) / m) for i in range(m)]
+    rb = [(float(x), 0.0) for x in b]
+    rb[-1] = (rb[-1][0], (m + 1) / 2)
+    cells = []
+    i = j = 0
+    while True:
+        f = min(ra[i], rb[j])
+        cells.append((i, j, f))
+        ra[i] = (ra[i][0] - f[0], ra[i][1] - f[1])
+        rb[j] = (rb[j][0] - f[0], rb[j][1] - f[1])
+        if i == m - 1 and j == n - 1:
+            return cells
+        if i < m - 1 and (ra[i] <= rb[j] or j == n - 1):
+            i += 1
+        else:
+            j += 1
 
 
 def permutation_transport_optimum(cost_matrix):

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfstack import energies
 from gfstack.convex import PROX_RESIDUAL_TOL, check_lambda_convexity, default_triple_sampler
@@ -316,6 +318,84 @@ class TestGraphEnergy:
         ge = GraphEnergy(adjacency=np.zeros((2, 2)), node_weights=np.array([1.0, 1.0]))
         with pytest.raises(PreconditionError):
             ge.to_functional()
+
+
+def _path_energy(n, c, w):
+    A = np.zeros((n, n))
+    A[np.arange(n - 1), np.arange(1, n)] = c
+    return GraphEnergy(adjacency=A, node_weights=w)
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda B: calls.append(B.shape) or eigh(B))
+    return calls
+
+
+class TestClosedFormPathFactors:
+    """A path with one coefficient and equal weights is factored by the DCT-II basis."""
+
+    def test_factors_match_eigh(self, rng):
+        for n in range(3, 65):
+            c, w = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.01, 2.0))
+            ge = _path_energy(n, c, np.full(n, w))
+            evals, Q, s = ge.spectral_factors()
+            K = ge.pair_matrix()
+            ref = np.linalg.eigvalsh((K * s[None, :]) * s[:, None])
+            assert np.abs(evals - ref).max() <= 1e-12 * ref.max()
+            assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
+            # W^{1/2} Q diag(evals) Q' W^{1/2} is the pair matrix
+            rebuilt = (Q * evals) @ Q.T / np.outer(s, s)
+            assert np.abs(rebuilt - K).max() <= 1e-12 * np.abs(K).max()
+
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_fine_grid_makes_no_eigh_call(self, monkeypatch, n):
+        from gfstack.experiments import fine_grid_dirichlet, line_measure
+
+        calls = _count_eigh(monkeypatch)
+        ge = fine_grid_dirichlet(line_measure(n))
+        _, _, c = ge._edges
+        assert c.size == n - 1 and np.all(c == c[0])
+        assert np.all(ge.node_weights == ge.node_weights[0])
+        graph_prox(ge, 0.1, np.cos(np.arange(n)))
+        assert calls == []
+
+    def test_other_paths_fall_back_to_eigh(self, monkeypatch):
+        calls = _count_eigh(monkeypatch)
+        n = 16
+        c = np.full(n - 1, 0.5)
+        c[7] = np.nextafter(0.5, 1.0)
+        _path_energy(n, c, np.full(n, 1.0 / n))
+        assert calls == [(n, n)]
+        w = np.full(n, 1.0 / n)
+        w[:2] = [0.5 / n, 1.5 / n]
+        _path_energy(n, 0.5, w)
+        assert calls == [(n, n)] * 2
+
+
+class TestEdgeList:
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_value_and_slope_match_dense_formula(self, n, density, seed):
+        r = np.random.default_rng(seed)
+        A = r.random((n, n)) * (r.random((n, n)) < density)  # non-symmetric, diagonal kept
+        u = r.normal(size=n)
+        diff = u[:, None] - u[None, :]
+        for loss, dense in (("squared", np.sum(A * diff * diff)),
+                            ("absolute", np.sum(A * np.abs(diff)))):
+            ge = GraphEnergy(adjacency=A, loss_kind=loss)
+            assert ge.value(u) == pytest.approx(dense, rel=1e-12, abs=1e-14)
+        sq = GraphEnergy(adjacency=A)
+        grad_w = 2.0 * (sq.pair_matrix() @ u) / sq.node_weights
+        slope = np.sqrt(np.sum(sq.node_weights * grad_w * grad_w))
+        assert sq.to_functional().slope_norm(u) == pytest.approx(slope, rel=1e-12, abs=1e-14)
+
+    def test_edges_read_only(self, rng):
+        ge = GraphEnergy(adjacency=rng.random((4, 4)))
+        for arr in ge._edges:
+            assert not arr.flags.writeable
 
 
 class TestLrContraction:

@@ -129,6 +129,25 @@ class TestCrandallLiggett:
             crandall_liggett(R, 1.0, 1.0, 1e-300)
         assert info.value.residual == np.inf
 
+    def test_apriori_cap_raises_before_iterating(self, monkeypatch):
+        # M = 2, t = 1, omega = 1/4 and tol = 1e-2 ask for
+        # n = ceil((2 t M e^{4 omega t} / tol)^2), about 1.2e6 > 64 applications;
+        # with no closed-form iterate that is refused before any is made
+        monkeypatch.setattr(semigroup, "DOUBLING_CAP", 64)
+        t, M, omega = 1.0, 2.0, 0.25
+        calls = []
+        R = ResolventOperator(dim=1, omega=omega,  # A x = -omega x
+                              resolve=lambda lam, x: calls.append(lam) or x / (1 - omega * lam),
+                              inf_norm_A=lambda x: M * float(np.abs(x[0])))
+        x = np.array([1.0])
+        start = time.perf_counter()
+        with pytest.raises(SolverDiagnosticError, match="a-priori certificate") as info:
+            crandall_liggett(R, t, x, 1e-2)
+        assert time.perf_counter() - start < 2.0
+        assert calls == []
+        assert info.value.residual == 2.0 * t * M * semigroup._cert_exponent(omega, t)
+        assert np.array_equal(info.value.last_iterate, x)
+
     def test_time_zero(self, quad_resolvent):
         u, cert = crandall_liggett(quad_resolvent, 0.0, 0.7, 1e-9)
         assert u[0] == 0.7 and cert.value == 0.0

@@ -1,8 +1,14 @@
 """Stacking instances, axiom probes, and convergence/compactness evidence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gfstack
 from gfstack.convex import quadratic_functional
 from gfstack.errors import ConstructionError, PreconditionError
 from gfstack.stacking import (
@@ -261,6 +267,19 @@ class TestEquicoercivity:
         c = max(funcs[n].evaluate(x) for n, x in cands) + 1e-9
         rep = equicoercivity_probe(e, s, c, cands, tol=0.2)
         assert rep.tail_cauchy
+
+    def test_stacking_audit_loads_no_scipy(self):
+        # the probes are numpy only; a fresh interpreter must end scipy-free
+        code = ("import sys\n"
+                "from gfstack import ExperimentConfig, run_experiment\n"
+                "run_experiment(ExperimentConfig(kind='stacking_audit', sizes=(16, 32)))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(gfstack.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestUniformLowerBoundAndMinimizers:

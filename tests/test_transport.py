@@ -23,7 +23,7 @@ from gfstack.transport import (
     wasserstein,
 )
 
-from oracles import permutation_transport_optimum
+from oracles import northwest_corner_loop, permutation_transport_optimum
 
 
 def _linprog_cost(a, b, C):
@@ -385,3 +385,83 @@ def test_pivot_cap_raises_in_bounded_time(monkeypatch):
     with pytest.raises(SolverDiagnosticError, match="exceeded 5 pivots"):
         solve_transport(w, w, C)
     assert time.perf_counter() - t0 < 2.0
+
+
+class _NoTree:
+    def __init__(self, *args):
+        raise AssertionError("an optimal staircase needs no spanning tree")
+
+
+class TestStaircaseStart:
+    """Sorted 1-D problems with a convex cost: the staircase itself is optimal."""
+
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from(["uniform", "dyadic", "random"]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sorted_problems_match_linprog(self, m, n, weights, p, seed):
+        r = np.random.default_rng(seed)
+        if weights == "random":
+            a, b = r.random(m) + 0.05, r.random(n) + 0.05
+            a, b = a / a.sum(), b / b.sum()
+        else:
+            a, b = _tied_weights(r, m, weights), _tied_weights(r, n, weights)
+        x, y = np.sort(r.random(m)), np.sort(r.random(n))
+        C = np.abs(x[:, None] - y[None, :]) ** p
+        P, cost = solve_transport(a, b, C)
+        assert abs(_linprog_cost(a, b, C) - cost) < 1e-9
+        assert P.min() >= 0.0
+        assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
+
+    def test_16_against_1024_uniform_atoms(self, monkeypatch):
+        # every 64th fine breakpoint ties a coarse one exactly
+        monkeypatch.setattr(transport, "_SpanningTree", _NoTree)
+        x, y = (np.arange(16) + 0.5) / 16, (np.arange(1024) + 0.5) / 1024
+        a, b = np.full(16, 1.0 / 16), np.full(1024, 1.0 / 1024)
+        C = (x[:, None] - y[None, :]) ** 2
+        P, cost = solve_transport(a, b, C)
+        assert abs(_linprog_cost(a, b, C) - cost) < 1e-12
+        assert np.count_nonzero(P) == 1024
+        assert np.array_equal(P.sum(axis=1), a) and np.array_equal(P.sum(axis=0), b)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from(["uniform", "dyadic", "random"]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_staircase_is_a_nondegenerate_basis(self, m, n, weights, seed):
+        r = np.random.default_rng(seed)
+        if weights == "random":
+            a, b = r.random(m) + 0.05, r.random(n) + 0.05
+            a, b = a / a.sum(), b / b.sum()
+        else:
+            a, b = _tied_weights(r, m, weights), _tied_weights(r, n, weights)
+        i, j, flow, flow_eps = transport._northwest_corner(a, b)
+        # dyadic weights sum exactly, so the cumulative sums see the exact
+        # ties the sequential rule sees and every flow is bit for bit its
+        # flow; random weights have no ties, and the flows differ only by the
+        # rounding of the sums.  Uniform weights 1/k with k not a power of
+        # two have ties that rounding can break either way in either method.
+        dyadic = weights == "dyadic" or (weights == "uniform" and m & (m - 1) == 0 and n & (n - 1) == 0)
+        if dyadic or weights == "random":
+            loop = northwest_corner_loop(a, b)
+            assert [(c[0], c[1]) for c in loop] == list(zip(i.tolist(), j.tolist()))
+            ref, ref_eps = np.transpose([c[2] for c in loop])
+            assert np.abs(flow - ref).max() <= (0.0 if dyadic else 8 * np.finfo(float).eps)
+            assert np.abs(flow_eps - ref_eps).max() <= 1e-12
+        # every flow is positive in the perturbed (exact, eps) order
+        assert all((f, e) > (0.0, 0.0) for f, e in zip(flow, flow_eps))
+        # m + n - 1 cells, each step moving to the next source or the next sink
+        assert len(i) == m + n - 1 and i[-1] == m - 1 and j[-1] == n - 1
+        assert np.all(np.diff(i) + np.diff(j) == 1)
+        P = np.zeros((m, n))
+        P[i, j] = flow
+        assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
