@@ -267,6 +267,12 @@ class GraphEnergy:
     instances use probability weights).  Construction stores the edge list
     (iu, ju, c): the pairs i < j with c = A_ij + A_ji > 0, over which the
     value, the squared-loss gradient and the absolute-loss prox are summed.
+
+    Build from a dense adjacency, GraphEnergy(adjacency=A, ...), or from the
+    edge list itself with GraphEnergy.from_edges, which forms no n x n
+    array.  An edge-built energy forms its adjacency, the upper-triangular
+    A with A_ij = c_ij, only when it is read (by pair_matrix, for the eigh
+    path, and by graph_energy_to_record).
     """
 
     adjacency: np.ndarray
@@ -282,18 +288,56 @@ class GraphEnergy:
             raise ConstructionError("adjacency must be square")
         if np.any(A < 0):
             raise ConstructionError("adjacency entries must be nonnegative")
+        A = A.copy()
+        A.flags.writeable = False
+        object.__setattr__(self, "adjacency", A)
+        S = A + A.T
+        iu, ju = np.nonzero(np.triu(S, k=1))
+        self._build((iu, ju, S[iu, ju]), A.shape[0])
+
+    @classmethod
+    def from_edges(cls, n: int, iu, ju, c, node_weights=None, loss_kind: str = "squared",
+                   name: str = "") -> "GraphEnergy":
+        """F(u) = sum_e c_e L(u_iu[e] - u_ju[e]) on n nodes, built from its edge list.
+
+        Takes integer pairs 0 <= iu < ju < n with coefficients c >= 0, at
+        most one edge per pair; edges with c = 0 are dropped and the rest
+        sorted by (i, j).  The energy then equals the one built from any
+        adjacency with A_ij + A_ji = c_ij: the same edge list, factors and
+        values.  Weights are validated as for an adjacency.
+        """
+        iu, ju = np.asarray(iu).reshape(-1), np.asarray(ju).reshape(-1)
+        c = np.asarray(c, dtype=float).reshape(-1)
+        if not iu.size == ju.size == c.size:
+            raise ConstructionError("iu, ju and c need one entry per edge")
+        if c.size and (iu.dtype.kind not in "iu" or ju.dtype.kind not in "iu"):
+            raise ConstructionError("edge endpoints must be integers")
+        if np.any(iu < 0) or np.any(iu >= ju) or np.any(ju >= n):
+            raise ConstructionError(f"edges need 0 <= i < j < n = {n}")
+        if np.any(c < 0):
+            raise ConstructionError("edge coefficients must be nonnegative")
+        order = np.lexsort((ju, iu))
+        order = order[c[order] > 0]
+        iu, ju, c = iu[order].astype(np.intp), ju[order].astype(np.intp), c[order]
+        if np.any((np.diff(iu) == 0) & (np.diff(ju) == 0)):
+            raise ConstructionError("a pair i < j may carry one edge only")
+        ge = object.__new__(cls)
+        object.__setattr__(ge, "loss_kind", loss_kind)
+        object.__setattr__(ge, "node_weights", node_weights)
+        object.__setattr__(ge, "name", name)
+        ge._build((iu, ju, c), n)
+        return ge
+
+    def _build(self, edges, n):
+        """Shared build step: validate, then store the edges, the factors and the weights."""
         if self.loss_kind not in ("squared", "absolute"):
             raise ConstructionError(f"unknown loss kind {self.loss_kind!r}")
         w = self.node_weights
-        w = np.full(A.shape[0], 1.0 / A.shape[0]) if w is None else np.asarray(w, dtype=float)
-        if w.size != A.shape[0] or np.any(w <= 0):
+        w = np.full(n, 1.0 / n) if w is None else np.asarray(w, dtype=float)
+        if w.size != n or np.any(w <= 0):
             raise ConstructionError("node_weights must be positive, one per node")
-        A, w = A.copy(), w.copy()
-        object.__setattr__(self, "adjacency", A)
+        w = w.copy()
         object.__setattr__(self, "node_weights", w)
-        S = A + A.T
-        iu, ju = np.nonzero(np.triu(S, k=1))
-        edges = (iu, ju, S[iu, ju])
         object.__setattr__(self, "_edges", edges)
         factors = ()
         if self.loss_kind == "squared":
@@ -304,12 +348,23 @@ class GraphEnergy:
                 eig = np.maximum(evals, 0.0), Q
             factors = (*eig, s)
             object.__setattr__(self, "_factors", factors)
-        for arr in (A, w, *edges, *factors):
+        for arr in (w, *edges, *factors):
             arr.flags.writeable = False
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: the adjacency of an edge-built
+        # energy, formed on each read and not kept, read-only like a stored one.
+        if name != "adjacency" or not self._edges:
+            raise AttributeError(name)
+        iu, ju, c = self._edges
+        A = np.zeros((self.n_nodes, self.n_nodes))
+        A[iu, ju] = c
+        A.flags.writeable = False
+        return A
 
     @property
     def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.node_weights.size
 
     def value(self, u) -> float:
         u = as_point(u, self.n_nodes)

@@ -251,20 +251,19 @@ def bandwidth(n: int) -> float:
 def fine_grid_dirichlet(measure: EmpiricalMeasure) -> GraphEnergy:
     """Nearest-neighbor difference energy matching the kernel second moment.
 
-    On line_measure(n) with n a power of two the midpoints are dyadic, so
+    Built from its n - 1 path edges i - i+1 with c = 2 * coef (the
+    symmetric adjacency's A_ij + A_ji), with no n x n array.  On
+    line_measure(n) with n a power of two the midpoints are dyadic, so
     every spacing, hence every coefficient, is bitwise equal, as are the
     weights; GraphEnergy then takes the closed-form DCT-II factors of the
     path instead of an n-node eigh.
     """
     x = measure.atoms[:, 0]
     n = x.size
-    A = np.zeros((n, n))
-    h = np.diff(x)
-    coef = KERNEL_SECOND_MOMENT / (2.0 * h)
-    A[np.arange(n - 1), np.arange(1, n)] = coef
-    A[np.arange(1, n), np.arange(n - 1)] = coef
-    return GraphEnergy(adjacency=A, loss_kind="squared", node_weights=measure.weights,
-                       name=f"dirichlet-{n}")
+    coef = KERNEL_SECOND_MOMENT / (2.0 * np.diff(x))
+    path = np.arange(n - 1)
+    return GraphEnergy.from_edges(n, path, path + 1, 2.0 * coef, measure.weights,
+                                  loss_kind="squared", name=f"dirichlet-{n}")
 
 
 @dataclass

@@ -123,10 +123,14 @@ class TransportPlan:
 
 
 def _pow_p(vals: np.ndarray, p: float) -> np.ndarray:
-    """|vals|^p, evaluated in log space for large p to limit overflow."""
-    a = np.abs(vals)
+    """|vals|^p, evaluated in log space for large p to limit overflow.
+
+    Works in place on vals, which callers pass as a fresh array.
+    """
+    a = np.abs(vals, out=vals)
     if p <= 8:
-        return a**p
+        a **= p
+        return a
     out = np.zeros_like(a)
     pos = a > 0
     out[pos] = np.exp(p * np.log(a[pos]))
@@ -273,15 +277,17 @@ def _pivot_to_optimum(tree: _SpanningTree, C):
 def solve_transport(a, b, C):
     """Minimize sum_ij P_ij C_ij over couplings with marginals (a, b).
 
-    Returns (plan matrix, optimal cost).  Dense network simplex with a
+    Returns (plan matrix, optimal cost), the cost summed over the basis
+    cells of the plan (at most m + n - 1).  Dense network simplex with a
     northwest-corner start and Bland's entering rule.  Flows carry the
     marginal perturbation symbolically as (exact, eps coefficient) pairs, so
     the ratio test is lexicographic and no feasible basis of the perturbed
     problem is degenerate.  An exact part never goes negative: a flow
     (f0, f1) >= theta = (t0, t1) has f0 >= t0, so f0 - t0 >= 0 in IEEE
     arithmetic.  The staircase start and its potentials are arrays, and
-    its reduced costs are checked in one array operation; the spanning tree
-    is built, and pivoted, only when one of them is below -_RC_TOL.
+    all m x n of its reduced costs are formed in place and checked in one
+    array operation; the spanning tree is built, and pivoted, only when one
+    of them is below -_RC_TOL.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -294,22 +300,36 @@ def solve_transport(a, b, C):
 
     i, j, flow, flow_eps = _northwest_corner(a, b)
     u, v = _staircase_potentials(C, i, j)
-    if np.any(C - u[:, None] - v[None, :] < -_RC_TOL):
+    rc = C - u[:, None]
+    rc -= v
+    if np.any(rc < -_RC_TOL):
         tree = _SpanningTree(m, n)
         for cell in zip(i.tolist(), j.tolist(), zip(flow.tolist(), flow_eps.tolist())):
             tree.add(*cell)
         _pivot_to_optimum(tree, C)
         i, j = np.transpose(list(tree.flows))
-        flow = [f for f, _ in tree.flows.values()]
+        flow = np.array([f for f, _ in tree.flows.values()])
     P = np.zeros((m, n))
     P[i, j] = flow
-    return P, float(np.sum(P * C))
+    return P, float(np.sum(flow * C[i, j]))
 
 
 def _spatial_cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
-    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    return _pow_p(dist, p)
+    """|x_i - y_j|^p for every pair of atoms.
+
+    The squared differences are summed in place over the coordinates, in
+    the order np.sum takes for d < 8; at p = 2 that sum is the cost, with no
+    sqrt and no power, and other p take _pow_p of its square root.
+    """
+    x, y = mu.atoms, nu.atoms
+    sq = np.zeros((x.shape[0], y.shape[0]))
+    for k in range(x.shape[1]):
+        dk = np.subtract.outer(x[:, k], y[:, k])
+        dk *= dk
+        sq += dk
+    if p == 2:
+        return sq
+    return _pow_p(np.sqrt(sq, out=sq), p)
 
 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
@@ -322,15 +342,21 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
 
 
 def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
-    """TL^p distance between (u, mu) and (v, nu) and an optimal plan."""
+    """TL^p distance between (u, mu) and (v, nu) and an optimal plan.
+
+    The cost matrix |u_i - v_j|^p + |x_i - y_j|^p is formed in place.  The
+    plan's cost is summed over its basis cells by solve_transport;
+    plan.check() then recomputes it densely as sum(P * C), a check
+    independent of that sum, with the marginals.
+    """
     mu, nu = a.measure, b.measure
     if mu.dim != nu.dim:
         raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if p < 1:
         raise PreconditionError("p must be >= 1")
     spatial = _spatial_cost_matrix(mu, nu, p)
-    vdiff = a.values[:, None] - b.values[None, :]
-    C = spatial + _pow_p(vdiff, p)
+    C = _pow_p(np.subtract.outer(a.values, b.values), p)
+    C += spatial
     P, cost = solve_transport(mu.weights, nu.weights, C)
     plan = TransportPlan(
         pi=P,

@@ -398,6 +398,118 @@ class TestEdgeList:
             assert not arr.flags.writeable
 
 
+def _dense_fine_grid(n):
+    """The fine grid built from its dense symmetric adjacency, the edge build's reference."""
+    from gfstack.experiments import KERNEL_SECOND_MOMENT, line_measure
+
+    measure = line_measure(n)
+    coef = KERNEL_SECOND_MOMENT / (2.0 * np.diff(measure.atoms[:, 0]))
+    A = np.zeros((n, n))
+    A[np.arange(n - 1), np.arange(1, n)] = coef
+    A[np.arange(1, n), np.arange(n - 1)] = coef
+    return GraphEnergy(adjacency=A, node_weights=measure.weights)
+
+
+def _same_arrays(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+class TestEdgeBuiltEnergy:
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_fine_grid_equals_dense_build(self, monkeypatch, n, rng):
+        from gfstack.experiments import fine_grid_dirichlet, line_measure
+
+        calls = _count_eigh(monkeypatch)
+        ge = fine_grid_dirichlet(line_measure(n))
+        dense = _dense_fine_grid(n)
+        assert "adjacency" not in vars(ge)  # no n x n array was built
+        assert _same_arrays(ge._edges, dense._edges)
+        assert _same_arrays(ge.spectral_factors(), dense.spectral_factors())
+        assert _same_arrays((ge.node_weights,), (dense.node_weights,))
+        phi, phi_dense = ge.to_functional(), dense.to_functional()
+        for u in (np.cos(np.pi * line_measure(n).atoms[:, 0]), rng.normal(size=n)):
+            assert ge.value(u) == dense.value(u)
+            assert phi.slope_norm(u) == phi_dense.slope_norm(u)
+            for gamma in (1e-3, 0.1, 1.0):
+                assert np.array_equal(graph_prox(ge, gamma, u), graph_prox(dense, gamma, u))
+            assert np.array_equal(phi.prox_iterated(0.05, 7, u),
+                                  phi_dense.prox_iterated(0.05, 7, u))
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_record_roundtrip_gives_the_same_energy(self, n):
+        from gfstack.energies import dump_graph_energy, load_graph_energy
+        from gfstack.experiments import fine_grid_dirichlet, line_measure
+
+        ge = fine_grid_dirichlet(line_measure(n))
+        back = load_graph_energy(dump_graph_energy(ge))
+        assert np.array_equal(back.adjacency, ge.adjacency)
+        assert back.loss_kind == ge.loss_kind
+        assert _same_arrays(back._edges, ge._edges)
+        assert _same_arrays(back.spectral_factors(), ge.spectral_factors())
+        assert _same_arrays((back.node_weights,), (ge.node_weights,))
+
+    def test_adjacency_formed_on_read(self):
+        ge = GraphEnergy.from_edges(4, [0, 1], [2, 3], [1.5, 0.25], np.full(4, 0.25))
+        assert "adjacency" not in vars(ge)
+        A = ge.adjacency
+        assert A[0, 2] == 1.5 and A[1, 3] == 0.25 and np.count_nonzero(A) == 2
+        assert not A.flags.writeable  # read-only, like an adjacency-built energy's
+        assert "adjacency" not in vars(ge)  # formed on each read, not kept
+        assert np.array_equal(ge.pair_matrix(), GraphEnergy(adjacency=A).pair_matrix())
+
+    @given(st.integers(min_value=1, max_value=10), st.floats(min_value=0.0, max_value=1.0),
+           st.sampled_from(["squared", "absolute"]), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_edges_of_any_adjacency(self, n, density, loss, seed):
+        # the edge list of a dense build, shuffled and padded with zero-coefficient
+        # pairs, builds an energy with the same edges and values
+        r = np.random.default_rng(seed)
+        A = r.random((n, n)) * (r.random((n, n)) < density)
+        w = r.random(n) + 0.1
+        w /= w.sum()
+        dense = GraphEnergy(adjacency=A, loss_kind=loss, node_weights=w)
+        iu, ju, c = dense._edges
+        zi, zj = np.triu_indices(n, k=1)
+        iu, ju = np.concatenate([iu, zi]), np.concatenate([ju, zj])
+        c = np.concatenate([c, np.zeros(zi.size)])
+        keep = np.concatenate([np.ones(dense._edges[0].size, bool), A[zi, zj] + A[zj, zi] == 0])
+        order = r.permutation(int(keep.sum()))
+        ge = GraphEnergy.from_edges(n, iu[keep][order], ju[keep][order], c[keep][order], w,
+                                    loss_kind=loss)
+        assert _same_arrays(ge._edges, dense._edges)
+        u = r.normal(size=n)
+        assert ge.value(u) == dense.value(u)
+        if loss == "squared":
+            evals, _, _ = ge.spectral_factors()
+            ref, _, _ = dense.spectral_factors()
+            assert np.abs(evals - ref).max() <= 1e-12 * max(ref.max(), 1.0)
+            h = r.normal(size=n)
+            assert np.allclose(graph_prox(ge, 0.3, h), graph_prox(dense, 0.3, h),
+                               rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("iu, ju, c, w", [
+        ([0, 1], [1, 2], [1.0, -0.5], np.full(3, 1 / 3)),   # negative coefficient
+        ([0, 1], [1, 3], [1.0, 1.0], np.full(3, 1 / 3)),    # j out of range
+        ([-1, 0], [1, 2], [1.0, 1.0], np.full(3, 1 / 3)),   # i out of range
+        ([0, 1], [1, 1], [1.0, 1.0], np.full(3, 1 / 3)),    # i == j
+        ([0, 2], [1, 1], [1.0, 1.0], np.full(3, 1 / 3)),    # i > j
+        ([0, 1], [1, 2], [1.0, 1.0], np.full(4, 1 / 4)),    # four weights for three nodes
+        ([0, 1], [1, 2], [1.0, 1.0], np.array([0.5, 0.5, 0.0])),  # a zero weight
+        ([0, 0], [1, 1], [1.0, 2.0], np.full(3, 1 / 3)),    # one pair, two edges
+        ([0, 1], [1, 2], [1.0], np.full(3, 1 / 3)),         # one coefficient short
+        ([0.0, 1.0], [1.0, 2.0], [1.0, 1.0], np.full(3, 1 / 3)),  # float endpoints
+    ])
+    def test_from_edges_validation(self, iu, ju, c, w):
+        with pytest.raises(ConstructionError):
+            GraphEnergy.from_edges(3, iu, ju, c, w)
+
+    def test_from_edges_loss_kind_validated(self):
+        with pytest.raises(ConstructionError):
+            GraphEnergy.from_edges(2, [0], [1], [1.0], loss_kind="huber")
+
+
 class TestLrContraction:
     def test_identical_states(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))

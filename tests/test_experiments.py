@@ -193,6 +193,20 @@ class TestExperimentBehaviour:
         b = rows_to_csv(run_experiment(ExperimentConfig(seed=2, **base)))
         assert a != b
 
+    def test_uniform_d2c_known_false_speed_rows(self):
+        # Known finite-n evidence, reproduced and pinned, not passed: with uniform
+        # sampling, seed 0 reads speed integrals below the 0.95 floor at n = 64 and
+        # 128.  The floor is a finite-n reading of a liminf inequality; ROADMAP
+        # "Audit the finite-n gates" owns the diagnosis.  The pins keep a last-digit
+        # change from flipping these rows, or moving them, without notice.
+        cfg = ExperimentConfig(kind="d2c_heat", sizes=(16, 32, 64, 128), sampling="uniform",
+                               seed=0)
+        rows = {r.n: r for r in run_experiment(cfg) if r.metric == "speed_integral_lower_bound"}
+        assert [n for n, r in sorted(rows.items()) if not r.passed] == [64, 128]
+        assert all(r.rhs == pytest.approx(0.629106010595, rel=1e-9) for r in rows.values())
+        assert rows[64].lhs == pytest.approx(0.561576235245, rel=1e-9)
+        assert rows[128].lhs == pytest.approx(0.537564820988, rel=1e-9)
+
     def test_bound_suite_row_count_and_pass(self):
         rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=0))
         assert len(rows) >= 200

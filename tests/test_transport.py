@@ -1,6 +1,8 @@
 """Exact transport distances, plans, and the function/measure-pair metric."""
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +96,63 @@ class TestWasserstein:
             plan.check()
 
 
+class TestPlanCheck:
+    """plan.check() recomputes sum(P * C) densely, independent of the solver's cell sum."""
+
+    def _plan(self, rng):
+        a = _pt(rng.random(5), rng.normal(size=5))
+        w = rng.random(7) + 0.1
+        b = _pt(rng.random(7), rng.normal(size=7), w / w.sum())
+        _, plan = tlp_distance(a, b, 2.0)
+        return plan
+
+    def test_stored_cost_off_by_1e6_raises(self, rng):
+        plan = self._plan(rng)
+        replace(plan, cost=plan.cost + 1e-10).check()  # within MARGINAL_TOL
+        with pytest.raises(PreconditionError, match="stored cost"):
+            replace(plan, cost=plan.cost + 1e-6).check()
+
+    def test_row_marginal_off_by_1e8_raises(self, rng):
+        plan = self._plan(rng)
+        pi = plan.pi.copy()
+        i1, j = np.unravel_index(np.argmax(pi), pi.shape)
+        i0 = (i1 + 1) % pi.shape[0]
+        pi[i0, j] += 1e-8  # rows i0 and i1 are off by 1e-8, the columns are not
+        pi[i1, j] -= 1e-8
+        row, col = replace(plan, pi=pi).marginal_errors()
+        assert row >= 0.99e-8 and col <= 1e-15
+        with pytest.raises(PreconditionError, match="marginals"):
+            replace(plan, pi=pi).check()
+
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=10),
+        st.sampled_from([1, 2]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cell_sums_match_dense_sums(self, m, n, d, p, uniform, seed):
+        # cost, summed over the plan's basis cells, and stagnation_cost against
+        # dense sums on cost matrices built independently (math.dist, Python powers)
+        r = np.random.default_rng(seed)
+        weights = [None, None] if uniform else [r.random(k) + 0.05 for k in (m, n)]
+        a, b = (_pt(r.random((k, d)), r.normal(size=k), w if w is None else w / w.sum())
+                for k, w in zip((m, n), weights))
+        dist, plan = tlp_distance(a, b, p)
+        x, y = a.measure.atoms, b.measure.atoms
+        spatial = np.array([[math.dist(x[i], y[j]) ** p for j in range(n)] for i in range(m)])
+        values = np.array([[abs(a.values[i] - b.values[j]) ** p for j in range(n)]
+                           for i in range(m)])
+        cost = float(np.sum(plan.pi * (spatial + values)))
+        stagnation = float(np.sum(plan.pi * spatial))
+        assert abs(plan.cost - cost) <= 1e-12 * cost
+        assert abs(plan.stagnation_cost - stagnation) <= 1e-12 * stagnation
+        assert dist == max(plan.cost, 0.0) ** (1.0 / p)
+        assert max(plan.marginal_errors()) <= 1e-12
+
+
 class TestTlpDistance:
     def test_identical_pairs(self, rng):
         a = _pt(rng.normal(size=4), rng.normal(size=4))
@@ -111,6 +170,13 @@ class TestTlpDistance:
         b = _pt([0.0, 1.0], [0.0, 1.0])
         d, _ = tlp_distance(a, b, 2.0)
         assert d < 1e-12
+
+    def test_zero_dimensional_atoms(self):
+        # atoms in R^0 all coincide: no spatial cost, only the values are moved
+        mu = EmpiricalMeasure(np.zeros((2, 0)), [0.5, 0.5])
+        assert wasserstein(mu, mu)[0] == 0.0
+        d, plan = tlp_distance(TLpPoint(mu, [0.0, 1.0]), TLpPoint(mu, [0.0, 3.0]), 1.0)
+        assert d == 1.0 and plan.stagnation_cost == 0.0
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(60):
