@@ -16,10 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstructionError, IntervalError, SolverDiagnosticError
+from .errors import ConstructionError, IntervalError, PreconditionError, SolverDiagnosticError
 
 PROX_RESIDUAL_TOL = 1e-10
-PROX_MAX_ITER = 10_000
 PROX_GRADIENT_MAX_ITER = 1000
 
 
@@ -67,13 +66,15 @@ class ProperFunctional:
 
     value may return +inf; -inf is rejected wherever it is observed.  lam is
     the declared lambda-convexity modulus with respect to the weighted norm.
-    prox_closed_form(gamma, x) and prox_iterated(gamma, n, x), when supplied,
-    shortcut the generic solver and the n-fold prox composition.
+    prox_closed_form(gamma, x), when supplied, is the exact prox, and
+    prox_iterated(gamma, n, x) the exact n-fold prox composition.
     slope_norm(x), when supplied, returns the minimal-subgradient norm
     inf ||dF(x)|| used for a-priori flow certificates.
     gradient(x), when supplied, is the weighted Riesz gradient of a
     differentiable F: F(x + h) = F(x) + <gradient(x), h>_w + o(h), with
-    <u, v>_w = sum_i w_i u_i v_i; it lets prox use a gradient method.
+    <u, v>_w = sum_i w_i u_i v_i; it lets prox use a certified gradient
+    method.  prox needs prox_closed_form or gradient and raises
+    PreconditionError on a functional with neither.
     """
 
     dim: int
@@ -116,128 +117,6 @@ class ProperFunctional:
         if v == -np.inf or np.isnan(v):
             raise ConstructionError(f"functional returned {v}; values must lie in (-inf, +inf]")
         return v
-
-
-def _prox_objective(phi: ProperFunctional, gamma: float, x: np.ndarray):
-    w = phi.weights
-
-    def g(y: np.ndarray) -> float:
-        d = y - x
-        return phi.evaluate(y) + float(np.sum(w * d * d)) / (2.0 * gamma)
-
-    return g
-
-
-def _newton_warm_start(g, y0: np.ndarray, max_iter: int = 25) -> np.ndarray:
-    """Damped finite-difference Newton descent.
-
-    Used purely as an accelerator: near kinks the finite-difference gradient
-    has a spurious root an O(h) offset away from the true minimizer, so the
-    result is always polished by derivative-free coordinate descent and no
-    convergence claim is made here.
-    """
-    y = y0.copy()
-    d = y.size
-    gy = g(y)
-    if not np.isfinite(gy):
-        return y
-    for _ in range(max_iter):
-        h = 1e-5 * (1.0 + np.abs(y))
-        grad = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h[i]
-            grad[i] = (g(y + e) - g(y - e)) / (2.0 * h[i])
-        if not np.all(np.isfinite(grad)):
-            return y
-        hess = np.empty((d, d))
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h[i]
-            for j in range(i, d):
-                ej = np.zeros(d)
-                ej[j] = h[j]
-                hij = (g(y + ei + ej) - g(y + ei - ej) - g(y - ei + ej) + g(y - ei - ej)) / (
-                    4.0 * h[i] * h[j]
-                )
-                hess[i, j] = hij
-                hess[j, i] = hij
-        try:
-            step = np.linalg.solve(hess + 1e-12 * np.eye(d), -grad)
-        except np.linalg.LinAlgError:
-            return y
-        if not np.all(np.isfinite(step)):
-            return y
-        alpha = 1.0
-        while alpha > 1e-14:
-            cand = y + alpha * step
-            gc = g(cand)
-            if np.isfinite(gc) and gc < gy:
-                y, gy = cand, gc
-                break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            return y
-        if float(np.linalg.norm(alpha * step)) <= 1e-12 * (1.0 + float(np.linalg.norm(y))):
-            return y
-    return y
-
-
-def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _coordinate_prox(g, y0: np.ndarray, tol: float, budget: int):
-    """Golden-section coordinate-descent sweeps; returns (y, ok, residual)."""
-    y = y0.copy()
-    d = y.size
-    spent = 0
-    move = np.inf
-    while spent < budget:
-        move = 0.0
-        for i in range(d):
-            yi = y[i]
-
-            def f1(s, i=i):
-                z = y.copy()
-                z[i] = s
-                return g(z)
-
-            radius = 1.0 + abs(yi)
-            lo, hi = yi - radius, yi + radius
-            # expand the bracket while the minimum sits on its boundary
-            for _ in range(60):
-                if f1(lo) < f1(lo + 1e-9 * radius):
-                    lo -= (hi - lo)
-                elif f1(hi) < f1(hi - 1e-9 * radius):
-                    hi += (hi - lo)
-                else:
-                    break
-            s = _golden_min(f1, lo, hi, 1e-13 * (1.0 + abs(yi)))
-            if f1(s) <= f1(yi):
-                y[i] = s
-            move = max(move, abs(y[i] - yi))
-            spent += 1
-            if spent >= budget:
-                break
-        if move <= 1e-12 * (1.0 + float(np.max(np.abs(y)))):
-            return y, True, move
-    return y, False, move
 
 
 def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -295,9 +174,10 @@ def prox(phi: ProperFunctional, gamma: float, x) -> np.ndarray:
 
     gamma must lie in the admissible interval for the declared modulus (any
     positive value when lam >= 0, gamma < 1/|lam| otherwise), making the
-    objective (1/gamma + lam)-strongly convex.  The paths, in order: the
-    closed form; a certified gradient method when phi.gradient is set; else
-    derivative-free descent for black-box functionals.
+    objective (1/gamma + lam)-strongly convex; otherwise IntervalError.
+    There are two paths, in order: phi.prox_closed_form, else the certified
+    gradient method when phi.gradient is set.  A functional with neither
+    raises PreconditionError before it is evaluated.
     """
     if not omega_interval_contains(gamma, -phi.lam):
         raise IntervalError(
@@ -307,26 +187,12 @@ def prox(phi: ProperFunctional, gamma: float, x) -> np.ndarray:
     x = as_point(x, phi.dim)
     if phi.prox_closed_form is not None:
         return as_point(phi.prox_closed_form(gamma, x), phi.dim)
-    if phi.gradient is not None:
-        return _gradient_prox(phi, gamma, x)
-
-    g = _prox_objective(phi, gamma, x)
-    y0 = x
-    if not np.isfinite(g(y0)):
-        if phi.domain_hint is not None:
-            lo, hi = (as_point(b, phi.dim) for b in phi.domain_hint)
-            y0 = 0.5 * (lo + hi)
-        if not np.isfinite(g(y0)):
-            raise SolverDiagnosticError(
-                "prox solver has no finite starting value", last_iterate=y0, residual=np.inf
-            )
-    y = _newton_warm_start(g, y0)
-    y, ok, res = _coordinate_prox(g, y, PROX_RESIDUAL_TOL, PROX_MAX_ITER)
-    if not ok:
-        raise SolverDiagnosticError(
-            f"prox solver did not converge (residual {res:.3e})", last_iterate=y, residual=res
+    if phi.gradient is None:
+        raise PreconditionError(
+            f"prox of {phi.name or 'a functional'} needs prox_closed_form or gradient; "
+            "a value oracle alone gives no certified prox"
         )
-    return y
+    return _gradient_prox(phi, gamma, x)
 
 
 def moreau_envelope(phi: ProperFunctional, gamma: float, x) -> float:

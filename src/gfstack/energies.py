@@ -615,7 +615,7 @@ def counterexample_demo(lam: float, rng=None, n_lambda_samples: int = 1000) -> C
 
     phi = counterexample_functional(lam)
     rng = np.random.default_rng(0) if rng is None else rng
-    sampler = default_triple_sampler(phi, rng, scale=50.0)
+    sampler = default_triple_sampler(phi, rng)
     conv = check_lambda_convexity(phi, lam, sampler, n_lambda_samples)
     g = p0_family(a=0.1, w=0.1, cap=0.5, one_sided=True)
     exch = p0_convexity_check(phi, np.array([1.0, 0.0]), np.array([0.0, 1.0]), g, exact=True)

@@ -85,6 +85,8 @@ class TLpPoint:
         vals = np.asarray(self.values, dtype=float).reshape(-1)
         if vals.size != self.measure.n_atoms:
             raise ConstructionError("one value per atom required")
+        if not np.all(np.isfinite(vals)):
+            raise ConstructionError("values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

@@ -1,6 +1,7 @@
 """Prox, Moreau envelope, and kappa behaviour against closed forms and grids."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,13 @@ from gfstack.convex import (
     prox,
     quadratic_functional,
 )
-from gfstack.energies import GraphEnergy
-from gfstack.errors import ConstructionError, IntervalError, SolverDiagnosticError
+from gfstack.energies import GraphEnergy, counterexample_functional, quadratic_map_energy
+from gfstack.errors import (
+    ConstructionError,
+    IntervalError,
+    PreconditionError,
+    SolverDiagnosticError,
+)
 
 from oracles import grid_prox_1d
 
@@ -87,7 +93,7 @@ class TestProx:
 
     def test_gamma_interval_enforced(self):
         neg = ProperFunctional(dim=1, value=lambda x: -0.25 * x[0] ** 2, lam=-0.5,
-                               weights=[1.0])
+                               weights=[1.0], gradient=lambda x: -0.5 * x)
         prox_ok = prox(neg, 1.0, 0.0)
         assert np.allclose(prox_ok, 0.0)
         with pytest.raises(IntervalError):
@@ -95,15 +101,17 @@ class TestProx:
 
     def test_generic_solver_matches_closed_forms(self, rng):
         q = quadratic_functional(lam=1.0)
-        bare_q = ProperFunctional(dim=1, value=q.value, lam=1.0, weights=q.weights)
+        bare_q = ProperFunctional(dim=1, value=q.value, lam=1.0, weights=q.weights,
+                                  gradient=lambda x: x)
         a = abs_functional()
         bare_a = ProperFunctional(dim=1, value=a.value, lam=0.0, weights=a.weights)
         for _ in range(25):
             x = float(rng.uniform(-3, 3))
             g = float(rng.uniform(0.05, 2.0))
             assert abs(prox(bare_q, g, x)[0] - x / (1 + g)) < ORACLE_TOL
-            want = np.sign(x) * max(abs(x) - g, 0.0)
-            assert abs(prox(bare_a, g, x)[0] - want) < ORACLE_TOL
+            # a value oracle alone has no certified prox
+            with pytest.raises(PreconditionError):
+                prox(bare_a, g, x)
 
     def test_prox_lipschitz_modulus(self, rng):
         for phi in (quadratic_functional(lam=2.0), abs_functional(),
@@ -115,6 +123,32 @@ class TestProx:
                 lip = 1.0 / (1.0 + g * phi.lam)
                 lhs = phi.norm(prox(phi, g, x) - prox(phi, g, y))
                 assert lhs <= lip * phi.norm(x - y) * (1 + 1e-6) + 1e-12
+
+    def test_library_functionals_carry_a_prox(self):
+        A = np.array([[0.0, 1.0, 0.5], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        w = np.array([0.2, 0.3, 0.5])
+        built = [
+            quadratic_functional(lam=1.0, dim=2),
+            abs_functional(dim=2),
+            constant_functional(1.5, dim=2),
+            quadratic_map_energy(w),
+            envelope_functional(abs_functional(dim=2), 0.5),
+            GraphEnergy(adjacency=A, node_weights=w, loss_kind="squared").to_functional(),
+            GraphEnergy(adjacency=A, node_weights=w, loss_kind="absolute").to_functional(),
+        ]
+        for phi in built:
+            assert phi.prox_closed_form is not None or phi.gradient is not None, phi.name
+            assert np.all(np.isfinite(prox(phi, 0.5, np.linspace(-1.0, 1.0, phi.dim))))
+        # the evaluation-only counterexample has no prox, and says so unevaluated
+        bare = counterexample_functional(1.0)
+        calls = []
+        probe = replace(bare, value=lambda u: calls.append(u) or bare.value(u))
+        with pytest.raises(PreconditionError, match="prox_closed_form or gradient"):
+            prox(probe, 0.5, [1.0, 0.0])
+        assert calls == []
+        # an inadmissible step is reported first
+        with pytest.raises(IntervalError):
+            prox(probe, -1.0, [1.0, 0.0])
 
     def test_rejects_negative_infinity_values(self):
         bad = ProperFunctional(dim=1, value=lambda x: -np.inf, weights=[1.0])
@@ -306,6 +340,7 @@ class TestProperFunctionalValidation:
             dim=1,
             value=lambda x: 0.0 if abs(x[0]) <= 1 else np.inf,
             weights=[1.0],
+            prox_closed_form=lambda g, x: np.clip(x, -1, 1),
             domain_hint=([-1.0], [1.0]),
         )
         assert box.evaluate(2.0) == np.inf

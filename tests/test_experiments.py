@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfstack.cli import main as cli_main
-from gfstack.errors import ConfigError
+from gfstack.errors import ConfigError, ConstructionError
 from gfstack.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -101,7 +101,8 @@ class TestDeterminism:
         assert a != b
 
     def test_bound_suite_seed_12_completes(self):
-        # its nested envelopes stall the derivative-free prox at residual 1e-8
+        # its nested envelopes go through the certified gradient prox, which
+        # must converge here in bounded time
         t0 = time.perf_counter()
         rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=12))
         assert time.perf_counter() - t0 < 10.0
@@ -150,6 +151,19 @@ class TestCli:
         val = float(rows[0].split(",")[4])
         want, _ = tlp_distance(a, b, 1.0)
         assert val == pytest.approx(want)
+
+    def test_nan_point_record_writes_no_rows(self, tmp_path):
+        b = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([1.0, 0.0]))
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text('{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5], '
+                      '"values": [0.0, NaN]}')
+        pb.write_text(dump_tlp_point(b))
+        out = tmp_path / "t.csv"
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"kind = tlp_table\npoint_a = {pa}\npoint_b = {pb}\n")
+        with pytest.raises(ConstructionError):
+            cli_main(["tlp", "--config", str(cfgfile), "--out", str(out)])
+        assert not out.exists()
 
     def test_exit_one_on_failing_rows(self, monkeypatch, capsys, tmp_path):
         # doctor a runner so one asserted row fails, exit code must be 1

@@ -242,6 +242,7 @@ class TestConstrainedFunctional:
             dim=1,
             value=lambda x: 0.0 if abs(x[0]) <= 1.0 else np.inf,
             weights=[1.0],
+            prox_closed_form=lambda g, x: np.clip(x, -1, 1),
             domain_hint=([-1.0], [1.0]),
         )
         res = gradient_flow(box, 1.0, [0.5, 1.0], tol=1e-6)

@@ -293,7 +293,7 @@ class TestUniformLowerBoundAndMinimizers:
             shift = 0.0 if n == LIMIT else 1.0 / n
             q = quadratic_functional(lam=1.0, dim=2)
             phi = type(q)(dim=2, value=lambda u, s=shift: q.evaluate(u - s) + s,
-                          lam=1.0, weights=q.weights)
+                          lam=1.0, weights=q.weights, gradient=lambda u, s=shift: u - s)
             y = np.zeros(2)
             for _ in range(60):
                 y = prox(phi, 5.0, y)

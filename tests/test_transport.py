@@ -1,5 +1,6 @@
 """Exact transport distances, plans, and the function/measure-pair metric."""
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -348,6 +349,17 @@ class TestValidationAndSerialization:
         mu = uniform_measure([[0.0], [1.0]])
         with pytest.raises(ConstructionError):
             TLpPoint(mu, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        mu = uniform_measure([[0.0], [1.0]])
+        with pytest.raises(ConstructionError):
+            TLpPoint(mu, [0.0, bad])
+        # json writes NaN / Infinity and reads them back as floats
+        text = json.dumps({"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5],
+                           "values": [0.0, bad]})
+        with pytest.raises(ConstructionError):
+            load_tlp_point(text)
 
     def test_roundtrip(self, rng):
         pt = _pt(rng.normal(size=(4, 2)), rng.normal(size=4))
