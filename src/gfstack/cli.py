@@ -92,7 +92,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    rows = run_experiment(cfg)
+    try:
+        rows = run_experiment(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     csv_text = rows_to_csv(rows)
     if cfg.output:
         Path(cfg.output).write_text(csv_text)

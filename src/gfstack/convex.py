@@ -239,18 +239,22 @@ class ConvexityReport:
 
 
 def default_triple_sampler(phi: ProperFunctional, rng: np.random.Generator, scale: float = 3.0):
-    """Draws (x, y, t) triples from domain_hint, or a centered box of the given scale."""
+    """Returns draw(n): n (x, y, t) triples from domain_hint, or a centered box of the given scale.
+
+    draw(n) gives xs and ys of shape (n, dim) and ts of shape (n,) from one
+    rng.uniform call over rows [x, y, t].  The generator's stream is consumed
+    as by n successive draws of x, y and t, so the triples are bitwise those.
+    """
     if phi.domain_hint is not None:
         lo, hi = (as_point(b, phi.dim) for b in phi.domain_hint)
     else:
         lo = -scale * np.ones(phi.dim)
         hi = scale * np.ones(phi.dim)
+    low, high = np.concatenate([lo, lo, [0.0]]), np.concatenate([hi, hi, [1.0]])
 
-    def draw():
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        t = rng.uniform(0.0, 1.0)
-        return x, y, t
+    def draw(n):
+        u = rng.uniform(low, high, size=(n, low.size))
+        return u[:, :phi.dim], u[:, phi.dim:-1], u[:, -1]
 
     return draw
 
@@ -265,30 +269,40 @@ def check_lambda_convexity(
 ) -> ConvexityReport:
     """Evaluate the defining inequality on sampled (x, y, t) triples.
 
-    sampler() must return one (x, y, t) triple per call; explicitly supplied
-    triples are checked in addition.  A violation is recorded whenever the
-    left side exceeds the right side by more than tol.
+    sampler(n) must return n triples as arrays xs (n, dim), ys (n, dim) and
+    ts (n,); explicitly supplied triples are checked first, in addition.
+    A row with a +inf endpoint counts as checked (its right side is +inf)
+    and its midpoint is not evaluated.  A violation (x, y, t, slack) is
+    recorded, in row order, whenever the left side exceeds the right side
+    by more than tol.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    report = ConvexityReport(lam=lam, n_checked=0)
-    drawn = [sampler() for _ in range(n_samples)]
-    for x, y, t in list(triples) + drawn:
-        x = as_point(x, phi.dim)
-        y = as_point(y, phi.dim)
-        fx, fy = phi.evaluate(x), phi.evaluate(y)
-        if not (np.isfinite(fx) and np.isfinite(fy)):
-            report.n_checked += 1
-            continue  # right side is +inf, inequality vacuous
-        lhs = phi.evaluate(t * x + (1.0 - t) * y)
-        dxy = phi.norm(x - y)
-        rhs = t * fx + (1.0 - t) * fy - 0.5 * lam * t * (1.0 - t) * dxy * dxy
-        slack = lhs - rhs
-        if slack > tol:
-            report.violations.append((x, y, t, float(slack)))
-            report.max_slack_violation = max(report.max_slack_violation, float(slack))
-        report.n_checked += 1
-    return report
+    xs, ys, ts = sampler(n_samples)
+    triples = list(triples)
+    x = np.vstack([as_point(a, phi.dim) for a, _, _ in triples] + [xs])
+    y = np.vstack([as_point(b, phi.dim) for _, b, _ in triples] + [ys])
+    t = np.concatenate([[float(c) for _, _, c in triples], ts])
+
+    def values(points):
+        v = np.array([float(phi.value(p)) for p in points])
+        bad = np.isnan(v) | (v == -np.inf)
+        if bad.any():
+            raise ConstructionError(f"functional returned {v[bad][0]}; values must lie in (-inf, +inf]")
+        return v
+
+    fx, fy = values(x), values(y)
+    rows = np.flatnonzero(np.isfinite(fx) & np.isfinite(fy))
+    xr, yr, tr = x[rows], y[rows], t[rows]
+    lhs = values(tr[:, None] * xr + (1.0 - tr)[:, None] * yr)
+    d = xr - yr
+    dxy = np.sqrt(np.sum(phi.weights * d * d, axis=1))
+    rhs = tr * fx[rows] + (1.0 - tr) * fy[rows] - 0.5 * lam * tr * (1.0 - tr) * dxy * dxy
+    slack = lhs - rhs
+    hit = slack > tol
+    violations = [(x[i], y[i], float(t[i]), float(s)) for i, s in zip(rows[hit], slack[hit])]
+    return ConvexityReport(lam=lam, n_checked=len(t), violations=violations,
+                           max_slack_violation=max([0.0] + [v[3] for v in violations]))
 
 
 # ---------------------------------------------------------------------------

@@ -619,7 +619,20 @@ def _random_tlp_point(rng: np.random.Generator, n_atoms: int, dim: int, value_sc
     return TLpPoint(EmpiricalMeasure(atoms=atoms, weights=w), vals)
 
 
+def _load_point_record(key: str, path: str) -> TLpPoint:
+    """Load a function/measure pair record; a malformed or missing one is a ConfigError."""
+    try:
+        return load_tlp_point(Path(path).read_text())
+    except (ValueError, KeyError, OSError) as exc:  # ConstructionError and bad JSON are ValueErrors
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"{key} = {path}: {detail}") from exc
+
+
 def run_tlp_table(cfg: ExperimentConfig) -> List[Row]:
+    pair = None
+    if cfg.point_a and cfg.point_b:
+        pair = (_load_point_record("point_a", cfg.point_a),
+                _load_point_record("point_b", cfg.point_b))
     rng = np.random.default_rng(cfg.seed)
     rows: List[Row] = []
     n_triples = 40
@@ -640,9 +653,8 @@ def run_tlp_table(cfg: ExperimentConfig) -> List[Row]:
         rep = interpolation_bound_check(a, b, p=1.0, q=cfg.q, r=2.0, C=1.0)
         rows.append(Row("tlp", k, 2.0, "interpolation_bound", rep.lhs, rep.rhs + 1e-9,
                         rep.rhs + 1e-9 - rep.lhs, rep.ok))
-    if cfg.point_a and cfg.point_b:
-        pa = load_tlp_point(Path(cfg.point_a).read_text())
-        pb = load_tlp_point(Path(cfg.point_b).read_text())
+    if pair is not None:
+        pa, pb = pair
         for p in sorted({1.0, 2.0, cfg.p}):
             d, plan = tlp_distance(pa, pb, p)
             rows.append(Row("tlp", pa.measure.n_atoms, p, "point_pair_distance",

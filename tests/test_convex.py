@@ -283,7 +283,125 @@ class TestGradientProx:
         assert exc.value.residual is not None
 
 
+def _repeat_sampler(x, y, t):
+    """sampler(n) that returns the one triple (x, y, t), n times."""
+    return lambda n: (np.tile(x, (n, 1)), np.tile(y, (n, 1)), np.full(n, t))
+
+
+def _per_triple_draws(phi, rng, scale, n):
+    """Reference draws for default_triple_sampler: one triple at a time, x, then y, then t."""
+    if phi.domain_hint is not None:
+        lo, hi = (np.asarray(b, dtype=float).reshape(-1) for b in phi.domain_hint)
+    else:
+        lo, hi = -scale * np.ones(phi.dim), scale * np.ones(phi.dim)
+    return [(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(0.0, 1.0)) for _ in range(n)]
+
+
+def _per_triple_check(phi, lam, draws, triples=(), tol=1e-8):
+    """Reference check_lambda_convexity, one triple at a time: (n_checked, violations, max slack)."""
+    n_checked, violations, max_slack = 0, [], 0.0
+    for x, y, t in list(triples) + list(draws):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        fx, fy = phi.evaluate(x), phi.evaluate(y)
+        if not (np.isfinite(fx) and np.isfinite(fy)):
+            n_checked += 1
+            continue
+        lhs = phi.evaluate(t * x + (1.0 - t) * y)
+        dxy = phi.norm(x - y)
+        rhs = t * fx + (1.0 - t) * fy - 0.5 * lam * t * (1.0 - t) * dxy * dxy
+        slack = lhs - rhs
+        if slack > tol:
+            violations.append((x, y, t, float(slack)))
+            max_slack = max(max_slack, float(slack))
+        n_checked += 1
+    return n_checked, violations, max_slack
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestTripleSampler:
+    @given(st.integers(1, 5), st.integers(1, 64), st.floats(0.01, 100.0), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_is_bitwise_the_per_triple_draws(self, dim, n, scale, hinted, seed):
+        phi = quadratic_functional(lam=1.0, dim=dim)
+        if hinted:
+            lo = np.random.default_rng(seed).uniform(-5.0, 5.0, dim)
+            phi = replace(phi, domain_hint=(lo, lo + np.arange(1.0, dim + 1.0)))
+        rng_batch, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs, ys, ts = default_triple_sampler(phi, rng_batch, scale=scale)(n)
+        want = _per_triple_draws(phi, rng_oracle, scale, n)
+        assert xs.shape == ys.shape == (n, dim) and ts.shape == (n,)
+        assert _bits(xs) == _bits([x for x, _, _ in want])
+        assert _bits(ys) == _bits([y for _, y, _ in want])
+        assert _bits(ts) == _bits([t for _, _, t in want])
+        assert rng_batch.bit_generator.state == rng_oracle.bit_generator.state
+
+
+def _oracle_cases():
+    A = np.random.default_rng(7).random((4, 4))
+    A[np.diag_indices(4)] = 0.0
+    return [
+        (quadratic_functional(lam=1.0, dim=3, weights=[0.5, 0.3, 0.2]), 1.0, 3.0),
+        (abs_functional(dim=2), 0.5, 3.0),  # inflated modulus: violations
+        (counterexample_functional(1.0), 1.0, 3.0),
+        (GraphEnergy(adjacency=A).to_functional(), 0.0, 2.0),
+    ]
+
+
 class TestLambdaConvexity:
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_matches_per_triple_oracle(self, case, seed):
+        phi, lam, scale = _oracle_cases()[case]
+        triples = [(np.full(phi.dim, -2.0), np.full(phi.dim, 2.0), 0.5),
+                   (np.linspace(0.1, 0.9, phi.dim), np.zeros(phi.dim), 0.25)]
+        rep = check_lambda_convexity(phi, lam, default_triple_sampler(
+            phi, np.random.default_rng(seed), scale=scale), 300, triples=triples)
+        n, viol, max_slack = _per_triple_check(
+            phi, lam, _per_triple_draws(phi, np.random.default_rng(seed), scale, 300), triples)
+        assert rep.n_checked == n == 302
+        assert len(rep.violations) == len(viol)
+        for got, want in zip(rep.violations, viol):
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+            assert _bits(got[2:]) == _bits(want[2:])
+        assert _bits(rep.max_slack_violation) == _bits(max_slack)
+        if case == 1:
+            assert viol  # the oracle comparison covers a nonempty violation list
+
+    def test_infinite_endpoint_skips_the_midpoint(self):
+        calls = []
+
+        def indicator(x):
+            calls.append(np.array(x))
+            return 0.0 if np.all(np.abs(x) <= 1.0) else np.inf
+
+        box = ProperFunctional(dim=2, value=indicator, prox_closed_form=lambda g, x: np.clip(x, -1, 1))
+        rep = check_lambda_convexity(box, 0.0, default_triple_sampler(
+            box, np.random.default_rng(3), scale=1.5), 200)
+        draws = _per_triple_draws(box, np.random.default_rng(3), 1.5, 200)
+        inside = [np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0) for x, y, _ in draws]
+        assert rep.ok and rep.n_checked == 200
+        assert 0 < sum(inside) < 200
+        # endpoints of every row, then midpoints of the rows with both endpoints finite only
+        assert len(calls) == 400 + sum(inside)
+        mids = [t * x + (1.0 - t) * y for (x, y, t), ok in zip(draws, inside) if ok]
+        assert _bits(calls[400:]) == _bits(mids)
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_improper_values_raise(self, bad):
+        at_endpoint = ProperFunctional(dim=1, value=lambda x: bad if x[0] < 0 else 0.0, weights=[1.0])
+        with pytest.raises(ConstructionError):
+            check_lambda_convexity(at_endpoint, 0.0, default_triple_sampler(
+                at_endpoint, np.random.default_rng(0)), 50)
+        at_midpoint = ProperFunctional(dim=1, value=lambda x: bad if x[0] == 0.0 else abs(x[0]),
+                                       weights=[1.0])
+        with pytest.raises(ConstructionError):
+            check_lambda_convexity(at_midpoint, 0.0, _repeat_sampler([1.0], [2.0], 0.5), 1,
+                                   triples=[([-1.0], [1.0], 0.5)])
+
     def test_quadratic_equality_case(self, rng):
         q = quadratic_functional(lam=1.0)
         rep = check_lambda_convexity(q, 1.0, default_triple_sampler(q, rng, scale=10.0), 200)
@@ -293,17 +411,17 @@ class TestLambdaConvexity:
         a = abs_functional()
         # antisymmetric pairs only violate once |x - y| is large ...
         anti = [(np.array([-s]), np.array([s]), 0.5) for s in (0.1, 1.0, 10.0)]
-        rep0 = check_lambda_convexity(a, 0.1, lambda: anti[0], 1, triples=anti)
+        rep0 = check_lambda_convexity(a, 0.1, _repeat_sampler(*anti[0]), 1, triples=anti)
         assert len(rep0.violations) == 0
         rep = check_lambda_convexity(
-            a, 0.1, lambda: anti[0], 1,
+            a, 0.1, _repeat_sampler(*anti[0]), 1,
             triples=[(np.array([-100.0]), np.array([100.0]), 0.5)],
         )
         assert not rep.ok
         assert abs(rep.max_slack_violation - 400.0) < 1e-9
         # ... but same-sign pairs violate at any scale (the map is affine there)
         rep2 = check_lambda_convexity(
-            a, 0.1, lambda: anti[0], 1,
+            a, 0.1, _repeat_sampler(*anti[0]), 1,
             triples=[(np.array([0.01]), np.array([0.09]), 0.5)],
         )
         assert not rep2.ok

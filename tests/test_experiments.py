@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfstack.cli import main as cli_main
-from gfstack.errors import ConfigError, ConstructionError
+from gfstack.errors import ConfigError, SolverDiagnosticError
 from gfstack.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -152,18 +152,56 @@ class TestCli:
         want, _ = tlp_distance(a, b, 1.0)
         assert val == pytest.approx(want)
 
-    def test_nan_point_record_writes_no_rows(self, tmp_path):
+    @staticmethod
+    def _run_with_point_a(tmp_path, record_a):
+        """Run tlp with point_a read from record_a (None: no such file)."""
         b = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([1.0, 0.0]))
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        pa.write_text('{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5], '
-                      '"values": [0.0, NaN]}')
+        if record_a is not None:
+            pa.write_text(record_a)
         pb.write_text(dump_tlp_point(b))
         out = tmp_path / "t.csv"
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"kind = tlp_table\npoint_a = {pa}\npoint_b = {pb}\n")
-        with pytest.raises(ConstructionError):
-            cli_main(["tlp", "--config", str(cfgfile), "--out", str(out)])
+        code = cli_main(["tlp", "--config", str(cfgfile), "--out", str(out)])
+        return code, pa, out
+
+    def _assert_point_a_config_error(self, capsys, tmp_path, record_a):
+        code, pa, out = self._run_with_point_a(tmp_path, record_a)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "point_a" in err and str(pa) in err
         assert not out.exists()
+
+    def test_nan_point_record_writes_no_rows(self, capsys, tmp_path):
+        self._assert_point_a_config_error(
+            capsys, tmp_path,
+            '{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5], "values": [0.0, NaN]}')
+
+    def test_wrong_dim_point_record_is_config_error(self, capsys, tmp_path):
+        self._assert_point_a_config_error(
+            capsys, tmp_path,
+            '{"dim": 2, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5], "values": [0.0, 1.0]}')
+
+    def test_malformed_point_record_is_config_error(self, capsys, tmp_path):
+        self._assert_point_a_config_error(
+            capsys, tmp_path, '{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}')
+        self._assert_point_a_config_error(capsys, tmp_path, '{"dim": 1, "atoms": ')
+
+    def test_missing_point_record_file_is_config_error(self, capsys, tmp_path):
+        self._assert_point_a_config_error(capsys, tmp_path, None)
+
+    def test_solver_errors_still_propagate(self, monkeypatch, tmp_path):
+        import gfstack.experiments as exps
+
+        def fake(cfg):
+            raise SolverDiagnosticError("gave up", residual=1.0)
+
+        monkeypatch.setitem(exps.RUNNERS, "tlp_table", fake)
+        with pytest.raises(SolverDiagnosticError):
+            cli_main(["tlp", "--out", str(tmp_path / "x.csv")])
+        assert not (tmp_path / "x.csv").exists()
 
     def test_exit_one_on_failing_rows(self, monkeypatch, capsys, tmp_path):
         # doctor a runner so one asserted row fails, exit code must be 1
