@@ -15,6 +15,7 @@ contraction checks for graph flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,7 +73,10 @@ def _smoothstep_table():
     """Cumulative bump integral on a dense grid, splined once per process.
 
     Per-interval Simpson on 2^14 uniform cells keeps the table error far
-    below 1e-14, so the ramp profile is exact to working precision.
+    below 1e-14; the splined ramp agrees with adaptive-Simpson quadrature of
+    the bump to about 2e-15.  The profiles p0_family builds on it are not
+    that exact: their 512-step rise spline agrees with exact_value to about
+    1.1e-12 on the runners' profiles (tested).
     """
     global _SMOOTHSTEP_SPLINE
     if _SMOOTHSTEP_SPLINE is None:
@@ -104,9 +108,10 @@ def _smoothstep(s: float) -> float:
 class P0TestFunction:
     """Smooth truncation profile: zero near 0, slope in [0, 1], eventual plateau.
 
-    evaluator uses a cached cubic-spline antiderivative on the transition
-    bands and exact closed forms on the dead zone and the plateau;
-    exact_value integrates the derivative by adaptive Simpson instead.
+    evaluator uses a cubic-spline antiderivative on the transition bands,
+    built on its first use there and then kept, and exact closed forms on
+    the dead zone and the plateau; exact_value integrates the derivative by
+    adaptive Simpson instead and never builds the spline.
     """
 
     a: float
@@ -154,8 +159,6 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
     The default is the odd extension; one_sided leaves the negative axis
     identically zero (the asymmetric variant the counterexample needs).
     """
-    from scipy.interpolate import CubicSpline
-
     if a <= 0 or w <= 0:
         raise ConstructionError("need a > 0 and w > 0")
     if not 0.0 < slope <= 1.0:
@@ -186,29 +189,38 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
 
     # antiderivative cache: exact on the flat segment and beyond by ramp
     # symmetry (the up and down ramps each integrate to slope*w/2)
-    grid = np.linspace(a, ramp_end, 512)
-    ss = np.empty(grid.size)
-    acc, prev = 0.0, -1.0
-    for k, x in enumerate(grid):
-        s = 2.0 * (x - a) / w - 1.0
-        acc += adaptive_simpson(_bump, prev, s, 1e-14)
-        ss[k] = acc
-        prev = s
-    ramp_vals = slope * ss / _BUMP_MASS
-    ramp_anti = CubicSpline(grid, ramp_vals).antiderivative()
+    @cache
+    def ramp_anti():
+        """Spline of the rise antiderivative, built when the evaluator first needs it.
+
+        Its 512-step adaptive-Simpson table is the costly part of the family;
+        exact_value never reads it.
+        """
+        from scipy.interpolate import CubicSpline
+
+        grid = np.linspace(a, ramp_end, 512)
+        ss = np.empty(grid.size)
+        acc, prev = 0.0, -1.0
+        for k, x in enumerate(grid):
+            s = 2.0 * (x - a) / w - 1.0
+            acc += adaptive_simpson(_bump, prev, s, 1e-14)
+            ss[k] = acc
+            prev = s
+        return CubicSpline(grid, slope * ss / _BUMP_MASS).antiderivative()
+
     up_area = slope * w / 2.0
 
     def value_pos(x: float) -> float:
         if x <= a:
             return 0.0
         if x < ramp_end:
-            return float(ramp_anti(x))
+            return float(ramp_anti()(x))
         if x <= flat_end:
             return up_area + slope * (x - ramp_end)
         if x < support_end:
             # the descent mirrors the rise, so the area still to come equals
             # the rise antiderivative at the mirrored abscissa
-            return plateau - float(ramp_anti(ramp_end - (x - flat_end)))
+            return plateau - float(ramp_anti()(ramp_end - (x - flat_end)))
         return plateau
 
     def value(x: float) -> float:
@@ -233,14 +245,30 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
 # graph energies
 
 
+def _dct_basis(n: int) -> np.ndarray:
+    """The orthonormal DCT-II basis Q[i, k] = sqrt(2/n) cos(pi k (i + 1/2) / n), column 0 sqrt(1/n).
+
+    Each cosine is looked up at its exact integer phase, so the basis is
+    accurate to rounding.  Formed only on request (spectral_factors of a
+    path energy, and tests); the proxes apply it by FFT instead.
+    """
+    k = np.arange(n)  # the node index i and the frequency k share this range
+    # cos(pi m / 2n) looked up at the exact integer phase m = (2i + 1) k mod 4n
+    phase = np.outer(2 * k + 1, k)
+    phase %= 4 * n
+    Q = np.cos(np.pi * np.arange(4 * n) / (2 * n))[phase] * np.sqrt(2.0 / n)
+    Q[:, 0] = np.sqrt(1.0 / n)
+    return Q
+
+
 def _path_eigensystem(edges, w):
-    """Closed-form (evals, Q) of W^{-1/2} K W^{-1/2} for a path with one coefficient.
+    """Closed-form (evals, twiddle) of W^{-1/2} K W^{-1/2} for a path with one coefficient.
 
     A path i - i+1 with one coefficient c and equal node weights w has
     W^{-1/2} K W^{-1/2} = (c/w) L for the path Laplacian L, whose eigenvectors
-    are the DCT-II basis Q[i, k] = sqrt(2/n) cos(pi k (i + 1/2) / n) (column
-    0: sqrt(1/n)) with eigenvalues 4 sin^2(pi k / 2n).  Returns None for any
-    other graph.
+    are the DCT-II basis _dct_basis(n) with eigenvalues 4 sin^2(pi k / 2n).
+    The basis is not formed: _dct2 and _dct3 apply it in O(n log n) from the
+    twiddle exp(-i pi k / 2n).  Returns None for any other graph.
     """
     iu, ju, c = edges
     n = w.size
@@ -248,13 +276,32 @@ def _path_eigensystem(edges, w):
     if (n < 2 or iu.size != n - 1 or np.any(iu != path) or np.any(ju != path + 1)
             or np.any(c != c[0]) or np.any(w != w[0])):
         return None
-    k = np.arange(n)  # the node index i and the frequency k share this range
-    # cos(pi m / 2n) looked up at the exact integer phase m = (2i + 1) k mod 4n
-    phase = np.outer(2 * k + 1, k)
-    phase %= 4 * n
-    Q = np.cos(np.pi * np.arange(4 * n) / (2 * n))[phase] * np.sqrt(2.0 / n)
-    Q[:, 0] = np.sqrt(1.0 / n)
-    return (c[0] / w[0]) * 4.0 * np.sin(np.pi * k / (2 * n)) ** 2, Q
+    k = np.arange(n)
+    return (c[0] / w[0]) * 4.0 * np.sin(np.pi * k / (2 * n)) ** 2, np.exp(-0.5j * np.pi * k / n)
+
+
+def _dct2(x: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
+    """X_k = sum_i x_i cos(pi k (2i + 1) / 2n), by one FFT of the reordered x (Makhoul 1980).
+
+    The orthonormal transform is Q' x = nrm * X, with nrm_0 = sqrt(1/n) and
+    nrm_k = sqrt(2/n) for k > 0.
+    """
+    v = np.concatenate([x[::2], x[1::2][::-1]])  # even entries, then odd ones reversed
+    return (twiddle * np.fft.fft(v)).real
+
+
+def _dct3(X: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
+    """The x with _dct2(x) = X, by one inverse FFT: Q c = _dct3(c / nrm).
+
+    With Z_k = twiddle_k fft(v)_k, X_k = Re Z_k and X_{n-k} = -Im Z_k, so
+    fft(v)_k = (X_k - i X_{n-k}) / twiddle_k with X_n = 0.
+    """
+    n = X.size
+    v = np.fft.ifft((X - 1j * np.concatenate([[0.0], X[:0:-1]])) / twiddle).real
+    x = np.empty(n)
+    half = (n + 1) // 2
+    x[::2], x[1::2] = v[:half], v[half:][::-1]
+    return x
 
 
 @dataclass(frozen=True)
@@ -273,6 +320,11 @@ class GraphEnergy:
     array.  An edge-built energy forms its adjacency, the upper-triangular
     A with A_ij = c_ij, only when it is read (by pair_matrix, for the eigh
     path, and by graph_energy_to_record).
+
+    A squared-loss energy also stores its spectral factors (evals, basis, s).
+    The basis is the n x n eigenvector matrix Q from eigh, except on a path
+    with one coefficient and equal weights: there it is the length-n DCT
+    twiddle of _path_eigensystem, so such an energy holds O(n) data only.
     """
 
     adjacency: np.ndarray
@@ -342,7 +394,7 @@ class GraphEnergy:
         factors = ()
         if self.loss_kind == "squared":
             s = 1.0 / np.sqrt(w)
-            eig = _path_eigensystem(edges, w)
+            eig = _path_eigensystem(edges, w)  # (evals, twiddle), or None
             if eig is None:
                 evals, Q = np.linalg.eigh((self.pair_matrix() * s[None, :]) * s[:, None])
                 eig = np.maximum(evals, 0.0), Q
@@ -382,14 +434,20 @@ class GraphEnergy:
     def spectral_factors(self):
         """(evals, Q, s): W^{-1/2} K W^{-1/2} = Q diag(evals) Q' with s = W^{-1/2}.
 
-        Computed once, at construction, for the squared loss: in closed form
-        (the DCT-II basis) for a path with one coefficient and equal node
-        weights, by eigh otherwise.  The arrays are read-only and shared by
+        Computed once, at construction, for the squared loss: by eigh in
+        general, and in closed form for a path with one coefficient and equal
+        node weights.  Such a path keeps no basis: Q, its DCT-II basis, is
+        formed here on each read and not kept, as an edge-built energy forms
+        its adjacency.  The arrays are read-only; evals and s are shared by
         every prox of this energy.
         """
         if self._factors is None:
             raise PreconditionError("spectral factors exist for the squared loss only")
-        return self._factors
+        evals, basis, s = self._factors
+        if basis.ndim == 1:  # the DCT twiddle of a path
+            basis = _dct_basis(self.n_nodes)
+            basis.flags.writeable = False
+        return evals, basis, s
 
     def to_functional(self) -> ProperFunctional:
         """View as a convex functional on the weighted node space.
@@ -433,12 +491,17 @@ class GraphEnergy:
 def _squared_prox_power(ge: GraphEnergy, gamma: float, k: int, h) -> np.ndarray:
     """k-fold squared-loss prox ((W + 2 gamma K)^{-1} W)^k h in the eigenbasis.
 
-    In log space, so the power stays exact for tiny steps and huge k.
+    s Q diag(exp(-k log1p(2 gamma evals))) Q' (h / s): in log space, so the
+    power stays exact for tiny steps and huge k.  With an eigh basis, Q' and
+    Q are dense products.  On a path, Q' is an orthonormal DCT-II and Q a
+    DCT-III, each one FFT (_dct2, _dct3); their normalisations cancel.
     """
     h = as_point(h, ge.n_nodes)
-    evals, Q, s = ge.spectral_factors()
-    coef = (Q.T @ (h / s)) * np.exp(-k * np.log1p(2.0 * gamma * evals))
-    return s * (Q @ coef)
+    evals, basis, s = ge._factors
+    decay = np.exp(-k * np.log1p(2.0 * gamma * evals))
+    if basis.ndim == 1:  # the DCT twiddle of a path
+        return s * _dct3(_dct2(h / s, basis) * decay, basis)
+    return s * (basis @ ((basis.T @ (h / s)) * decay))
 
 
 def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:

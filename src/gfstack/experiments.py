@@ -256,7 +256,8 @@ def fine_grid_dirichlet(measure: EmpiricalMeasure) -> GraphEnergy:
     line_measure(n) with n a power of two the midpoints are dyadic, so
     every spacing, hence every coefficient, is bitwise equal, as are the
     weights; GraphEnergy then takes the closed-form DCT-II factors of the
-    path instead of an n-node eigh.
+    path instead of an n-node eigh, and keeps O(n) data: its proxes apply
+    the basis by FFT, so neither building nor proxing forms an n x n array.
     """
     x = measure.atoms[:, 0]
     n = x.size
@@ -630,6 +631,9 @@ def _load_point_record(key: str, path: str) -> TLpPoint:
 
 def run_tlp_table(cfg: ExperimentConfig) -> List[Row]:
     pair = None
+    if bool(cfg.point_a) != bool(cfg.point_b):
+        given, missing = ("point_a", "point_b") if cfg.point_a else ("point_b", "point_a")
+        raise ConfigError(f"{given} is set but {missing} is not; a point pair needs both")
     if cfg.point_a and cfg.point_b:
         pair = (_load_point_record("point_a", cfg.point_a),
                 _load_point_record("point_b", cfg.point_b))

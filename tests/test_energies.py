@@ -69,6 +69,38 @@ class TestP0Family:
         for x in (0.3, 0.55, 0.8, 1.1, 2.0, -0.6):
             assert abs(g(x) - g.exact_value(x)) < 1e-10
 
+    @pytest.mark.parametrize("kw", [
+        dict(a=0.3, w=0.4),                             # p0_audit's g_sym
+        dict(a=0.2, w=0.2, cap=0.8),                    # p0_audit's g_cap
+        dict(a=0.1, w=0.1, cap=0.5, one_sided=True),    # counterexample_demo's g
+    ])
+    def test_evaluator_accuracy_on_runner_profiles(self, kw):
+        # the 512-step ramp spline agrees with the quadrature to about 1.1e-12
+        # (measured maximum 1.13e-12, on g_sym), not to working precision
+        g = p0_family(**kw)
+        xs = np.linspace(-3.0, 3.0, 601)  # p0_audit's sampling range, every support inside
+        err = max(abs(g(float(x)) - g.exact_value(float(x))) for x in xs)
+        assert err <= 1.2e-12
+
+    def test_ramp_table_built_on_first_evaluator_use(self, monkeypatch):
+        bump_calls = []
+        simpson = energies.adaptive_simpson
+
+        def counting(f, *args):
+            bump_calls.append(f is energies._bump)
+            return simpson(f, *args)
+
+        monkeypatch.setattr(energies, "adaptive_simpson", counting)
+        counterexample_demo(1.0)  # builds two families and reads only exact_value
+        g = p0_family(a=0.3, w=0.4)
+        g.exact_value(0.5)
+        g(0.1), g(2.0)  # dead zone and plateau: closed forms
+        assert not any(bump_calls)
+        g(0.5)
+        assert sum(bump_calls) == 512  # one adaptive Simpson step per table entry
+        g(-0.6), g(0.9)
+        assert sum(bump_calls) == 512
+
     def test_slope_cap_interaction(self):
         g = p0_family(a=0.1, w=1.0, cap=0.25)
         # cap smaller than slope*w forces a gentler slope
@@ -333,14 +365,24 @@ def _count_eigh(monkeypatch):
     return calls
 
 
+def _dense_prox_power(ge, gamma, k, h):
+    """The k-fold squared-loss prox through the dense basis that spectral_factors forms."""
+    evals, Q, s = ge.spectral_factors()
+    return s * (Q @ ((Q.T @ (h / s)) * np.exp(-k * np.log1p(2.0 * gamma * evals))))
+
+
 class TestClosedFormPathFactors:
-    """A path with one coefficient and equal weights is factored by the DCT-II basis."""
+    """A path with one coefficient and equal weights is factored by the DCT-II basis.
+
+    The energy keeps only (evals, twiddle, s) and applies the basis by FFT;
+    spectral_factors forms the basis Q on read, and these checks use that Q.
+    """
 
     def test_factors_match_eigh(self, rng):
         for n in range(3, 65):
             c, w = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.01, 2.0))
             ge = _path_energy(n, c, np.full(n, w))
-            evals, Q, s = ge.spectral_factors()
+            evals, Q, s = ge.spectral_factors()  # Q formed on read
             K = ge.pair_matrix()
             ref = np.linalg.eigvalsh((K * s[None, :]) * s[:, None])
             assert np.abs(evals - ref).max() <= 1e-12 * ref.max()
@@ -358,8 +400,52 @@ class TestClosedFormPathFactors:
         _, _, c = ge._edges
         assert c.size == n - 1 and np.all(c == c[0])
         assert np.all(ge.node_weights == ge.node_weights[0])
+        assert all(arr.shape == (n,) for arr in ge._factors)  # the closed form: no basis
         graph_prox(ge, 0.1, np.cos(np.arange(n)))
         assert calls == []
+
+    @given(st.one_of(st.integers(min_value=2, max_value=70), st.sampled_from([512, 1024, 2048])),
+           st.floats(min_value=1e-8, max_value=10.0), st.integers(min_value=1, max_value=10**6),
+           st.floats(min_value=0.01, max_value=100.0), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_fft_prox_matches_dense_basis(self, n, gamma, k, c, seed):
+        path = np.arange(n - 1)
+        ge = GraphEnergy.from_edges(n, path, path + 1, np.full(n - 1, c), np.full(n, 1.0 / n))
+        phi = ge.to_functional()
+        h = np.random.default_rng(seed).normal(size=n)
+        # Both sides carry the rounding of h, and a large gamma * k leaves an
+        # output far smaller than h (only the mean survives), so the error is
+        # measured relative to h; the prox is a contraction.
+        bound = 1e-13 * np.abs(h).max()
+        for got, k_ref in ((graph_prox(ge, gamma, h), 1), (phi.prox_iterated(gamma, k, h), k)):
+            assert np.abs(got - _dense_prox_power(ge, gamma, k_ref, h)).max() <= bound
+
+    def test_path_keeps_no_basis(self):
+        n = 64
+        path = np.arange(n - 1)
+        ge = GraphEnergy.from_edges(n, path, path + 1, np.full(n - 1, 0.5), np.full(n, 1.0 / n))
+        assert all(arr.shape == (n,) for arr in ge._factors)  # evals, twiddle, s
+        evals, Q, s = ge.spectral_factors()
+        assert Q.shape == (n, n) and not Q.flags.writeable
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-13
+        assert ge.spectral_factors()[1] is not Q  # formed on each read, not kept
+        assert ge.spectral_factors()[0] is evals and ge.spectral_factors()[2] is s
+        assert all(np.size(v) < n * n for v in vars(ge).values())
+
+    def test_fine_grid_prox_allocates_no_basis(self):
+        import tracemalloc
+
+        from gfstack.experiments import fine_grid_dirichlet, line_measure
+
+        n = 1024
+        tracemalloc.start()
+        try:
+            ge = fine_grid_dirichlet(line_measure(n))
+            graph_prox(ge, 0.1, np.cos(np.arange(n)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one n x n float basis alone would take 8 MiB
 
     def test_other_paths_fall_back_to_eigh(self, monkeypatch):
         calls = _count_eigh(monkeypatch)
@@ -425,7 +511,8 @@ class TestEdgeBuiltEnergy:
         dense = _dense_fine_grid(n)
         assert "adjacency" not in vars(ge)  # no n x n array was built
         assert _same_arrays(ge._edges, dense._edges)
-        assert _same_arrays(ge.spectral_factors(), dense.spectral_factors())
+        assert _same_arrays(ge._factors, dense._factors)  # evals, twiddle, s: no basis kept
+        assert _same_arrays(ge.spectral_factors(), dense.spectral_factors())  # Q formed on read
         assert _same_arrays((ge.node_weights,), (dense.node_weights,))
         phi, phi_dense = ge.to_functional(), dense.to_functional()
         for u in (np.cos(np.pi * line_measure(n).atoms[:, 0]), rng.normal(size=n)):
@@ -447,6 +534,7 @@ class TestEdgeBuiltEnergy:
         assert np.array_equal(back.adjacency, ge.adjacency)
         assert back.loss_kind == ge.loss_kind
         assert _same_arrays(back._edges, ge._edges)
+        assert _same_arrays(back._factors, ge._factors)
         assert _same_arrays(back.spectral_factors(), ge.spectral_factors())
         assert _same_arrays((back.node_weights,), (ge.node_weights,))
 

@@ -192,6 +192,20 @@ class TestCli:
     def test_missing_point_record_file_is_config_error(self, capsys, tmp_path):
         self._assert_point_a_config_error(capsys, tmp_path, None)
 
+    @pytest.mark.parametrize("given, missing", [("point_a", "point_b"), ("point_b", "point_a")])
+    def test_half_a_point_pair_is_config_error(self, capsys, tmp_path, given, missing):
+        record = tmp_path / "p.json"
+        record.write_text(dump_tlp_point(TLpPoint(uniform_measure([[0.0], [1.0]]), np.zeros(2))))
+        with pytest.raises(ConfigError, match=f"{given} is set but {missing} is not"):
+            run_experiment(ExperimentConfig(kind="tlp_table", **{given: str(record)}))
+        out = tmp_path / "t.csv"
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"kind = tlp_table\n{given} = {record}\n")
+        assert cli_main(["tlp", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and missing in err
+        assert not out.exists()
+
     def test_solver_errors_still_propagate(self, monkeypatch, tmp_path):
         import gfstack.experiments as exps
 
