@@ -81,6 +81,7 @@ from .transport import (
     pushforward_weak_check,
     solve_transport,
     tlp_distance,
+    tlp_distances,
     uniform_measure,
     wasserstein,
 )

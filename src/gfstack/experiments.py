@@ -60,6 +60,7 @@ from .transport import (
     interpolation_bound_check,
     load_tlp_point,
     tlp_distance,
+    tlp_distances,
     uniform_measure,
     wasserstein,
 )
@@ -459,7 +460,6 @@ def run_d2c_experiment(cfg: ExperimentConfig) -> List[Row]:
     tolflow = cfg.tolerance
 
     fine_flow = gradient_flow(fine.functional, fine.initial, times, tolflow)
-    fine_points = [TLpPoint(fine.measure, s) for s in fine_flow.trajectory.states]
     fine_speed = None
     if len(times) > 1:
         fine_speed = metric_derivative(fine_flow.trajectory, weights=fine.measure.weights)
@@ -472,11 +472,10 @@ def run_d2c_experiment(cfg: ExperimentConfig) -> List[Row]:
     sup_dists, max_gaps = [], []
     for inst in instances:
         flow = gradient_flow(inst.functional, inst.initial, times, tolflow)
-        dists, gaps = [], []
-        for k, t in enumerate(times):
-            pt = TLpPoint(inst.measure, flow.trajectory.states[k])
-            d, _ = tlp_distance(pt, fine_points[k], 2.0)
-            dists.append(d)
+        dists = tlp_distances(inst.measure, fine.measure, flow.trajectory.states,
+                              fine_flow.trajectory.states, 2.0).tolist()
+        gaps = []
+        for k, (t, d) in enumerate(zip(times, dists)):
             gap = abs(flow.energies[k] - fine_flow.energies[k])
             gaps.append(gap)
             rows.append(Row("d2c", inst.n, float(t), "tl2_distance", d, np.inf, np.inf, True))
@@ -588,16 +587,15 @@ def run_resolvent_convergence(cfg: ExperimentConfig) -> List[Row]:
     res_col, semi_col = [], []
     fine_res = fine.functional.prox_closed_form(gamma, fine.initial)
     fine_flow = gradient_flow(fine.functional, fine.initial, times, tol)
-    fine_pts = [TLpPoint(fine.measure, s) for s in fine_flow.trajectory.states]
+    fine_rows = np.vstack([fine_res, fine_flow.trajectory.states])
     for inst in instances:
         rn = inst.functional.prox_closed_form(gamma, inst.initial)
-        d_res, _ = tlp_distance(TLpPoint(inst.measure, rn), TLpPoint(fine.measure, fine_res), 2.0)
-        res_col.append(d_res)
         flow = gradient_flow(inst.functional, inst.initial, times, tol)
-        sup_semi = 0.0
-        for k in range(len(times)):
-            d, _ = tlp_distance(TLpPoint(inst.measure, flow.trajectory.states[k]), fine_pts[k], 2.0)
-            sup_semi = max(sup_semi, d)
+        # the prox row first, then the flow's rows at the common times
+        graph_rows = np.vstack([rn, flow.trajectory.states])
+        d_res, *d_semi = tlp_distances(inst.measure, fine.measure, graph_rows, fine_rows, 2.0).tolist()
+        res_col.append(d_res)
+        sup_semi = max([0.0, *d_semi])
         semi_col.append(sup_semi)
         rhs_r = res_col[-2] if len(res_col) > 1 else np.inf
         rhs_s = semi_col[-2] if len(semi_col) > 1 else np.inf

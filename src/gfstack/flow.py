@@ -218,9 +218,12 @@ class SpeedReport:
 def metric_derivative(trajectory: Trajectory, weights=None) -> SpeedReport:
     """Per-interval speeds ||u_{k+1} - u_k|| / dt and the integral of speed^2.
 
-    Speeds are piecewise constant on the intervals; their squares are
-    integrated exactly, which is a midpoint-type quadrature for the
-    underlying curve.
+    Speeds are piecewise constant on the intervals and their squares are
+    integrated exactly.  For the underlying curve u this is a one-sided
+    underestimate of the integral of ||u'||^2: on each interval,
+    ||u_{k+1} - u_k||^2 / dt <= the integral of ||u'||^2 over it, by
+    Cauchy-Schwarz.  The deficit is largest where the speed varies most
+    within an interval.
     """
     if len(trajectory.times) < 2:
         raise PreconditionError("need at least 2 times")

@@ -1,19 +1,26 @@
 """Exact optimal transport between empirical measures, and the TL^p metric.
 
 Distances are computed by an in-repo network simplex on the dense
-transportation graph with Bland's entering rule.  Degeneracy is broken by a
-symbolic perturbation of the marginals: every flow is a pair (exact, c)
-standing for exact + c*eps with eps infinitesimal, and pairs compare
-lexicographically.  The plan is read from the exact parts, so its marginals
-are the given ones up to floating-point rounding.  The northwest-corner
-start is built with array operations from the merged cumulative sums of the
+transportation graph with Dantzig's entering rule (the most negative reduced
+cost).  Degeneracy is broken by a symbolic perturbation of the marginals:
+every flow is a pair (exact, c) standing for exact + c*eps with eps
+infinitesimal, and pairs compare lexicographically, so every basis is
+strongly feasible and the ratio test alone rules out cycling, whatever arc
+enters.  The plan is read from the exact parts, so its marginals are the
+given ones up to floating-point rounding.  The northwest-corner start is
+built with array operations from the merged cumulative sums of the
 marginals, and the spanning tree is built only when the start's reduced
 costs show it is not optimal; on sorted 1-D atoms under a convex cost of
 x - y it is optimal already, and the solve runs no Python-level loop.
 
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
-stagnation cost, the certificate of measure convergence.
+stagnation cost, the certificate of measure convergence.  A solve allocates
+three m x n arrays: the spatial part, the cost and the plan.  The reduced
+costs are tested in blocks of rows, and the plan's dense checks sum without
+forming products.  tlp_distances compares the rows of two trajectories on
+one measure pair: the spatial part, the start and its plan are built, and
+the plan's marginals checked, once for all rows.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
 MARGINAL_TOL = 1e-9
 _RC_TOL = 1e-12
 _MAX_PIVOTS = 200_000
+_RC_BLOCK = 1 << 14  # cells per block of the reduced-cost test
 
 
 @dataclass(frozen=True)
@@ -115,28 +123,34 @@ class TransportPlan:
         col = np.abs(self.pi.sum(axis=0) - self.target.weights).max()
         return float(row), float(col)
 
-    def check(self, tol: float = MARGINAL_TOL):
+    def check_marginals(self, tol: float = MARGINAL_TOL):
         row, col = self.marginal_errors()
         if row > tol or col > tol:
             raise PreconditionError(f"plan marginals off by ({row:.3e}, {col:.3e})")
-        recomputed = float(np.sum(self.pi * self.cost_matrix))
+
+    def check_cost(self, tol: float = MARGINAL_TOL):
+        """Recompute sum(pi * C) over every cell, with no m x n product formed."""
+        recomputed = float(np.einsum("ij,ij->", self.pi, self.cost_matrix))
         if abs(recomputed - self.cost) > tol:
             raise PreconditionError("stored cost disagrees with the cost matrix")
+
+    def check(self, tol: float = MARGINAL_TOL):
+        self.check_marginals(tol)
+        self.check_cost(tol)
 
 
 def _pow_p(vals: np.ndarray, p: float) -> np.ndarray:
     """|vals|^p, evaluated in log space for large p to limit overflow.
 
-    Works in place on vals, which callers pass as a fresh array.
+    Works in place on vals and returns it.
     """
     a = np.abs(vals, out=vals)
     if p <= 8:
         a **= p
         return a
-    out = np.zeros_like(a)
     pos = a > 0
-    out[pos] = np.exp(p * np.log(a[pos]))
-    return out
+    a[pos] = np.exp(p * np.log(a[pos]))
+    return a
 
 
 class _SpanningTree:
@@ -244,12 +258,13 @@ def _pivot_to_optimum(tree: _SpanningTree, C):
     m, n = C.shape
     for _ in range(_MAX_PIVOTS):
         u, v = tree.potentials(C)
-        rc = C - u[:, None] - v[None, :]
-        mask = rc < -_RC_TOL
-        flat = np.flatnonzero(mask.reshape(-1))
-        if flat.size == 0:
+        rc = C - u[:, None]
+        rc -= v
+        # Dantzig: the most negative of the eligible reduced costs enters
+        eligible = np.where(rc < -_RC_TOL, rc, 0.0)
+        enter = int(np.argmin(eligible))
+        if eligible.flat[enter] == 0.0:
             return
-        enter = int(flat[0])  # Bland: lowest-index eligible arc
         ei, ej = divmod(enter, n)
         # cycle: entering arc plus the tree path from sink ej back to source ei
         nodes = tree.path(m + ej, ei)
@@ -276,20 +291,70 @@ def _pivot_to_optimum(tree: _SpanningTree, C):
     raise SolverDiagnosticError(f"network simplex exceeded {_MAX_PIVOTS} pivots")
 
 
+def _rc_scratch(m: int, n: int) -> np.ndarray:
+    """Scratch rows for the blocked reduced-cost test: at most _RC_BLOCK cells, or one row."""
+    return np.empty((max(1, min(m, _RC_BLOCK // n)), n))
+
+
+def _any_reduced_cost_below(C, u, v, scratch) -> bool:
+    """Whether any reduced cost C_ij - u_i - v_j is below -_RC_TOL.
+
+    Every cell is tested, block by block of scratch's row count, so the m x n
+    reduced costs are never formed at once; a NaN fails the comparison, as
+    it does in a dense test.
+    """
+    rows = scratch.shape[0]
+    for r in range(0, C.shape[0], rows):
+        block = C[r:r + rows]
+        rc = np.subtract(block, u[r:r + rows, None], out=scratch[: block.shape[0]])
+        rc -= v
+        if np.any(rc < -_RC_TOL):
+            return True
+    return False
+
+
+def _staircase(a, b):
+    """The northwest-corner start: its cells, (exact, eps) flows and dense plan."""
+    i, j, flow, flow_eps = _northwest_corner(a, b)
+    P = np.zeros((len(a), len(b)))
+    P[i, j] = flow
+    return i, j, flow, flow_eps, P
+
+
+def _solve(C, start, scratch):
+    """Optimal plan and cost on C from a _staircase start.
+
+    The start's own plan is returned when its reduced costs show it optimal;
+    otherwise the spanning tree is built from it and pivoted, into a fresh
+    plan.  The cost is summed over the plan's basis cells.
+    """
+    i, j, flow, flow_eps, P = start
+    u, v = _staircase_potentials(C, i, j)
+    if _any_reduced_cost_below(C, u, v, scratch):
+        tree = _SpanningTree(*C.shape)
+        for cell in zip(i.tolist(), j.tolist(), zip(flow.tolist(), flow_eps.tolist())):
+            tree.add(*cell)
+        _pivot_to_optimum(tree, C)
+        i, j = np.transpose(list(tree.flows))
+        flow = np.array([f for f, _ in tree.flows.values()])
+        P = np.zeros(C.shape)
+        P[i, j] = flow
+    return P, float(np.sum(flow * C[i, j]))
+
+
 def solve_transport(a, b, C):
     """Minimize sum_ij P_ij C_ij over couplings with marginals (a, b).
 
     Returns (plan matrix, optimal cost), the cost summed over the basis
     cells of the plan (at most m + n - 1).  Dense network simplex with a
-    northwest-corner start and Bland's entering rule.  Flows carry the
+    northwest-corner start and Dantzig's entering rule.  Flows carry the
     marginal perturbation symbolically as (exact, eps coefficient) pairs, so
     the ratio test is lexicographic and no feasible basis of the perturbed
     problem is degenerate.  An exact part never goes negative: a flow
     (f0, f1) >= theta = (t0, t1) has f0 >= t0, so f0 - t0 >= 0 in IEEE
     arithmetic.  The staircase start and its potentials are arrays, and
-    all m x n of its reduced costs are formed in place and checked in one
-    array operation; the spanning tree is built, and pivoted, only when one
-    of them is below -_RC_TOL.
+    all m x n of its reduced costs are tested in row blocks; the spanning
+    tree is built, and pivoted, only when one of them is below -_RC_TOL.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -299,34 +364,25 @@ def solve_transport(a, b, C):
         raise PreconditionError("marginal sizes must match the cost matrix")
     if abs(a.sum() - b.sum()) > 1e-9:
         raise PreconditionError("marginals must have equal total mass")
-
-    i, j, flow, flow_eps = _northwest_corner(a, b)
-    u, v = _staircase_potentials(C, i, j)
-    rc = C - u[:, None]
-    rc -= v
-    if np.any(rc < -_RC_TOL):
-        tree = _SpanningTree(m, n)
-        for cell in zip(i.tolist(), j.tolist(), zip(flow.tolist(), flow_eps.tolist())):
-            tree.add(*cell)
-        _pivot_to_optimum(tree, C)
-        i, j = np.transpose(list(tree.flows))
-        flow = np.array([f for f, _ in tree.flows.values()])
-    P = np.zeros((m, n))
-    P[i, j] = flow
-    return P, float(np.sum(flow * C[i, j]))
+    return _solve(C, _staircase(a, b), _rc_scratch(m, n))
 
 
 def _spatial_cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
     """|x_i - y_j|^p for every pair of atoms.
 
     The squared differences are summed in place over the coordinates, in
-    the order np.sum takes for d < 8; at p = 2 that sum is the cost, with no
-    sqrt and no power, and other p take _pow_p of its square root.
+    the order np.sum takes for d < 8, into the first coordinate's square;
+    at p = 2 that sum is the cost, with no sqrt and no power, and other p
+    take _pow_p of its square root.
     """
     x, y = mu.atoms, nu.atoms
-    sq = np.zeros((x.shape[0], y.shape[0]))
-    for k in range(x.shape[1]):
-        dk = np.subtract.outer(x[:, k], y[:, k])
+    if x.shape[1] == 0:  # the atoms of R^0 all coincide
+        return np.zeros((x.shape[0], y.shape[0]))
+    sq = np.subtract.outer(x[:, 0], y[:, 0])
+    sq *= sq
+    dk = None
+    for k in range(1, x.shape[1]):
+        dk = np.subtract.outer(x[:, k], y[:, k], out=dk)
         dk *= dk
         sq += dk
     if p == 2:
@@ -343,33 +399,74 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
     return tlp_distance(TLpPoint(mu, np.zeros(mu.n_atoms)), TLpPoint(nu, np.zeros(nu.n_atoms)), p)
 
 
-def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
-    """TL^p distance between (u, mu) and (v, nu) and an optimal plan.
+def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
+    """Checked optimal plans for the TL^p costs of the row pairs (U[k], V[k]).
 
-    The cost matrix |u_i - v_j|^p + |x_i - y_j|^p is formed in place.  The
-    plan's cost is summed over its basis cells by solve_transport;
-    plan.check() then recomputes it densely as sum(P * C), a check
-    independent of that sum, with the marginals.
+    Yields (plan, spatial) for each row; plan.stagnation_cost is left nan.
+    The spatial matrix, the staircase start and its dense plan are built
+    once, and that plan's marginals are checked once.  Each row's cost
+    |u_i - v_j|^p + spatial is formed in place in one buffer, the
+    cost_matrix of every yielded plan, so a caller reads a plan before it
+    asks for the next row.  Every row runs the full reduced-cost test and
+    the dense cost check; a row whose staircase is not optimal is pivoted
+    into a fresh plan, whose marginals are checked as well.
     """
-    mu, nu = a.measure, b.measure
     if mu.dim != nu.dim:
         raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if p < 1:
         raise PreconditionError("p must be >= 1")
     spatial = _spatial_cost_matrix(mu, nu, p)
-    C = _pow_p(np.subtract.outer(a.values, b.values), p)
-    C += spatial
-    P, cost = solve_transport(mu.weights, nu.weights, C)
-    plan = TransportPlan(
-        pi=P,
-        source=mu,
-        target=nu,
-        cost=cost,
-        stagnation_cost=float(np.sum(P * spatial)),
-        cost_matrix=C,
-    )
-    plan.check()
-    return float(max(cost, 0.0) ** (1.0 / p)), plan
+    start = _staircase(mu.weights, nu.weights)
+    staircase = start[-1]
+    # its marginals do not depend on the row: checked once, its cost per row
+    TransportPlan(pi=staircase, source=mu, target=nu, cost=np.nan, stagnation_cost=np.nan,
+                  cost_matrix=spatial).check_marginals()
+    C = np.empty_like(spatial)
+    scratch = _rc_scratch(*C.shape)
+    for u, v in zip(U, V):
+        C[...] = u[:, None]  # u_i - v_j in place, without np.subtract.outer's iteration buffers
+        C -= v
+        _pow_p(C, p)
+        C += spatial
+        P, cost = _solve(C, start, scratch)
+        plan = TransportPlan(pi=P, source=mu, target=nu, cost=cost, stagnation_cost=np.nan,
+                             cost_matrix=C)
+        if P is not staircase:
+            plan.check_marginals()
+        plan.check_cost()
+        yield plan, spatial
+
+
+def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
+    """TL^p distance between (u, mu) and (v, nu) and an optimal plan.
+
+    The one-row case of tlp_distances.  The plan's cost is summed over its
+    basis cells; plan.check() recomputes it densely over every cell, a
+    check independent of that sum, with the marginals.  The stagnation
+    cost is summed last, with the product written over the spatial matrix.
+    """
+    (plan, spatial), = _tlp_plans(a.measure, b.measure, a.values[None], b.values[None], p)
+    plan.stagnation_cost = float(np.multiply(plan.pi, spatial, out=spatial).sum())
+    return float(max(plan.cost, 0.0) ** (1.0 / p)), plan
+
+
+def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2.0) -> np.ndarray:
+    """TL^p distances between (U[k], mu) and (V[k], nu) for every row k.
+
+    For trajectories sampled on one pair of measures, such as a graph flow
+    and its limit at common times.  Each distance is bitwise the one
+    tlp_distance returns for the row pair, with the same checks; only the
+    work that does not depend on the values is shared.
+    """
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if (U.ndim != 2 or V.ndim != 2 or len(U) != len(V)
+            or U.shape[1] != mu.n_atoms or V.shape[1] != nu.n_atoms):
+        raise PreconditionError(
+            f"need (k, {mu.n_atoms}) and (k, {nu.n_atoms}) value rows, got {U.shape} and {V.shape}")
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        raise ConstructionError("values must be finite")
+    return np.array([max(plan.cost, 0.0) ** (1.0 / p) for plan, _ in _tlp_plans(mu, nu, U, V, p)])
 
 
 def barycentric_map(plan: TransportPlan, target_values) -> np.ndarray:

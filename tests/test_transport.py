@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from gfstack.transport import (
     pushforward_weak_check,
     solve_transport,
     tlp_distance,
+    tlp_distances,
     uniform_measure,
     wasserstein,
 )
@@ -415,6 +417,21 @@ class TestAgainstLinearProgramming:
             _, cost = solve_transport(a, b, C)
             assert abs(_linprog_cost(a, b, C) - cost) < 1e-9
 
+    def test_2d_clouds_at_64_match_linprog(self):
+        # random 2-D clouds with random weights need hundreds of pivots from
+        # the staircase; Dantzig's rule takes them in well under a second
+        for seed in range(3):
+            r = np.random.default_rng(6400 + seed)
+            x, y = r.random((64, 2)), r.random((64, 2))
+            a, b = r.random(64) + 0.05, r.random(64) + 0.05
+            a, b = a / a.sum(), b / b.sum()
+            C = np.sum((x[:, None] - y[None]) ** 2, axis=2)
+            P, cost = solve_transport(a, b, C)
+            assert abs(_linprog_cost(a, b, C) - cost) < 1e-12
+            assert P.min() >= 0.0
+            assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
+            assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
+
 
 def _tied_weights(r, k, kind):
     """Weights with exact ties: uniform 1/k, or dyadic counts / 2^6 summing to 1."""
@@ -452,8 +469,9 @@ class TestDegenerateInstances:
 
 
 def test_pivot_cap_raises_in_bounded_time(monkeypatch):
-    # a 2-D cloud of 16 atoms needs about 150 pivots; capped at 5 the solver
-    # must give up with a diagnostic rather than return a non-optimal plan
+    # this 2-D cloud of 16 atoms takes 51 pivots (156 under Bland's rule);
+    # capped at 5 the solver must give up with a diagnostic rather than
+    # return a non-optimal plan
     monkeypatch.setattr(transport, "_MAX_PIVOTS", 5)
     r = np.random.default_rng(16000)
     x, y = r.random((16, 2)), r.random((16, 2))
@@ -543,3 +561,171 @@ class TestStaircaseStart:
         P[i, j] = flow
         assert np.abs(P.sum(axis=1) - a).max() <= 1e-12
         assert np.abs(P.sum(axis=0) - b).max() <= 1e-12
+
+
+class TestBlockedReducedCostTest:
+    """The row-blocked reduced-cost test agrees with the dense one cell for cell."""
+
+    @staticmethod
+    def _optimal(m, n, seed):
+        # C_ij = u_i + v_j + a nonnegative slack, so no reduced cost is negative
+        r = np.random.default_rng(seed)
+        u, v = r.normal(size=m), r.normal(size=n)
+        C = u[:, None] + v + r.random((m, n))
+        return C, u, v
+
+    @staticmethod
+    def _agree(C, u, v):
+        dense = bool(np.any(C - u[:, None] - v < -transport._RC_TOL))
+        scratch = transport._rc_scratch(*C.shape)
+        assert transport._any_reduced_cost_below(C, u, v, scratch) == dense
+        return dense
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (37, 1000), (16, 1024), (300, 7), (3, (1 << 14) + 3)])
+    def test_single_planted_negative(self, m, n):
+        rows = transport._rc_scratch(m, n).shape[0]
+        assert rows * n <= 1 << 14 or rows == 1
+        C, u, v = self._optimal(m, n, seed=m * n)
+        assert not self._agree(C, u, v)
+        # first cell, last cell, the first cell of the (partial) last block
+        last_block = (m - 1) // rows * rows
+        for i, j in {(0, 0), (m - 1, n - 1), (last_block, 0), (last_block, n - 1)}:
+            planted = C.copy()
+            planted[i, j] = u[i] + v[j] - 1e-9
+            assert self._agree(planted, u, v)
+            # zero potentials keep the reduced costs exact: -_RC_TOL itself
+            # is not below -_RC_TOL, the next double down is
+            zero = np.zeros((m, n))
+            zero[i, j] = -transport._RC_TOL
+            assert not self._agree(zero, np.zeros(m), np.zeros(n))
+            zero[i, j] = np.nextafter(-transport._RC_TOL, -1.0)
+            assert self._agree(zero, np.zeros(m), np.zeros(n))
+
+    @pytest.mark.parametrize("m, n", [(37, 1000), (3, (1 << 14) + 3)])
+    def test_nan_next_to_a_negative(self, m, n):
+        C, u, v = self._optimal(m, n, seed=7)
+        C[m - 1, n - 2] = np.nan
+        assert not self._agree(C, u, v)  # a NaN alone is not below -_RC_TOL
+        C[m - 1, n - 1] = u[m - 1] + v[n - 1] - 1e-9
+        assert self._agree(C, u, v)
+        C[m - 1, n - 1] = np.nan
+        C[0, 0] = u[0] + v[0] - 1e-9
+        assert self._agree(C, u, v)
+
+
+def _value_rows(r, k, n, sort):
+    rows = r.normal(size=(k, n))
+    return np.sort(rows, axis=1) if sort else rows
+
+
+class TestTlpDistances:
+    """TL^p distances along two trajectories on one pair of measures."""
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([1, 2]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_per_row_distances(self, m, n, k, d, p, sort, seed):
+        # sorted 1-D atoms with sorted values keep the staircase optimal; in
+        # 2-D, or with unsorted values, rows take the pivoting fallback
+        r = np.random.default_rng(seed)
+        x, y = np.sort(r.random((m, d)), axis=0), np.sort(r.random((n, d)), axis=0)
+        a, b = r.random(m) + 0.05, r.random(n) + 0.05
+        mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
+        nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
+        U, V = _value_rows(r, k, m, sort), _value_rows(r, k, n, sort)
+        batch = tlp_distances(mu, nu, U, V, p)
+        single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v), p)[0] for u, v in zip(U, V)]
+        assert batch.shape == (k,)
+        assert batch.tolist() == single
+
+    def test_staircase_and_pivoted_rows_in_one_batch(self, monkeypatch):
+        # a pivoted row gets a fresh plan: the shared staircase plan stays
+        # intact for the optimal rows after it
+        built = []
+        tree = transport._SpanningTree
+
+        def counting_tree(*args):
+            built.append(args)
+            return tree(*args)
+
+        monkeypatch.setattr(transport, "_SpanningTree", counting_tree)
+        x = (np.arange(16) + 0.5) / 16
+        y = (np.arange(64) + 0.5) / 64
+        mu, nu = uniform_measure(x), uniform_measure(y)
+        rising = np.vstack([x, x**2, np.zeros(16)]), np.vstack([y, y**2, np.zeros(64)])
+        U = np.vstack([rising[0][:1], -3 * x, rising[0][1:]])  # the middle row pivots
+        V = np.vstack([rising[1][:1], y, rising[1][1:]])
+        batch = tlp_distances(mu, nu, U, V, 2.0)
+        assert len(built) == 1
+        single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v), 2.0)[0] for u, v in zip(U, V)]
+        assert batch.tolist() == single
+        for u, v, dist in zip(U, V, batch):
+            C = np.subtract.outer(u, v) ** 2 + np.subtract.outer(x, y) ** 2
+            assert abs(_linprog_cost(mu.weights, nu.weights, C) - dist**2) < 1e-12
+
+    def test_shapes_and_values_validated(self):
+        mu, nu = uniform_measure(np.arange(3.0)), uniform_measure(np.arange(4.0))
+        U, V = np.zeros((2, 3)), np.zeros((2, 4))
+        assert tlp_distances(mu, nu, U, V).tolist() == [wasserstein(mu, nu)[0]] * 2
+        assert tlp_distances(mu, nu, U[:0], V[:0]).shape == (0,)
+        for bad_u, bad_v in [(U[:1], V), (U.T, V), (U[0], V[0]), (U[:, :2], V), (U, V[:, :3])]:
+            with pytest.raises(PreconditionError):
+                tlp_distances(mu, nu, bad_u, bad_v)
+        for bad in (np.nan, np.inf):
+            V_bad = V.copy()
+            V_bad[1, 2] = bad
+            with pytest.raises(ConstructionError, match="finite"):
+                tlp_distances(mu, nu, U, V_bad)
+        with pytest.raises(PreconditionError):
+            tlp_distances(mu, uniform_measure([[0.0, 0.0]] * 4), U, V)
+        with pytest.raises(PreconditionError):
+            tlp_distances(mu, nu, U, V, 0.5)
+
+    def test_corrupted_row_cost_trips_the_cost_check(self, monkeypatch):
+        solve = transport._solve
+        calls = []
+
+        def corrupt_third_row(C, start, scratch):
+            P, cost = solve(C, start, scratch)
+            calls.append(cost)
+            return P, cost + (1e-6 if len(calls) == 3 else 0.0)
+
+        monkeypatch.setattr(transport, "_solve", corrupt_third_row)
+        x = (np.arange(8) + 0.5) / 8
+        mu = uniform_measure(x)
+        U = np.vstack([x * s for s in (1.0, 2.0, 3.0, 4.0)])
+        with pytest.raises(PreconditionError, match="stored cost"):
+            tlp_distances(mu, mu, U, U[::-1])
+        assert len(calls) == 3  # the check stops the batch at the corrupted row
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tlp_allocates_three_cost_sized_arrays():
+    # 128 x 1024 cells of float64 are 1 MiB: the spatial part, the cost and
+    # the plan make 3 MiB, and the blocked reduced-cost test adds 1/8 MiB
+    x, y = (np.arange(128) + 0.5) / 128, (np.arange(1024) + 0.5) / 1024
+    a = TLpPoint(uniform_measure(x), np.cos(np.pi * x))
+    b = TLpPoint(uniform_measure(y), np.cos(np.pi * y))
+    tlp_distance(a, b, 2.0)
+    assert _peak_mib(lambda: tlp_distance(a, b, 2.0)) < 3.25
+    rows = []
+    for k in (1, 6):
+        U, V = np.tile(a.values, (k, 1)), np.tile(b.values, (k, 1))
+        rows.append(_peak_mib(lambda: tlp_distances(a.measure, b.measure, U, V, 2.0)))
+    assert rows[0] < 3.25
+    assert rows[1] - rows[0] < 0.01  # the row buffers are reused, never stacked
