@@ -2,8 +2,10 @@
 
 Subcommands map to experiment kinds; a flat key = value config file supplies
 parameters and the flags --seed/--out/--tol override it.  Output is the
-deterministic CSV table (optionally mirrored to JSON with --json); the exit
-code is 0 only when every asserted row passes.
+deterministic CSV table (optionally mirrored to JSON with --json).  The exit
+code is 0 when every asserted row passes and 1 when one fails; a malformed
+config, a --config that cannot be read and an output that cannot be written
+print one 'config error:' line and exit 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .errors import ConfigError
 from .experiments import (
     CSV_HEADER,
     KIND_BY_COMMAND,
-    ExperimentConfig,
     parse_config,
     rows_to_csv,
     rows_to_json,
@@ -67,41 +68,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(exc) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    kind = KIND_BY_COMMAND[args.command]
+    text = ""
+    if args.config is not None:
+        try:
+            text = args.config.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            return _config_error(f"cannot read {args.config}: {getattr(exc, 'strerror', None) or exc}")
     try:
-        if args.config is not None:
-            cfg = parse_config(
-                Path(args.config).read_text(),
-                kind=kind,
-                seed=args.seed,
-                tolerance=args.tol,
-                output=str(args.out) if args.out else None,
-            )
-        else:
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.tol is not None:
-                overrides["tolerance"] = args.tol
-            if args.out is not None:
-                overrides["output"] = str(args.out)
-            cfg = ExperimentConfig(kind=kind, **overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        cfg = parse_config(
+            text,
+            kind=KIND_BY_COMMAND[args.command],
+            seed=args.seed,
+            tolerance=args.tol,
+            output=str(args.out) if args.out else None,
+        )
         rows = run_experiment(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     csv_text = rows_to_csv(rows)
     if cfg.output:
-        Path(cfg.output).write_text(csv_text)
-        if args.json:
-            Path(cfg.output).with_suffix(".json").write_text(rows_to_json(rows))
+        try:
+            Path(cfg.output).write_text(csv_text)
+            if args.json:
+                Path(cfg.output).with_suffix(".json").write_text(rows_to_json(rows))
+        except OSError as exc:
+            return _config_error(f"cannot write {exc.filename}: {exc.strerror or exc}")
     else:
         sys.stdout.write(csv_text)
         if args.json:

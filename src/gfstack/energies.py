@@ -29,7 +29,7 @@ SPLIT_MAX_ITER = 100_000
 
 
 # ---------------------------------------------------------------------------
-# adaptive Simpson quadrature (pinned for the g-family construction)
+# adaptive Simpson quadrature (the oracle behind P0TestFunction.exact_value)
 
 
 def _simpson(f, a, fa, b, fb, m, fm):
@@ -59,59 +59,81 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 50)
     return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
 
 
-def _bump(s: float) -> float:
-    if abs(s) >= 1.0:
-        return 0.0
-    return float(np.exp(-1.0 / (1.0 - s * s)))
+def _bump(s):
+    """exp(-1 / (1 - s^2)) on (-1, 1) and 0 elsewhere, elementwise."""
+    inside = np.abs(s) < 1.0
+    return np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - s * s, 1.0)), 0.0)
 
 
-_BUMP_MASS = adaptive_simpson(_bump, -1.0, 1.0, 1e-14)
-_SMOOTHSTEP_SPLINE = None
+_RAMP_CELLS = 2**14
 
 
-def _smoothstep_table():
-    """Cumulative bump integral on a dense grid, splined once per process.
+@cache
+def _ramp_table():
+    """Node values of the ramp S, of h S' and of R = integral of S on 2^14 cells of [-1, 1].
 
-    Per-interval Simpson on 2^14 uniform cells keeps the table error far
-    below 1e-14; the splined ramp agrees with adaptive-Simpson quadrature of
-    the bump to about 2e-15.  The profiles p0_family builds on it are not
-    that exact: their 512-step rise spline agrees with exact_value to about
-    1.1e-12 on the runners' profiles (tested).
+    S is the cumulative per-cell Simpson sum of the bump over the total
+    mass, S' = bump / mass is exact, and R sums the exact integral of the
+    cubic Hermite interpolant of (S, S') on each cell.  Built on first use,
+    as Python floats for the scalar evaluators.
     """
-    global _SMOOTHSTEP_SPLINE
-    if _SMOOTHSTEP_SPLINE is None:
-        from scipy.interpolate import CubicSpline
+    xs = np.linspace(-1.0, 1.0, _RAMP_CELLS + 1)
+    h = xs[1] - xs[0]
+    bump = _bump(xs)
+    cells = (h / 6.0) * (bump[:-1] + 4.0 * _bump(0.5 * (xs[:-1] + xs[1:])) + bump[1:])
+    cum = np.concatenate([[0.0], np.cumsum(cells)])
+    S = cum / cum[-1]
+    hd = h * bump / cum[-1]
+    R = np.concatenate([[0.0], np.cumsum(h * (0.5 * (S[:-1] + S[1:]) + (hd[:-1] - hd[1:]) / 12.0))])
+    return S.tolist(), hd.tolist(), R.tolist(), float(h)
 
-        n = 16384
-        xs = np.linspace(-1.0, 1.0, n + 1)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        inner = np.zeros(xs.size)
-        inner[1:-1] = np.exp(-1.0 / (1.0 - xs[1:-1] ** 2))
-        fm = np.exp(-1.0 / (1.0 - mids**2))
-        h = xs[1] - xs[0]
-        cells = (h / 6.0) * (inner[:-1] + 4.0 * fm + inner[1:])
-        cum = np.concatenate([[0.0], np.cumsum(cells)])
-        _SMOOTHSTEP_SPLINE = CubicSpline(xs, cum / cum[-1])
-    return _SMOOTHSTEP_SPLINE
+
+def _ramp_cell(s: float):
+    """Cell index k of s in [-1, 1] and its position t in [0, 1] on that cell."""
+    u = (s + 1.0) * (_RAMP_CELLS // 2)
+    k = min(int(u), _RAMP_CELLS - 1)
+    return k, u - k
 
 
 def _smoothstep(s: float) -> float:
-    """Integral of the normalized bump from -1 to s: a smooth 0 -> 1 ramp."""
+    """Integral of the normalized bump from -1 to s: a smooth 0 -> 1 ramp.
+
+    Inside (-1, 1) it is the cubic Hermite interpolant of the ramp table;
+    it agrees with adaptive-Simpson quadrature of the bump to about 2e-15
+    (tested).
+    """
     if s <= -1.0:
         return 0.0
     if s >= 1.0:
         return 1.0
-    return float(_smoothstep_table()(s))
+    S, hd, _, _ = _ramp_table()
+    k, t = _ramp_cell(s)
+    t2 = t * t
+    t3 = t2 * t
+    return (S[k] * (2.0 * t3 - 3.0 * t2 + 1.0) + hd[k] * (t3 - 2.0 * t2 + t)
+            + S[k + 1] * (3.0 * t2 - 2.0 * t3) + hd[k + 1] * (t3 - t2))
+
+
+def _smoothstep_integral(s: float) -> float:
+    """Integral of _smoothstep from -1 to s, for s in [-1, 1]: exact on the Hermite cubic."""
+    S, hd, R, h = _ramp_table()
+    k, t = _ramp_cell(s)
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t3 * t
+    return R[k] + h * (S[k] * (0.5 * t4 - t3 + t) + hd[k] * (0.25 * t4 - 2.0 * t3 / 3.0 + 0.5 * t2)
+                       + S[k + 1] * (t3 - 0.5 * t4) + hd[k + 1] * (0.25 * t4 - t3 / 3.0))
 
 
 @dataclass(frozen=True)
 class P0TestFunction:
     """Smooth truncation profile: zero near 0, slope in [0, 1], eventual plateau.
 
-    evaluator uses a cubic-spline antiderivative on the transition bands,
-    built on its first use there and then kept, and exact closed forms on
-    the dead zone and the plateau; exact_value integrates the derivative by
-    adaptive Simpson instead and never builds the spline.
+    evaluator integrates the derivative exactly where the derivative is the
+    cubic Hermite ramp of the shared ramp table (built on its first use on a
+    transition band), and uses closed forms on the dead zone, the flat
+    segment and the plateau; exact_value integrates the derivative by
+    adaptive Simpson instead, as the oracle.
     """
 
     a: float
@@ -187,40 +209,21 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
             return slope
         return slope * _smoothstep(1.0 - 2.0 * (x - flat_end) / w)
 
-    # antiderivative cache: exact on the flat segment and beyond by ramp
-    # symmetry (the up and down ramps each integrate to slope*w/2)
-    @cache
-    def ramp_anti():
-        """Spline of the rise antiderivative, built when the evaluator first needs it.
-
-        Its 512-step adaptive-Simpson table is the costly part of the family;
-        exact_value never reads it.
-        """
-        from scipy.interpolate import CubicSpline
-
-        grid = np.linspace(a, ramp_end, 512)
-        ss = np.empty(grid.size)
-        acc, prev = 0.0, -1.0
-        for k, x in enumerate(grid):
-            s = 2.0 * (x - a) / w - 1.0
-            acc += adaptive_simpson(_bump, prev, s, 1e-14)
-            ss[k] = acc
-            prev = s
-        return CubicSpline(grid, slope * ss / _BUMP_MASS).antiderivative()
-
+    # exact on the flat segment and beyond by ramp symmetry (the up and down
+    # ramps each integrate to slope*w/2)
     up_area = slope * w / 2.0
 
     def value_pos(x: float) -> float:
         if x <= a:
             return 0.0
         if x < ramp_end:
-            return float(ramp_anti()(x))
+            return up_area * _smoothstep_integral(2.0 * (x - a) / w - 1.0)
         if x <= flat_end:
             return up_area + slope * (x - ramp_end)
         if x < support_end:
             # the descent mirrors the rise, so the area still to come equals
             # the rise antiderivative at the mirrored abscissa
-            return plateau - float(ramp_anti()(ramp_end - (x - flat_end)))
+            return plateau - up_area * _smoothstep_integral(1.0 - 2.0 * (x - flat_end) / w)
         return plateau
 
     def value(x: float) -> float:
@@ -510,14 +513,12 @@ def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
     Squared loss: u = (W + 2 gamma K)^{-1} W h, applied through the spectral
     factors computed when the energy was built.  Absolute loss: ADMM
     splitting over the stored edge list's differences, tolerance 1e-10 on the primal/dual
-    residuals.
+    residuals, with its linear system factored once per call by eigh.
     """
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
     if ge.loss_kind == "squared":
         return _squared_prox_power(ge, gamma, 1, h)
-
-    from scipy.linalg import cho_factor, cho_solve
 
     # absolute loss: minimize (1/2g)||u-h||_W^2 + sum_e c_e |u_i - u_j|
     h = as_point(h, ge.n_nodes)
@@ -529,14 +530,13 @@ def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
     D[np.arange(len(iu)), iu] = 1.0
     D[np.arange(len(iu)), ju] = -1.0
     rho = 1.0 / gamma
-    M = np.diag(ge.node_weights) / gamma + rho * (D.T @ D)
-    chol = cho_factor(M)
+    evals, V = np.linalg.eigh(np.diag(ge.node_weights) / gamma + rho * (D.T @ D))
     u = h.copy()
     z = D @ u
     y = np.zeros(len(iu))
     thresh = c / rho
     for it in range(SPLIT_MAX_ITER):
-        u = cho_solve(chol, ge.node_weights * h / gamma + rho * (D.T @ (z - y)))
+        u = V @ ((V.T @ (ge.node_weights * h / gamma + rho * (D.T @ (z - y)))) / evals)
         Du = D @ u
         z_new = Du + y
         z_new = np.sign(z_new) * np.maximum(np.abs(z_new) - thresh, 0.0)
@@ -617,7 +617,7 @@ def p0_convexity_check(phi, u, v, g, exact: bool = False) -> ExchangeReport:
 
     slack = F(u) + F(v) - F(u + g(v-u)) - F(v - g(v-u)); nonnegative slack
     is a pass.  g is a P0TestFunction or any scalar callable; exact=True
-    evaluates a P0TestFunction by quadrature instead of the cache.
+    evaluates a P0TestFunction by quadrature instead of its evaluator.
     """
     f = _value_fn(phi)
     u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -14,7 +14,6 @@ metric derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .convex import (
 from .errors import PreconditionError
 from .semigroup import (
     Certificate,
-    ResolventOperator,
     Trajectory,
     crandall_liggett,
     resolvent_from_functional,
@@ -46,8 +44,7 @@ class FlowResult:
     certificates: list = field(default_factory=list)
 
 
-def gradient_flow(phi: ProperFunctional, x0, times, tol: float = 1e-6,
-                  resolvent: Optional[ResolventOperator] = None) -> FlowResult:
+def gradient_flow(phi: ProperFunctional, x0, times, tol: float = 1e-6) -> FlowResult:
     """Flow of phi from x0 sampled on the given increasing time grid.
 
     Each sample is an independent exponential-formula evaluation over the
@@ -59,7 +56,7 @@ def gradient_flow(phi: ProperFunctional, x0, times, tol: float = 1e-6,
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise PreconditionError("times must be a strictly increasing grid of nonnegative reals")
     x0 = as_point(x0, phi.dim)
-    R = resolvent if resolvent is not None else resolvent_from_functional(phi)
+    R = resolvent_from_functional(phi)
 
     states, certs, energies, bounds = [], [], [], []
     for t in times:

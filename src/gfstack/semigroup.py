@@ -47,7 +47,6 @@ class ResolventOperator:
     dim: int
     omega: float
     resolve: Callable[[float, np.ndarray], np.ndarray]
-    domain_closure: Callable[[np.ndarray], bool] = lambda x: True
     inf_norm_A: Optional[Callable[[np.ndarray], float]] = None
     resolve_iterated: Optional[Callable[[float, int, np.ndarray], np.ndarray]] = None
     weights: Optional[np.ndarray] = None
@@ -103,8 +102,6 @@ def resolvent_iterate(R: ResolventOperator, t: float, n: int, x) -> np.ndarray:
     if t <= 0 or n < 1:
         raise IntervalError(f"need t > 0 and n >= 1, got t={t}, n={n}")
     x = as_point(x, R.dim)
-    if not R.domain_closure(x):
-        raise PreconditionError("x is outside the closure of the operator domain")
     step = t / n
     _check_step(R, step)
     if R.resolve_iterated is not None:
@@ -147,8 +144,6 @@ def crandall_liggett(R: ResolventOperator, t: float, x, tol: float):
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     x = as_point(x, R.dim)
-    if not R.domain_closure(x):
-        raise PreconditionError("x is outside the closure of the operator domain")
     if t == 0.0:
         return x.copy(), Certificate(0.0, True, 0)
     if t < 0:

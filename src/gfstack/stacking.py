@@ -30,8 +30,6 @@ LIMIT = "inf"  # conventional limit-index key
 class Stacking:
     """Base interface: per-index spaces, norms, embeddings, one metric."""
 
-    index_kind = "abstract"
-
     def space_dim(self, idx) -> int:
         raise NotImplementedError
 
@@ -59,8 +57,6 @@ def stacking_distance(s: Stacking, n, x, m, y) -> float:
 
 class SubspaceStacking(Stacking):
     """Coordinate subspaces of R^D with inclusion (zero-padding) embeddings."""
-
-    index_kind = "integer-sequence"
 
     def __init__(self, ambient_dim: int, dims: Dict[Hashable, int]):
         if any(k < 1 or k > ambient_dim for k in dims.values()):
@@ -99,7 +95,6 @@ class MatrixHilbertStacking(Stacking):
     stay invertible.
     """
 
-    index_kind = "matrix-indexed"
     EIG_FLOOR = 1e-12
 
     def __init__(self, matrices: Dict[Hashable, np.ndarray]):
@@ -150,8 +145,6 @@ class TLpStacking(Stacking):
     optimal spatial plan (the recovery construction).
     """
 
-    index_kind = "measure-indexed"
-
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
         if p < 1:
             raise ConstructionError("p must be >= 1")
@@ -191,8 +184,6 @@ class CircleStacking(Stacking):
     Cauchy while approaching a circle point with no preimage in the limit
     space.  Shipped as a negative-control fixture.
     """
-
-    index_kind = "integer-sequence"
 
     def space_dim(self, idx):
         return 1

@@ -75,31 +75,44 @@ class TestP0Family:
         dict(a=0.1, w=0.1, cap=0.5, one_sided=True),    # counterexample_demo's g
     ])
     def test_evaluator_accuracy_on_runner_profiles(self, kw):
-        # the 512-step ramp spline agrees with the quadrature to about 1.1e-12
-        # (measured maximum 1.13e-12, on g_sym), not to working precision
+        # the evaluator integrates the Hermite ramp exactly; what is left is
+        # exact_value's own 1e-13 quadrature (measured maximum 2.3e-13, on g_sym)
         g = p0_family(**kw)
         xs = np.linspace(-3.0, 3.0, 601)  # p0_audit's sampling range, every support inside
         err = max(abs(g(float(x)) - g.exact_value(float(x))) for x in xs)
-        assert err <= 1.2e-12
+        assert err <= 5e-13
+
+    def test_smoothstep_matches_bump_quadrature(self):
+        # cumulative adaptive Simpson of the bump over 2000 steps of [-1, 1]
+        # (measured maximum 1.8e-15)
+        def bump(s):
+            return float(energies._bump(s))
+
+        mass = adaptive_simpson(bump, -1.0, 1.0, 1e-14)
+        acc, prev, err = 0.0, -1.0, 0.0
+        for s in np.linspace(-1.0, 1.0, 2001):
+            acc += adaptive_simpson(bump, prev, float(s), 1e-14)
+            prev = float(s)
+            err = max(err, abs(energies._smoothstep(float(s)) - acc / mass))
+        assert err <= 1e-14
 
     def test_ramp_table_built_on_first_evaluator_use(self, monkeypatch):
-        bump_calls = []
+        bump_quadratures = []
         simpson = energies.adaptive_simpson
 
         def counting(f, *args):
-            bump_calls.append(f is energies._bump)
+            bump_quadratures.append(f is energies._bump)
             return simpson(f, *args)
 
         monkeypatch.setattr(energies, "adaptive_simpson", counting)
-        counterexample_demo(1.0)  # builds two families and reads only exact_value
+        energies._ramp_table.cache_clear()
+        counterexample_demo(1.0)  # builds two families and reads only closed-form points
         g = p0_family(a=0.3, w=0.4)
-        g.exact_value(0.5)
-        g(0.1), g(2.0)  # dead zone and plateau: closed forms
-        assert not any(bump_calls)
-        g(0.5)
-        assert sum(bump_calls) == 512  # one adaptive Simpson step per table entry
-        g(-0.6), g(0.9)
-        assert sum(bump_calls) == 512
+        g(0.1), g(-0.2), g(2.0), g.exact_value(0.2), g.exact_value(-5.0)  # dead zone and plateau
+        assert energies._ramp_table.cache_info().currsize == 0
+        g(0.5), g(-0.6), g.exact_value(0.9)
+        assert energies._ramp_table.cache_info().currsize == 1
+        assert not any(bump_quadratures)
 
     def test_slope_cap_interaction(self):
         g = p0_family(a=0.1, w=1.0, cap=0.25)

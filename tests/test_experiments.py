@@ -136,6 +136,31 @@ class TestCli:
         cfgfile.write_text("junk junk junk\n")
         assert cli_main(["tlp", "--config", str(cfgfile)]) == 2
 
+    @staticmethod
+    def _assert_one_line_config_error(capsys, code, path):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, capsys, tmp_path, kind):
+        cfgfile = tmp_path / "exp.cfg"
+        if kind == "directory":
+            cfgfile.mkdir()
+        elif kind == "not-utf8":
+            cfgfile.write_bytes(b"\xff\xfekind = tlp_table\n")
+        code = cli_main(["tlp", "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+        self._assert_one_line_config_error(capsys, code, cfgfile)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_out_is_config_error(self, monkeypatch, capsys, tmp_path):
+        import gfstack.experiments as exps
+
+        monkeypatch.setitem(exps.RUNNERS, "tlp_table",
+                            lambda cfg: [Row("tlp", 1, 0.0, "ok", 0.0, 1.0, 1.0, True)])
+        out = tmp_path / "missing" / "x.csv"
+        self._assert_one_line_config_error(capsys, cli_main(["tlp", "--out", str(out)]), out)
+
     def test_point_pair_distance_rows(self, tmp_path):
         a = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([0.0, 1.0]))
         b = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([1.0, 0.0]))
