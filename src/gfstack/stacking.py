@@ -143,6 +143,15 @@ class TLpStacking(Stacking):
     their measure and the metric is the exact TL^p distance.  Approximating
     points for a limit function are its plan-conditional averages over an
     optimal spatial plan (the recovery construction).
+
+    Each distinct transport problem is solved once per instance.  distance
+    keeps the float it returns, keyed by p and the exact bytes of both
+    points (atoms, weights and values; the atoms' shape fixes the rest),
+    so a changed p or a replaced measure is a new key, never a stale hit.
+    The spatial plan behind an approximating point is kept only as that
+    point (n floats) and its stagnation cost, per (p, source, target,
+    limit values); its W_p distance is kept as the distance between the
+    zero functions.  No m x n array outlives a call.
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
@@ -150,6 +159,13 @@ class TLpStacking(Stacking):
             raise ConstructionError("p must be >= 1")
         self.measures = dict(measures)
         self.p = float(p)
+        self._measure_keys = {}  # content key -> itself, so memo keys share one copy
+        self._distances = {}  # (p, measure key, values, measure key, values) -> TL^p distance
+        self._recoveries = {}  # (p, measure key, measure key, values) -> (point, stagnation)
+
+    def _measure_key(self, mu: EmpiricalMeasure):
+        key = (mu.atoms.shape, mu.atoms.tobytes(), mu.weights.tobytes())
+        return self._measure_keys.setdefault(key, key)
 
     def space_dim(self, idx):
         return self.measures[idx].n_atoms
@@ -164,14 +180,30 @@ class TLpStacking(Stacking):
         return TLpPoint(measure=mu, values=as_point(x, mu.n_atoms))
 
     def distance(self, e1, e2):
-        d, _ = tlp_distance(e1, e2, self.p)
+        key = (self.p, self._measure_key(e1.measure), e1.values.tobytes(),
+               self._measure_key(e2.measure), e2.values.tobytes())
+        d = self._distances.get(key)
+        if d is None:
+            d, _ = tlp_distance(e1, e2, self.p)
+            self._distances[key] = d
         return d
 
+    def _recovery(self, idx, limit_idx, x_limit):
+        """Barycentric point of x_limit over an optimal spatial plan, and its stagnation cost."""
+        mu, nu = self.measures[idx], self.measures[limit_idx]
+        x_limit = as_point(x_limit, nu.n_atoms)
+        mk, nk = self._measure_key(mu), self._measure_key(nu)
+        key = (self.p, mk, nk, x_limit.tobytes())
+        hit = self._recoveries.get(key)
+        if hit is None:
+            d, plan = wasserstein(mu, nu, self.p)
+            hit = self._recoveries[key] = (barycentric_map(plan, x_limit), plan.stagnation_cost)
+            zero = (self.p, mk, np.zeros(mu.n_atoms).tobytes(), nk, np.zeros(nu.n_atoms).tobytes())
+            self._distances[zero] = d  # wasserstein is the distance of the zero functions
+        return hit[0].copy(), hit[1]
+
     def approximating_point(self, idx, limit_idx, x_limit):
-        mu = self.measures[idx]
-        nu = self.measures[limit_idx]
-        _, plan = wasserstein(mu, nu, self.p)
-        return barycentric_map(plan, as_point(x_limit, nu.n_atoms))
+        return self._recovery(idx, limit_idx, x_limit)[0]
 
 
 class CircleStacking(Stacking):
@@ -402,8 +434,10 @@ def recovery_sequence(
     """Plan-conditional-average recovery of a limit function, with evidence.
 
     Builds x_idx by averaging x_inf over an optimal spatial plan per index
-    and reports the energy limsup estimate (max over the tail half) against
-    the limit energy; vacuously ok when the limit energy is +inf.
+    (the points approximating_point returns, from the same memo, so a plan
+    already solved there is not solved again) and reports the energy
+    limsup estimate (max over the tail half) against the limit energy;
+    vacuously ok when the limit energy is +inf.
     """
     if not isinstance(s, TLpStacking):
         raise PreconditionError("recovery construction is specific to the transport stacking")
@@ -411,10 +445,9 @@ def recovery_sequence(
     x_inf = as_point(x_inf, nu.n_atoms)
     pts, stag = [], []
     for idx in indices:
-        mu = s.measures[idx]
-        _, plan = wasserstein(mu, nu, s.p)
-        pts.append(barycentric_map(plan, x_inf))
-        stag.append(plan.stagnation_cost)
+        x, cost = s._recovery(idx, e.limit_index, x_inf)
+        pts.append(x)
+        stag.append(cost)
     energies = np.asarray([e.evaluate(idx, x) for idx, x in zip(indices, pts)])
     distances = np.asarray(
         [stacking_distance(s, idx, x, e.limit_index, x_inf) for idx, x in zip(indices, pts)]

@@ -27,7 +27,7 @@ from gfstack.stacking import (
     recovery_sequence,
     stacking_distance,
 )
-from gfstack.transport import tlp_distance, uniform_measure
+from gfstack.transport import barycentric_map, tlp_distance, uniform_measure, wasserstein
 
 SIZES = [4, 8, 16, 32, 64]
 
@@ -58,9 +58,11 @@ class TestStackingDistance:
         mu = uniform_measure([[0.0], [1.0]])
         s = TLpStacking({2: mu, LIMIT: mu}, p=1.0)
         u, v = np.array([0.0, 1.0]), np.array([1.0, 0.0])
-        got = stacking_distance(s, 2, u, 2, v)
         direct, _ = tlp_distance(s.embed(2, u), s.embed(2, v), 1.0)
-        assert got == pytest.approx(direct) == pytest.approx(1.0)
+        assert direct == pytest.approx(1.0)
+        # the first call solves, the repeat reads the memo: both bitwise the direct value
+        assert stacking_distance(s, 2, u, 2, v) == direct
+        assert stacking_distance(s, 2, u, 2, v) == direct
 
     def test_cross_index_triangle_inequality(self, rng):
         s = matrix_stack()
@@ -78,6 +80,113 @@ class TestStackingDistance:
             for _ in range(5):
                 x, y = rng.normal(size=n), rng.normal(size=n)
                 assert stacking_distance(s, n, x, n, y) <= s.norm(n, x - y) + 1e-9
+
+
+class TestTLpMemo:
+    """A TL^p stacking solves each distinct transport problem once."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        import gfstack.transport as transport
+
+        calls = []
+        plans = transport._tlp_plans
+
+        def counted(mu, nu, U, V, p):
+            arrays = (mu.atoms, mu.weights, nu.atoms, nu.weights, np.asarray(U), np.asarray(V))
+            calls.append((p,) + tuple((a.shape, a.tobytes()) for a in arrays))
+            return plans(mu, nu, U, V, p)
+
+        monkeypatch.setattr(transport, "_tlp_plans", counted)
+        return calls
+
+    def test_recovery_points_match_direct_plans(self):
+        sizes = [4, 8, 16]
+        s = grid_tlp_stack(sizes)
+        nu = s.measures[LIMIT]
+        uinf = np.sin(np.pi * nu.atoms[:, 0])
+        direct = {}
+        for n in sizes:
+            _, plan = wasserstein(s.measures[n], nu, s.p)
+            direct[n] = barycentric_map(plan, uinf), plan.stagnation_cost
+        for _ in range(2):  # a first call and a repeat
+            for n in sizes:
+                assert np.array_equal(s.approximating_point(n, LIMIT, uinf), direct[n][0])
+        e = EnergySequence(functionals={n: (lambda u: 0.0) for n in sizes + [LIMIT]})
+        for _ in range(2):
+            rep = recovery_sequence(e, s, uinf, sizes)
+            for n, x, cost in zip(sizes, rep.points, rep.stagnation_costs):
+                assert np.array_equal(x, direct[n][0])
+                assert cost == direct[n][1]
+
+    def test_zero_gap_reads_the_spatial_solve(self, monkeypatch):
+        s = grid_tlp_stack([4, 8])
+        calls = self.count_solves(monkeypatch)
+        s.approximating_point(8, LIMIT, np.ones(32))
+        d = stacking_distance(s, 8, s.zero(8), LIMIT, s.zero(LIMIT))
+        assert len(calls) == 1
+        assert d == wasserstein(s.measures[8], s.measures[LIMIT], s.p)[0]
+
+    def test_mutating_a_returned_point_changes_no_later_result(self):
+        s = grid_tlp_stack([4, 8])
+        uinf = np.linspace(-1.0, 1.0, 32)
+        first = s.approximating_point(8, LIMIT, uinf)
+        kept = first.copy()
+        first[:] = 99.0
+        assert np.array_equal(s.approximating_point(8, LIMIT, uinf), kept)
+        e = EnergySequence(functionals={n: (lambda u: 0.0) for n in (4, 8, LIMIT)})
+        rep = recovery_sequence(e, s, uinf, [8])
+        rep.points[0][:] = -99.0
+        assert np.array_equal(recovery_sequence(e, s, uinf, [8]).points[0], kept)
+
+    def test_changed_p_or_measure_solves_afresh(self, monkeypatch):
+        s = grid_tlp_stack([4, 8])
+        u, v = np.linspace(0.0, 1.0, 8), np.cos(np.arange(32.0))
+        calls = self.count_solves(monkeypatch)
+        d2 = stacking_distance(s, 8, u, LIMIT, v)
+        s.approximating_point(8, LIMIT, v)
+        assert len(calls) == 2
+        s.p = 1.0
+        d1 = stacking_distance(s, 8, u, LIMIT, v)
+        x1 = s.approximating_point(8, LIMIT, v)
+        assert len(calls) == 4
+        assert d1 == tlp_distance(s.embed(8, u), s.embed(LIMIT, v), 1.0)[0] != d2
+        _, plan = wasserstein(s.measures[8], s.measures[LIMIT], 1.0)
+        assert np.array_equal(x1, barycentric_map(plan, v))
+        shifted = uniform_measure(s.measures[8].atoms + 0.25)
+        s.measures[8] = shifted
+        solved = len(calls)
+        d = stacking_distance(s, 8, u, LIMIT, v)
+        x = s.approximating_point(8, LIMIT, v)
+        assert len(calls) == solved + 2
+        assert d == tlp_distance(s.embed(8, u), s.embed(LIMIT, v), 1.0)[0] != d1
+        _, plan = wasserstein(shifted, s.measures[LIMIT], 1.0)
+        assert np.array_equal(x, barycentric_map(plan, v))
+
+    def test_stacking_audit_solves_each_problem_once(self, monkeypatch):
+        from gfstack.experiments import ExperimentConfig, run_stacking_audit
+
+        calls = self.count_solves(monkeypatch)
+        run_stacking_audit(ExperimentConfig(kind="stacking_audit", sizes=(16, 32, 64, 128), seed=0))
+        assert len(calls) == len(set(calls)) == 30
+
+    def test_memo_holds_no_dense_plan(self):
+        import gc
+        import tracemalloc
+
+        s = grid_tlp_stack([128])  # a 512-atom limit measure
+        x, y = s.measures[128].atoms[:, 0], s.measures[LIMIT].atoms[:, 0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(1, 11):  # ten distinct problems of each kind, twenty calls
+                s.approximating_point(128, LIMIT, np.sin(k * y))
+                stacking_distance(s, 128, k * x, LIMIT, k * y)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 128 * 512 * 8
 
 
 class TestAxiomChecks:
