@@ -14,6 +14,7 @@ from .convex import (
     moreau_envelope,
     prox,
     quadratic_functional,
+    weighted_lr_norm,
 )
 from .energies import (
     GraphEnergy,
@@ -27,7 +28,6 @@ from .energies import (
     p0_convexity_check,
     p0_family,
     quadratic_map_energy,
-    weighted_lr_norm,
 )
 from .errors import (
     ConfigError,

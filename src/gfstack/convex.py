@@ -30,6 +30,26 @@ def as_point(x, dim: int) -> np.ndarray:
     return arr
 
 
+def weighted_norm(x, weights=None) -> float:
+    """sqrt(sum_i w_i x_i^2); the plain Euclidean norm when weights is None."""
+    x = np.asarray(x, dtype=float)
+    if weights is None:
+        return float(np.linalg.norm(x))
+    return float(np.sqrt(np.sum(np.asarray(weights) * x * x)))
+
+
+def weighted_lr_norm(values, weights, r) -> float:
+    """(sum_i w_i |v_i|^r)^(1/r), and max_i |v_i| at r = inf (0 with no values).
+
+    The 1/r power stays a power at r = 2, not a sqrt, so printed norms keep their bits.
+    """
+    a = np.abs(np.asarray(values, dtype=float))
+    if np.isinf(r):
+        return float(np.max(a)) if a.size else 0.0
+    w = np.asarray(weights, dtype=float)
+    return float(np.sum(w * a**r) ** (1.0 / r))
+
+
 def omega_interval_contains(step: float, omega: float) -> bool:
     """Whether step lies in the admissible interval (0, 1/omega) resp. (0, inf)."""
     if step <= 0.0:
@@ -109,8 +129,7 @@ class ProperFunctional:
         return float(np.sum(self.weights * np.asarray(x) * np.asarray(y)))
 
     def norm(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sqrt(np.sum(self.weights * x * x)))
+        return weighted_norm(x, self.weights)
 
     def evaluate(self, x) -> float:
         v = float(self.value(as_point(x, self.dim)))
@@ -320,7 +339,6 @@ def quadratic_functional(lam: float = 1.0, dim: int = 1, weights=None) -> Proper
     if lam <= 0:
         raise ConstructionError("quadratic_functional requires lam > 0")
     w = resolve_weights(dim, weights)
-    wnorm = lambda x: float(np.sqrt(np.sum(w * x * x)))
     return ProperFunctional(
         dim=dim,
         value=lambda x: 0.5 * lam * float(np.sum(w * x * x)),
@@ -329,7 +347,7 @@ def quadratic_functional(lam: float = 1.0, dim: int = 1, weights=None) -> Proper
         prox_closed_form=lambda g, x: x / (1.0 + g * lam),
         # log-space power: exact even when n*g is tiny-step/huge-count
         prox_iterated=lambda g, n, x: x * np.exp(-n * np.log1p(g * lam)),
-        slope_norm=lambda x: lam * wnorm(np.asarray(x, dtype=float)),
+        slope_norm=lambda x: lam * weighted_norm(x, w),
         name=f"quadratic(lam={lam:g})",
     )
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convex import ProperFunctional, as_point, quadratic_functional
+from .convex import ProperFunctional, as_point, quadratic_functional, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
 from .flow import gradient_flow
 
@@ -461,6 +461,7 @@ class GraphEnergy:
         w = self.node_weights
         if abs(w.sum() - 1.0) > 1e-9:
             raise PreconditionError("to_functional needs probability node weights")
+        extra = {}
         if self.loss_kind == "squared":
             iu, ju, c = self._edges
             n = self.n_nodes
@@ -471,23 +472,16 @@ class GraphEnergy:
                 grad_w = 2.0 * (np.bincount(iu, flux, n) - np.bincount(ju, flux, n)) / w
                 return float(np.sqrt(np.sum(w * grad_w * grad_w)))
 
-            return ProperFunctional(
-                dim=self.n_nodes,
-                value=self.value,
-                lam=0.0,
-                weights=w,
-                prox_closed_form=lambda g, h: graph_prox(self, g, h),
-                prox_iterated=lambda g, n, h: _squared_prox_power(self, g, n, h),
-                slope_norm=slope,
-                name=self.name or "graph-squared",
-            )
+            extra = dict(prox_iterated=lambda g, k, h: _squared_prox_power(self, g, k, h),
+                         slope_norm=slope)
         return ProperFunctional(
             dim=self.n_nodes,
             value=self.value,
             lam=0.0,
             weights=w,
             prox_closed_form=lambda g, h: graph_prox(self, g, h),
-            name=self.name or "graph-absolute",
+            name=self.name or f"graph-{self.loss_kind}",
+            **extra,
         )
 
 
@@ -695,14 +689,6 @@ def counterexample_demo(lam: float, rng=None, n_lambda_samples: int = 1000) -> C
 
 # ---------------------------------------------------------------------------
 # L^r contraction of graph flows
-
-
-def weighted_lr_norm(values, weights, r) -> float:
-    a = np.abs(np.asarray(values, dtype=float))
-    if np.isinf(r):
-        return float(np.max(a)) if a.size else 0.0
-    w = np.asarray(weights, dtype=float)
-    return float(np.sum(w * a**r) ** (1.0 / r))
 
 
 @dataclass

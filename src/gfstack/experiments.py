@@ -9,7 +9,7 @@ only when every asserted row passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,6 +21,7 @@ from .convex import (
     envelope_functional,
     moreau_envelope,
     quadratic_functional,
+    weighted_lr_norm,
 )
 from .energies import (
     GraphEnergy,
@@ -113,21 +114,10 @@ class ExperimentConfig:
             raise ConfigError("profile must be 'cos' or 'sin'")
 
 
-_CONFIG_TYPES = {
-    "kind": str,
-    "sizes": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-    "horizon": float,
-    "time_grid": int,
-    "p": float,
-    "tolerance": float,
-    "seed": int,
-    "output": str,
-    "q": float,
-    "sampling": str,
-    "profile": str,
-    "point_a": str,
-    "point_b": str,
-}
+# config key -> parser of its value: the type of the field's default, str where it has none
+_CONFIG_TYPES = {f.name: str if f.default in (MISSING, None) else type(f.default)
+                 for f in fields(ExperimentConfig)}
+_CONFIG_TYPES["sizes"] = lambda s: tuple(int(v) for v in s.split(",") if v.strip())
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
@@ -164,6 +154,15 @@ class Row:
     slack: float
     passed: bool
 
+    def __post_init__(self):
+        # a numpy comparison gives numpy.bool_, which json cannot write
+        object.__setattr__(self, "passed", bool(self.passed))
+
+
+def _row_key(r: Row):
+    """The order of every table: (experiment, n, t, metric)."""
+    return (r.experiment, r.n, r.t, r.metric)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -173,7 +172,7 @@ CSV_HEADER = "experiment,n,t,metric,lhs,rhs,slack,pass"
 
 
 def rows_to_csv(rows: List[Row]) -> str:
-    rows = sorted(rows, key=lambda r: (r.experiment, r.n, r.t, r.metric))
+    rows = sorted(rows, key=_row_key)
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
@@ -186,20 +185,9 @@ def rows_to_csv(rows: List[Row]) -> str:
 def rows_to_json(rows: List[Row]) -> str:
     import json
 
-    rows = sorted(rows, key=lambda r: (r.experiment, r.n, r.t, r.metric))
-    payload = [
-        {
-            "experiment": r.experiment,
-            "n": r.n,
-            "t": r.t,
-            "metric": r.metric,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "slack": r.slack,
-            "pass": r.passed,
-        }
-        for r in rows
-    ]
+    names = [f.name for f in fields(Row)]
+    payload = [{("pass" if k == "passed" else k): getattr(r, k) for k in names}
+               for r in sorted(rows, key=_row_key)]
     return json.dumps(payload, indent=1) + "\n"
 
 
@@ -306,6 +294,38 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.horizon, cfg.time_grid)
 
 
+def _matrix_stacking(sizes) -> MatrixHilbertStacking:
+    """R^2 under the inner products of A_n = (1 + 1/n) I per size, and of I at LIMIT."""
+    mats = {n: (1.0 + 1.0 / n) * np.eye(2) for n in sizes}
+    mats[LIMIT] = np.eye(2)
+    return MatrixHilbertStacking(mats)
+
+
+def _falling_rows(experiment: str, metric: str, t: float, ns, values, asserted: bool = True) -> List[Row]:
+    """One row per size n: its value must fall below the previous size's.
+
+    The first size has rhs = inf, as every size has when not asserted; such
+    a row is evidence and passes.
+    """
+    rhs = [np.inf, *values[:-1]] if asserted else [np.inf] * len(values)
+    return [Row(experiment, n, t, metric, v, r, r - v, v < r) for n, v, r in zip(ns, values, rhs)]
+
+
+def _counterexample_rows(experiment: str, lams, seed: int, **kwargs) -> List[Row]:
+    """counterexample_demo at each lam: its exchange slack against the exact
+    value, and its sampled lambda-convexity (lhs 0 when it holds, 1 when not)."""
+    rows = []
+    for lam in lams:
+        rep = counterexample_demo(lam, rng=np.random.default_rng(seed), **kwargs)
+        gap = rep.exchange.slack - rep.expected_slack
+        ok = rep.lambda_convexity_ok
+        rows += [Row(experiment, 2, lam, "counterexample_slack", rep.exchange.slack,
+                     rep.expected_slack, gap, abs(gap) <= 1e-9),
+                 Row(experiment, 2, lam, "counterexample_lambda_convex", 0.0 if ok else 1.0,
+                     0.0, 0.0, ok)]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # bound suite
 
@@ -402,19 +422,6 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
                         err, bound, bound - err, err <= bound))
         return rows
 
-    def counterexample_rows():
-        rows = []
-        for lam in (0.0, 4.0):
-            rep = counterexample_demo(lam, rng=np.random.default_rng(cfg.seed + 1))
-            rows.append(Row("bounds", 2, lam, "counterexample_slack",
-                            rep.exchange.slack, rep.expected_slack,
-                            rep.exchange.slack - rep.expected_slack,
-                            abs(rep.exchange.slack - rep.expected_slack) <= 1e-9))
-            rows.append(Row("bounds", 2, lam, "counterexample_lambda_convex",
-                            0.0 if rep.lambda_convexity_ok else 1.0, 0.0,
-                            0.0, rep.lambda_convexity_ok))
-        return rows
-
     def envelope_limit_rows():
         rows = []
         phi = quadratic_functional(lam=1.0)
@@ -434,7 +441,7 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
         rows += energy_rows(name, phi, x0s)
         rows += envelope_rows(name, phi, x0s)
         rows += contraction_rows(name, phi, x0s)
-    rows += cl_rows() + counterexample_rows() + envelope_limit_rows()
+    rows += cl_rows() + _counterexample_rows("bounds", (0.0, 4.0), cfg.seed + 1) + envelope_limit_rows()
 
     # weighted L^r contraction rows for the graph energies
     rng_lr = np.random.default_rng(cfg.seed + 2)
@@ -480,16 +487,8 @@ def run_d2c_experiment(cfg: ExperimentConfig) -> List[Row]:
             gaps.append(gap)
             rows.append(Row("d2c", inst.n, float(t), "tl2_distance", d, np.inf, np.inf, True))
             rows.append(Row("d2c", inst.n, float(t), "energy_gap", gap, np.inf, np.inf, True))
-        sup_d = float(np.max(dists))
-        max_g = float(np.max(gaps))
-        sup_dists.append(sup_d)
-        max_gaps.append(max_g)
-        rhs_d = sup_dists[-2] if len(sup_dists) > 1 and assert_decay else np.inf
-        rhs_g = max_gaps[-2] if len(max_gaps) > 1 and assert_decay else np.inf
-        rows.append(Row("d2c", inst.n, cfg.horizon, "sup_tl2_distance", sup_d, rhs_d,
-                        rhs_d - sup_d, sup_d < rhs_d))
-        rows.append(Row("d2c", inst.n, cfg.horizon, "max_energy_gap", max_g, rhs_g,
-                        rhs_g - max_g, max_g < rhs_g))
+        sup_dists.append(float(np.max(dists)))
+        max_gaps.append(float(np.max(gaps)))
         if len(times) > 1:
             speed = metric_derivative(flow.trajectory, weights=inst.measure.weights)
             floor = fine_speed.integral_square * 0.95
@@ -497,6 +496,9 @@ def run_d2c_experiment(cfg: ExperimentConfig) -> List[Row]:
                             speed.integral_square, floor,
                             speed.integral_square - floor,
                             speed.integral_square >= floor))
+    ns = [inst.n for inst in instances]
+    rows += _falling_rows("d2c", "sup_tl2_distance", cfg.horizon, ns, sup_dists, assert_decay)
+    rows += _falling_rows("d2c", "max_energy_gap", cfg.horizon, ns, max_gaps, assert_decay)
     if len(sup_dists) > 1:
         lhs = sup_dists[-1]
         rhs = 0.25 * sup_dists[0]
@@ -540,9 +542,7 @@ def run_resolvent_convergence(cfg: ExperimentConfig) -> List[Row]:
 
     # matrix-inner-product family A_n = (1 + 1/n) I
     sizes = cfg.sizes
-    mats = {n: (1.0 + 1.0 / n) * np.eye(2) for n in sizes}
-    mats[LIMIT] = np.eye(2)
-    stack = MatrixHilbertStacking(mats)
+    stack = _matrix_stacking(sizes)
     z = np.array([1.0, -2.0])
     R_lim = _scaled_identity_resolvent(1.0)
     lam_grid = (0.1, 0.5, 1.0)
@@ -563,12 +563,8 @@ def run_resolvent_convergence(cfg: ExperimentConfig) -> List[Row]:
             ulim, _ = crandall_liggett(R_lim, float(t), z, tol)
             sup_semi = max(sup_semi, stacking_distance(stack, n, un, LIMIT, ulim))
         semi_dists.append(sup_semi)
-        rhs_r = res_dists[-2] if len(res_dists) > 1 else np.inf
-        rhs_s = semi_dists[-2] if len(semi_dists) > 1 else np.inf
-        rows.append(Row("resolvents", n, cfg.horizon, "matrix_resolvent_distance",
-                        worst_res, rhs_r, rhs_r - worst_res, worst_res < rhs_r))
-        rows.append(Row("resolvents", n, cfg.horizon, "matrix_semigroup_distance",
-                        sup_semi, rhs_s, rhs_s - sup_semi, sup_semi < rhs_s))
+    rows += _falling_rows("resolvents", "matrix_resolvent_distance", cfg.horizon, sizes, res_dists)
+    rows += _falling_rows("resolvents", "matrix_semigroup_distance", cfg.horizon, sizes, semi_dists)
     C = max(
         (max(sd - 2.0 * tol, 0.0) / rd) if rd > 0 else 0.0
         for sd, rd in zip(semi_dists, res_dists)
@@ -595,14 +591,10 @@ def run_resolvent_convergence(cfg: ExperimentConfig) -> List[Row]:
         graph_rows = np.vstack([rn, flow.trajectory.states])
         d_res, *d_semi = tlp_distances(inst.measure, fine.measure, graph_rows, fine_rows, 2.0).tolist()
         res_col.append(d_res)
-        sup_semi = max([0.0, *d_semi])
-        semi_col.append(sup_semi)
-        rhs_r = res_col[-2] if len(res_col) > 1 else np.inf
-        rhs_s = semi_col[-2] if len(semi_col) > 1 else np.inf
-        rows.append(Row("resolvents", inst.n, gamma, "heat_resolvent_distance",
-                        d_res, rhs_r, rhs_r - d_res, d_res < rhs_r))
-        rows.append(Row("resolvents", inst.n, cfg.horizon, "heat_semigroup_distance",
-                        sup_semi, rhs_s, rhs_s - sup_semi, sup_semi < rhs_s))
+        semi_col.append(max([0.0, *d_semi]))
+    ns = [inst.n for inst in instances]
+    rows += _falling_rows("resolvents", "heat_resolvent_distance", gamma, ns, res_col)
+    rows += _falling_rows("resolvents", "heat_semigroup_distance", cfg.horizon, ns, semi_col)
     return rows
 
 
@@ -676,9 +668,7 @@ def run_stacking_audit(cfg: ExperimentConfig) -> List[Row]:
     sizes = list(cfg.sizes)
 
     # matrix stacking: fixed vector under A_n = (1 + 1/n) I
-    mats = {n: (1.0 + 1.0 / n) * np.eye(2) for n in sizes}
-    mats[LIMIT] = np.eye(2)
-    mh = MatrixHilbertStacking(mats)
+    mh = _matrix_stacking(sizes)
     x = np.array([1.0, -2.0])
     seq1 = IndexedSequence(indices=sizes, points=[x] * len(sizes), limit_point=x)
     seq2 = IndexedSequence(indices=sizes, points=[0.5 * x + 1.0 / n for n in sizes],
@@ -757,9 +747,8 @@ def run_stacking_audit(cfg: ExperimentConfig) -> List[Row]:
         fl = gradient_flow(phi, pts[sizes.index(n)], np.array([0.0, cfg.horizon or 0.25]),
                            cfg.tolerance)
         flow_pts.append((n, fl.trajectory.states[-1]))
-    bounded_e = EnergySequence(functionals=energies, limit_index=LIMIT)
     cbound = max(energies[n].evaluate(xn) for n, xn in flow_pts) + 1e-9
-    rep_eq = equicoercivity_probe(bounded_e, tl, cbound, flow_pts, tol=0.2)
+    rep_eq = equicoercivity_probe(e, tl, cbound, flow_pts, tol=0.2)
     rows.append(Row("stacking", sizes[-1], 0.0, "equicoercivity_heat_tail_cauchy",
                     rep_eq.max_tail_distance, 0.2, 0.2 - rep_eq.max_tail_distance,
                     rep_eq.tail_cauchy))
@@ -808,9 +797,7 @@ def run_p0_audit(cfg: ExperimentConfig) -> List[Row]:
         w = np.full(5, 0.2)
         u = rng.normal(size=5) * 2.0
         for p in (1.0, 2.0, 4.0):
-            gu = np.asarray(g(u))
-            lhs = float(np.sum(w * np.abs(gu) ** p) ** (1 / p))
-            rhs = float(np.sum(w * np.abs(u) ** p) ** (1 / p))
+            lhs, rhs = weighted_lr_norm(g(u), w, p), weighted_lr_norm(u, w, p)
             rows.append(Row("p0", j, p, "g_composition_norm_bound", lhs, rhs,
                             rhs - lhs, lhs <= rhs + 1e-12))
 
@@ -844,16 +831,7 @@ def run_p0_audit(cfg: ExperimentConfig) -> List[Row]:
                         summed.slack - rep.slack - repq.slack,
                         abs(summed.slack - rep.slack - repq.slack) <= 1e-9))
 
-    for lam in (0.0, 1.0, 4.0):
-        rep = counterexample_demo(lam, rng=np.random.default_rng(cfg.seed + 7),
-                                  n_lambda_samples=400)
-        rows.append(Row("p0", 2, lam, "counterexample_slack", rep.exchange.slack,
-                        rep.expected_slack, rep.exchange.slack - rep.expected_slack,
-                        abs(rep.exchange.slack - rep.expected_slack) <= 1e-9))
-        rows.append(Row("p0", 2, lam, "counterexample_lambda_convex",
-                        0.0 if rep.lambda_convexity_ok else 1.0, 0.0, 0.0,
-                        rep.lambda_convexity_ok))
-    return rows
+    return rows + _counterexample_rows("p0", (0.0, 1.0, 4.0), cfg.seed + 7, n_lambda_samples=400)
 
 
 RUNNERS = {
@@ -867,4 +845,4 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[Row]:
-    return sorted(RUNNERS[cfg.kind](cfg), key=lambda r: (r.experiment, r.n, r.t, r.metric))
+    return sorted(RUNNERS[cfg.kind](cfg), key=_row_key)

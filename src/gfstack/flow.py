@@ -2,8 +2,8 @@
 
 The flow is always computed through the exponential formula over the prox
 resolvent (never explicit Euler): unconditional stability plus a usable
-error certificate.  Alongside the trajectory this module evaluates the
-energy along the flow, the Moreau-envelope upper bound
+error certificate.  Alongside the trajectory this module provides the
+energy along the flow, a check of the Moreau-envelope upper bound
 
     F(u(t)) <= [F]^{kappa(t, lam)}(x0),
 
@@ -34,13 +34,10 @@ from .semigroup import (
 
 @dataclass
 class FlowResult:
-    """A computed gradient flow with its energy and envelope-bound samples."""
+    """A computed gradient flow: its trajectory, F along it, and one certificate per sample."""
 
     trajectory: Trajectory
     energies: np.ndarray
-    envelope_bounds: np.ndarray
-    lam: float
-    x0: np.ndarray
     certificates: list = field(default_factory=list)
 
 
@@ -48,42 +45,26 @@ def gradient_flow(phi: ProperFunctional, x0, times, tol: float = 1e-6) -> FlowRe
     """Flow of phi from x0 sampled on the given increasing time grid.
 
     Each sample is an independent exponential-formula evaluation over the
-    prox resolvent with accretivity modulus omega = -lam.  energies[k] is
-    F(u(t_k)); envelope_bounds[k] is the Moreau envelope of F at kappa(t_k,
-    lam) evaluated at x0 (F(x0) itself at t = 0).
+    prox resolvent with accretivity modulus omega = -lam; energies[k] is
+    F(u(t_k)).  The Moreau-envelope bound on it is energy_bound_check's.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise PreconditionError("times must be a strictly increasing grid of nonnegative reals")
     x0 = as_point(x0, phi.dim)
     R = resolvent_from_functional(phi)
-
-    states, certs, energies, bounds = [], [], [], []
+    states, certs, energies = [], [], []
     for t in times:
         u, cert = crandall_liggett(R, float(t), x0, tol)
         states.append(u)
         certs.append(cert)
         energies.append(phi.evaluate(u))
-        if t > 0:
-            bounds.append(moreau_envelope(phi, kappa(float(t), phi.lam), x0))
-        else:
-            bounds.append(phi.evaluate(x0))
     traj = Trajectory(
         times=times,
         states=np.asarray(states),
         error_bounds=np.asarray([c.value for c in certs]),
-        meta={"tol": tol, "functional": phi.name,
-              "certified": all(c.certified for c in certs),
-              "resolvent_steps": [c.n for c in certs]},
     )
-    return FlowResult(
-        trajectory=traj,
-        energies=np.asarray(energies),
-        envelope_bounds=np.asarray(bounds),
-        lam=phi.lam,
-        x0=x0,
-        certificates=certs,
-    )
+    return FlowResult(trajectory=traj, energies=np.asarray(energies), certificates=certs)
 
 
 @dataclass

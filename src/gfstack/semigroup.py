@@ -25,6 +25,7 @@ from .convex import (
     omega_interval_contains,
     omega_interval_sup,
     prox,
+    weighted_norm,
 )
 from .errors import IntervalError, PreconditionError, SolverDiagnosticError
 
@@ -53,10 +54,7 @@ class ResolventOperator:
     name: str = ""
 
     def norm(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.weights is None:
-            return float(np.linalg.norm(x))
-        return float(np.sqrt(np.sum(self.weights * x * x)))
+        return weighted_norm(x, self.weights)
 
     def step_ok(self, step: float) -> bool:
         return omega_interval_contains(step, self.omega)
@@ -78,7 +76,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     error_bounds: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -203,20 +200,13 @@ def check_accretive(pairs, omega: float, lambdas, weights=None, tol: float = 1e-
     input is vacuously accretive.  Violations are reported with their slack.
     """
     report = AccretivityReport(omega=omega, n_checked=0)
-
-    def norm(v):
-        v = np.asarray(v, dtype=float)
-        if weights is None:
-            return float(np.linalg.norm(v))
-        return float(np.sqrt(np.sum(np.asarray(weights) * v * v)))
-
     for lam in lambdas:
         if not omega_interval_contains(lam, omega):
             raise IntervalError(f"lambda={lam} outside the admissible interval for omega={omega}")
         for (x, y), (xh, yh) in pairs:
             x, y, xh, yh = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y, xh, yh))
-            lhs = norm(x - xh + lam * (y - yh))
-            rhs = (1.0 - lam * omega) * norm(x - xh)
+            lhs = weighted_norm(x - xh + lam * (y - yh), weights)
+            rhs = (1.0 - lam * omega) * weighted_norm(x - xh, weights)
             if lhs < rhs - tol:
                 report.violations.append(((x, y), (xh, yh), lam, float(rhs - lhs)))
             report.n_checked += 1
@@ -237,11 +227,7 @@ def eps_approximate_solution(R: ResolventOperator, partition, x) -> Trajectory:
     for dt in np.diff(times):
         _check_step(R, float(dt))
         states.append(as_point(R.resolve(float(dt), states[-1]), R.dim))
-    return Trajectory(
-        times=times,
-        states=np.asarray(states),
-        meta={"steps": len(times) - 1, "operator": R.name},
-    )
+    return Trajectory(times=times, states=np.asarray(states))
 
 
 @dataclass

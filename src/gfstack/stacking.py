@@ -20,7 +20,7 @@ from typing import Dict, Hashable, Optional, Sequence
 
 import numpy as np
 
-from .convex import ProperFunctional, as_point
+from .convex import ProperFunctional, as_point, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError
 from .transport import EmpiricalMeasure, TLpPoint, tlp_distance, wasserstein, barycentric_map
 
@@ -172,8 +172,7 @@ class TLpStacking(Stacking):
 
     def norm(self, idx, x):
         mu = self.measures[idx]
-        vals = np.abs(as_point(x, mu.n_atoms))
-        return float(np.sum(mu.weights * vals**self.p) ** (1.0 / self.p))
+        return weighted_lr_norm(as_point(x, mu.n_atoms), mu.weights, self.p)
 
     def embed(self, idx, x):
         mu = self.measures[idx]
@@ -303,22 +302,16 @@ def check_stacking_axioms(
         raise PreconditionError("need at least one declared sequence")
     limit_index = sequences[0].limit_index
 
+    # same-index pairs: each point with the zero, then neighbouring sequences' points
+    pairs = [(idx, x, s.zero(idx)) for seq in sequences for idx, x in zip(seq.indices, seq.points)]
+    pairs += [pair for a, b in zip(sequences, sequences[1:]) if a.indices == b.indices
+              for pair in zip(a.indices, a.points, b.points)]
     lipschitz = []
-    for seq in sequences:
-        for idx, x in zip(seq.indices, seq.points):
-            zero = s.zero(idx)
-            lhs = stacking_distance(s, idx, x, idx, zero)
-            rhs = s.norm(idx, np.asarray(x) - zero)
-            if lhs > rhs + lipschitz_tol:
-                lipschitz.append((idx, lhs - rhs))
-    for a, b in zip(sequences, sequences[1:]):
-        if a.indices != b.indices:
-            continue
-        for idx, xa, xb in zip(a.indices, a.points, b.points):
-            lhs = stacking_distance(s, idx, xa, idx, xb)
-            rhs = s.norm(idx, np.asarray(xa) - np.asarray(xb))
-            if lhs > rhs + lipschitz_tol:
-                lipschitz.append((idx, lhs - rhs))
+    for idx, x, y in pairs:
+        lhs = stacking_distance(s, idx, x, idx, y)
+        rhs = s.norm(idx, np.asarray(x) - np.asarray(y))
+        if lhs > rhs + lipschitz_tol:
+            lipschitz.append((idx, lhs - rhs))
 
     approx_gaps = {}
     for k, seq in enumerate(sequences):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convex import weighted_lr_norm
 from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
 
 MARGINAL_TOL = 1e-9
@@ -101,10 +102,7 @@ class TLpPoint:
 
     def lq_norm(self, q: float) -> float:
         """Weighted L^q norm of the values (max over atoms for q = inf)."""
-        a = np.abs(self.values)
-        if np.isinf(q):
-            return float(np.max(a)) if a.size else 0.0
-        return float(np.sum(self.measure.weights * a**q) ** (1.0 / q))
+        return weighted_lr_norm(self.values, self.measure.weights, q)
 
 
 @dataclass

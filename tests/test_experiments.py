@@ -1,7 +1,9 @@
 """Experiment runner: config grammar, CSV contract, determinism, exit codes."""
 
 import json
+import re
 import time
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -46,6 +48,28 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError):
             parse_config("kind = tlp_table\nbogus = 1\n")
 
+    def test_every_field_parses_back_to_its_default(self):
+        for f in fields(ExperimentConfig):
+            if f.default in (MISSING, None):  # kind, output and the point records: str
+                cfg = parse_config(f"kind = tlp_table\n{f.name} = tlp_table\n")
+                assert getattr(cfg, f.name) == "tlp_table"
+                continue
+            text = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
+            value = getattr(parse_config(f"kind = tlp_table\n{f.name} = {text}\n"), f.name)
+            assert value == f.default and type(value) is type(f.default), f.name
+
+    def test_help_schema_lists_every_field_with_its_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        schema = capsys.readouterr().out
+        for f in fields(ExperimentConfig):
+            line = re.search(rf"^  {f.name} +=.*$", schema, re.MULTILINE)
+            assert line, f.name
+            if f.default not in (MISSING, None):
+                shown = re.search(r"\(default ([^)]*)\)", line.group(0)).group(1)
+                cfg = parse_config(f"kind = tlp_table\n{f.name} = {shown}\n")
+                assert getattr(cfg, f.name) == f.default, f.name
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("kind tlp_table\n")
@@ -78,6 +102,11 @@ class TestCsvContract:
         payload = json.loads(rows_to_json(rows))
         assert payload[0] == {"experiment": "x", "n": 1, "t": 0.0, "metric": "m",
                               "lhs": 1.0, "rhs": 2.0, "slack": 1.0, "pass": True}
+
+    def test_numpy_pass_flag_is_a_bool(self):
+        row = Row("x", 1, 0.0, "m", 1.0, 2.0, 1.0, np.float64(1.0) < np.float64(2.0))
+        assert row.passed is True
+        assert json.loads(rows_to_json([row]))[0]["pass"] is True
 
 
 class TestDeterminism:
@@ -124,6 +153,28 @@ class TestCli:
         assert code == 0
         mirror = json.loads((tmp_path / "t.json").read_text())
         assert {"experiment", "n", "t", "metric", "lhs", "rhs", "slack", "pass"} == set(mirror[0])
+
+    @pytest.mark.parametrize("command,config", [
+        ("bounds", ""),
+        ("d2c", "sizes = 8, 16\ntime_grid = 3\n"),
+        ("resolvents", "sizes = 8, 16\n"),
+        ("tlp", ""),
+        ("audit-stacking", "sizes = 4, 8\n"),
+        ("audit-p0", ""),
+    ])
+    def test_json_mirror_of_every_subcommand(self, tmp_path, command, config):
+        cfgfile, out = tmp_path / "exp.cfg", tmp_path / "t.csv"
+        cfgfile.write_text(config)
+        code = cli_main([command, "--config", str(cfgfile), "--out", str(out), "--json"])
+        lines = out.read_text().splitlines()
+        mirror = json.loads((tmp_path / "t.json").read_text())
+        assert len(mirror) == len(lines) - 1 > 0
+        for line, rec in zip(lines[1:], mirror):
+            experiment, n, t, metric, lhs, rhs, slack, passed = line.split(",")
+            assert (rec["experiment"], str(rec["n"]), rec["metric"]) == (experiment, n, metric)
+            assert [f"{rec[k]:.12g}" for k in ("t", "lhs", "rhs", "slack")] == [t, lhs, rhs, slack]
+            assert rec["pass"] is (passed == "true")
+        assert code == (0 if all(rec["pass"] for rec in mirror) else 1)
 
     def test_config_file_flow(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

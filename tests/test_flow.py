@@ -50,9 +50,13 @@ class TestGradientFlow:
         A = rng.random((5, 5))
         A[np.diag_indices(5)] = 0.0
         phi = GraphEnergy(adjacency=A).to_functional()
-        res = gradient_flow(phi, rng.normal(size=5), np.linspace(0, 1, 11), tol=1e-7)
+        x0, times = rng.normal(size=5), np.linspace(0, 1, 11)
+        res = gradient_flow(phi, x0, times, tol=1e-7)
         assert np.all(np.diff(res.energies) <= 1e-10)
-        assert np.all(res.energies[1:] <= res.envelope_bounds[1:] + 1e-7)
+        for t, energy in zip(times[1:], res.energies[1:]):
+            rep = energy_bound_check(phi, x0, t, tol=1e-7)
+            assert rep.flow_energy == energy  # the same resolvent iterate
+            assert energy <= rep.envelope_value + 1e-7
 
     def test_flow_contraction(self, rng):
         for phi in (quadratic_functional(lam=2.0), abs_functional()):
@@ -173,9 +177,7 @@ class TestEviResidual:
         traj = Trajectory(times=times, states=np.asarray(states),
                           error_bounds=np.full(len(times), 1e-9))
         flow = FlowResult(trajectory=traj,
-                          energies=np.asarray([phi.evaluate(s) for s in states]),
-                          envelope_bounds=np.zeros(len(times)), lam=0.0,
-                          x0=states[0])
+                          energies=np.asarray([phi.evaluate(s) for s in states]))
         rep = evi_residual(flow, phi, np.zeros(3))
         assert rep.ok
 
@@ -261,8 +263,7 @@ class TestCheckerSensitivity:
         states = np.exp(+ts)[:, None]  # expanding, not contracting
         traj = Trajectory(times=ts, states=states, error_bounds=np.zeros(len(ts)))
         fake = FlowResult(trajectory=traj,
-                          energies=np.asarray([q.evaluate(s) for s in states]),
-                          envelope_bounds=np.zeros(len(ts)), lam=1.0, x0=states[0])
+                          energies=np.asarray([q.evaluate(s) for s in states]))
         rep = evi_residual(fake, q, 0.0)
         assert not rep.ok and rep.violation > 1.0
 
@@ -273,7 +274,6 @@ class TestCheckerSensitivity:
         states = np.exp(-ts / 4.0)[:, None]
         traj = Trajectory(times=ts, states=states, error_bounds=np.zeros(len(ts)))
         fake = FlowResult(trajectory=traj,
-                          energies=np.asarray([q.evaluate(s) for s in states]),
-                          envelope_bounds=np.zeros(len(ts)), lam=1.0, x0=states[0])
+                          energies=np.asarray([q.evaluate(s) for s in states]))
         rep = evi_residual(fake, q, 0.0)
         assert not rep.ok
