@@ -21,9 +21,7 @@ from .energies import (
     P0TestFunction,
     counterexample_demo,
     counterexample_functional,
-    dump_graph_energy,
     graph_prox,
-    load_graph_energy,
     lr_contraction_check,
     p0_convexity_check,
     p0_family,

@@ -28,13 +28,13 @@ _SCHEMA = f"""config grammar (one 'key = value' per line, '#' comments):
   kind       = bound_suite | d2c_heat | resolvent_convergence | tlp_table
                | stacking_audit | p0_audit        (set by the subcommand)
   sizes      = comma-separated increasing integers       (default 8,16,32,64)
-  horizon    = nonnegative real time horizon             (default 0.25)
+  horizon    = finite nonnegative time horizon           (default 0.25)
   time_grid  = number of time samples                    (default 6)
-  p          = transport exponent >= 1                   (default 2)
-  tolerance  = positive slack tolerance                  (default 1e-6)
+  p          = finite transport exponent >= 1            (default 2)
+  tolerance  = finite positive slack tolerance           (default 1e-6)
   seed       = 64-bit integer                            (default 0)
   output     = output path                               (default stdout)
-  q          = integrability exponent for bounded data   (default 4)
+  q          = integrability exponent > 2, inf allowed   (default 4)
   sampling   = equispaced | uniform                      (default equispaced)
   profile    = cos | sin  (initial heat profile)         (default cos)
   point_a    = path to a function/measure pair record    (tlp only)

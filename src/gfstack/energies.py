@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ SPLIT_MAX_ITER = 100_000
 # adaptive Simpson quadrature (the oracle behind P0TestFunction.exact_value)
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -42,14 +42,14 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 50)
         return 0.0
     m = 0.5 * (a + b)
     fa, fb, fm = f(a), f(b), f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
+    whole = _simpson(a, fa, b, fb, fm)
 
     def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = f(lm), f(rm)
-        left = _simpson(f, a, fa, m, fm, lm, flm)
-        right = _simpson(f, m, fm, b, fb, rm, frm)
+        left = _simpson(a, fa, m, fm, flm)
+        right = _simpson(m, fm, b, fb, frm)
         if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         return recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + recurse(
@@ -129,9 +129,10 @@ def _smoothstep_integral(s: float) -> float:
 class P0TestFunction:
     """Smooth truncation profile: zero near 0, slope in [0, 1], eventual plateau.
 
-    evaluator integrates the derivative exactly where the derivative is the
-    cubic Hermite ramp of the shared ramp table (built on its first use on a
-    transition band), and uses closed forms on the dead zone, the flat
+    The five parameters are the whole function, so equal parameters compare
+    equal.  Calling it integrates the derivative exactly where the derivative
+    is the cubic Hermite ramp of the shared ramp table (built on its first use
+    on a transition band), and uses closed forms on the dead zone, the flat
     segment and the plateau; exact_value integrates the derivative by
     adaptive Simpson instead, as the oracle.
     """
@@ -141,17 +142,55 @@ class P0TestFunction:
     plateau: float
     slope: float
     one_sided: bool
-    evaluator: Callable[[float], float]
-    derivative_evaluator: Callable[[float], float]
-    support_end: float  # derivative vanishes beyond this (mirrored if two-sided)
+
+    @property
+    def flat_end(self) -> float:
+        return self.a + self.plateau / self.slope  # == a + rise_width when the cap binds immediately
+
+    @property
+    def support_end(self) -> float:
+        """The derivative vanishes beyond this (mirrored if two-sided)."""
+        return self.flat_end + self.rise_width
 
     def __call__(self, x):
         if np.ndim(x) == 0:
-            return self.evaluator(float(x))
-        return np.asarray([self.evaluator(float(t)) for t in np.asarray(x).reshape(-1)])
+            return self._value(float(x))
+        return np.asarray([self._value(float(t)) for t in np.asarray(x).reshape(-1)])
+
+    def _value(self, x: float) -> float:
+        if self.one_sided:
+            return self._value_pos(x) if x > 0 else 0.0
+        return self._value_pos(x) if x >= 0 else -self._value_pos(-x)
+
+    def _value_pos(self, x: float) -> float:
+        a, w, slope, flat_end = self.a, self.rise_width, self.slope, self.flat_end
+        # exact on the flat segment and beyond by ramp symmetry (the up and
+        # down ramps each integrate to slope*w/2)
+        up_area = slope * w / 2.0
+        if x <= a:
+            return 0.0
+        if x < a + w:
+            return up_area * _smoothstep_integral(2.0 * (x - a) / w - 1.0)
+        if x <= flat_end:
+            return up_area + slope * (x - (a + w))
+        if x < flat_end + w:
+            # the descent mirrors the rise, so the area still to come equals
+            # the rise antiderivative at the mirrored abscissa
+            return self.plateau - up_area * _smoothstep_integral(1.0 - 2.0 * (x - flat_end) / w)
+        return self.plateau
 
     def derivative(self, x: float) -> float:
-        return self.derivative_evaluator(float(x))
+        x = float(x)
+        if not self.one_sided:
+            x = abs(x)
+        a, w, slope, flat_end = self.a, self.rise_width, self.slope, self.flat_end
+        if x <= a or x >= flat_end + w:
+            return 0.0
+        if x < a + w:
+            return slope * _smoothstep(2.0 * (x - a) / w - 1.0)
+        if x <= flat_end:
+            return slope
+        return slope * _smoothstep(1.0 - 2.0 * (x - flat_end) / w)
 
     def exact_value(self, x: float) -> float:
         """Quadrature of the derivative, for oracle-grade evaluations."""
@@ -167,7 +206,7 @@ class P0TestFunction:
                 return -self.plateau
             if x < 0:
                 return -self.exact_value(-x)
-        return adaptive_simpson(self.derivative_evaluator, self.a, x, 1e-13)
+        return adaptive_simpson(self.derivative, self.a, x, 1e-13)
 
 
 def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.0,
@@ -193,55 +232,7 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
         plateau = float(cap)
     else:
         plateau = slope * w
-    ramp_end = a + w
-    flat_end = a + plateau / slope  # == ramp_end when the cap binds immediately
-    support_end = flat_end + w
-
-    def deriv(x: float) -> float:
-        x = float(x)
-        if not one_sided:
-            x = abs(x)
-        if x <= a or x >= support_end:
-            return 0.0
-        if x < ramp_end:
-            return slope * _smoothstep(2.0 * (x - a) / w - 1.0)
-        if x <= flat_end:
-            return slope
-        return slope * _smoothstep(1.0 - 2.0 * (x - flat_end) / w)
-
-    # exact on the flat segment and beyond by ramp symmetry (the up and down
-    # ramps each integrate to slope*w/2)
-    up_area = slope * w / 2.0
-
-    def value_pos(x: float) -> float:
-        if x <= a:
-            return 0.0
-        if x < ramp_end:
-            return up_area * _smoothstep_integral(2.0 * (x - a) / w - 1.0)
-        if x <= flat_end:
-            return up_area + slope * (x - ramp_end)
-        if x < support_end:
-            # the descent mirrors the rise, so the area still to come equals
-            # the rise antiderivative at the mirrored abscissa
-            return plateau - up_area * _smoothstep_integral(1.0 - 2.0 * (x - flat_end) / w)
-        return plateau
-
-    def value(x: float) -> float:
-        x = float(x)
-        if one_sided:
-            return value_pos(x) if x > 0 else 0.0
-        return value_pos(x) if x >= 0 else -value_pos(-x)
-
-    return P0TestFunction(
-        a=a,
-        rise_width=w,
-        plateau=plateau,
-        slope=slope,
-        one_sided=one_sided,
-        evaluator=value,
-        derivative_evaluator=deriv,
-        support_end=support_end,
-    )
+    return P0TestFunction(a=a, rise_width=w, plateau=plateau, slope=slope, one_sided=one_sided)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ class GraphEnergy:
     edge list itself with GraphEnergy.from_edges, which forms no n x n
     array.  An edge-built energy forms its adjacency, the upper-triangular
     A with A_ij = c_ij, only when it is read (by pair_matrix, for the eigh
-    path, and by graph_energy_to_record).
+    path).
 
     A squared-loss energy also stores its spectral factors (evals, basis, s).
     The basis is the n x n eigenvector matrix Q from eigh, except on a path
@@ -553,35 +544,6 @@ def quadratic_map_energy(weights) -> ProperFunctional:
     return replace(quadratic_functional(1.0, w.size, w), name="quadratic-map")
 
 
-def graph_energy_to_record(ge: GraphEnergy) -> dict:
-    return {
-        "n": ge.n_nodes,
-        "A": ge.adjacency.tolist(),
-        "weights": ge.node_weights.tolist(),
-        "loss": ge.loss_kind,
-    }
-
-
-def graph_energy_from_record(rec: dict) -> GraphEnergy:
-    A = np.asarray(rec["A"], dtype=float)
-    if A.shape != (int(rec["n"]), int(rec["n"])):
-        raise ConstructionError("record n disagrees with the adjacency shape")
-    return GraphEnergy(adjacency=A, loss_kind=rec["loss"],
-                       node_weights=np.asarray(rec["weights"], dtype=float))
-
-
-def dump_graph_energy(ge: GraphEnergy) -> str:
-    import json
-
-    return json.dumps(graph_energy_to_record(ge), indent=1)
-
-
-def load_graph_energy(text: str) -> GraphEnergy:
-    import json
-
-    return graph_energy_from_record(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # exchange-inequality checks
 
@@ -606,21 +568,17 @@ class ExchangeReport:
         return self.slack >= -tol
 
 
-def p0_convexity_check(phi, u, v, g, exact: bool = False) -> ExchangeReport:
+def p0_convexity_check(phi, u, v, g) -> ExchangeReport:
     """Evaluate the exchange inequality for one (u, v, g) triple.
 
     slack = F(u) + F(v) - F(u + g(v-u)) - F(v - g(v-u)); nonnegative slack
-    is a pass.  g is a P0TestFunction or any scalar callable; exact=True
-    evaluates a P0TestFunction by quadrature instead of its evaluator.
+    is a pass.  g is a P0TestFunction or any scalar callable, called once
+    per coordinate of v - u.
     """
     f = _value_fn(phi)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if isinstance(g, P0TestFunction):
-        geval = g.exact_value if exact else g.evaluator
-    else:
-        geval = g
-    gv = np.asarray([geval(t) for t in (v - u)])
+    gv = np.asarray([g(t) for t in (v - u)])
     lhs = f(u + gv) + f(v - gv)
     rhs = f(u) + f(v)
     return ExchangeReport(lhs=float(lhs), rhs=float(rhs), slack=float(rhs - lhs))
@@ -675,7 +633,7 @@ def counterexample_demo(lam: float, rng=None, n_lambda_samples: int = 1000) -> C
     sampler = default_triple_sampler(phi, rng)
     conv = check_lambda_convexity(phi, lam, sampler, n_lambda_samples)
     g = p0_family(a=0.1, w=0.1, cap=0.5, one_sided=True)
-    exch = p0_convexity_check(phi, np.array([1.0, 0.0]), np.array([0.0, 1.0]), g, exact=True)
+    exch = p0_convexity_check(phi, np.array([1.0, 0.0]), np.array([0.0, 1.0]), g)
     return CounterexampleReport(
         lam=lam,
         lambda_convexity_ok=conv.ok,

@@ -100,14 +100,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if list(self.sizes) != sorted(set(self.sizes)) or any(s < 2 for s in self.sizes):
             raise ConfigError("sizes must be strictly increasing integers >= 2")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
+        if not 0 <= self.horizon < np.inf:
+            raise ConfigError("horizon must be finite and nonnegative")
         if self.time_grid < 1:
             raise ConfigError("time_grid must be a positive count")
-        if self.p < 1:
-            raise ConfigError("p must be >= 1")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not 1 <= self.p < np.inf:
+            raise ConfigError("p must be finite and >= 1")
+        if not 0 < self.tolerance < np.inf:
+            raise ConfigError("tolerance must be finite and positive")
+        if not self.q > 2:  # q = inf is allowed
+            raise ConfigError("q must be > 2 (the interpolation rows use p = 1 and r = 2)")
         if self.sampling not in ("equispaced", "uniform"):
             raise ConfigError("sampling must be 'equispaced' or 'uniform'")
         if self.profile not in ("cos", "sin"):
@@ -183,12 +185,17 @@ def rows_to_csv(rows: List[Row]) -> str:
 
 
 def rows_to_json(rows: List[Row]) -> str:
+    """The rows as strict JSON: a non-finite lhs, rhs or slack is the CSV's string ("inf", "-inf", "nan")."""
     import json
 
+    def field(r, k):
+        x = getattr(r, k)
+        return _fmt(x) if k in ("lhs", "rhs", "slack") and not np.isfinite(x) else x
+
     names = [f.name for f in fields(Row)]
-    payload = [{("pass" if k == "passed" else k): getattr(r, k) for k in names}
+    payload = [{("pass" if k == "passed" else k): field(r, k) for k in names}
                for r in sorted(rows, key=_row_key)]
-    return json.dumps(payload, indent=1) + "\n"
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,6 @@ def fine_grid_dirichlet(measure: EmpiricalMeasure) -> GraphEnergy:
 class HeatInstance:
     n: int
     measure: EmpiricalMeasure
-    energy: GraphEnergy
     functional: ProperFunctional
     initial: np.ndarray
 
@@ -269,22 +275,18 @@ def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     """Per-size neighborhood-graph heat setups plus the fine-grid reference."""
     fine_n = 8 * max(cfg.sizes)
     fine_measure = line_measure(fine_n)
-    fine_energy = fine_grid_dirichlet(fine_measure)
-    fine_phi = fine_energy.to_functional()
+    fine_phi = fine_grid_dirichlet(fine_measure).to_functional()
     shape = np.cos if cfg.profile == "cos" else np.sin
     x_inf = shape(np.pi * fine_measure.atoms[:, 0])
-    fine = HeatInstance(n=fine_n, measure=fine_measure, energy=fine_energy,
-                        functional=fine_phi, initial=x_inf)
+    fine = HeatInstance(n=fine_n, measure=fine_measure, functional=fine_phi, initial=x_inf)
 
     instances = []
     for n in cfg.sizes:
         measure = line_measure(n, rng=rng, sampling=cfg.sampling)
-        energy = neighborhood_graph_energy(measure, bandwidth(n))
-        phi = energy.to_functional()
+        phi = neighborhood_graph_energy(measure, bandwidth(n)).to_functional()
         _, plan = wasserstein(measure, fine_measure, 2.0)
         x_n = barycentric_map(plan, x_inf)
-        instances.append(HeatInstance(n=n, measure=measure, energy=energy,
-                                      functional=phi, initial=x_n))
+        instances.append(HeatInstance(n=n, measure=measure, functional=phi, initial=x_n))
     return instances, fine
 
 
@@ -663,7 +665,11 @@ def run_tlp_table(cfg: ExperimentConfig) -> List[Row]:
 
 
 def run_stacking_audit(cfg: ExperimentConfig) -> List[Row]:
-    rng = np.random.default_rng(cfg.seed)
+    """Stacking axioms, Gamma-convergence and equicoercivity evidence.
+
+    Every instance is a fixed grid or fixture, so the rows do not depend on
+    cfg.seed.
+    """
     rows: List[Row] = []
     sizes = list(cfg.sizes)
 

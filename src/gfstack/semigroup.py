@@ -254,27 +254,15 @@ def resolvent_from_functional(phi: ProperFunctional) -> ResolventOperator:
     """Resolvent of the convexity-adjusted subdifferential: the prox operator.
 
     A lam-convex functional yields a (-lam)-accretive operator whose resolvent
-    at gamma is the prox at gamma.  When no minimal-subgradient norm is
-    supplied, inf||A(x)|| is estimated by ||(x - R_l0 x)/l0|| at a tiny l0,
-    which underestimates the true value and converges to it as l0 -> 0.
+    at gamma is the prox at gamma.  inf||A(x)|| is the declared phi.slope_norm;
+    a functional without one gives a resolvent without inf_norm_A, so
+    crandall_liggett takes the doubling path and returns certified=False.
     """
-    omega = -phi.lam
-    width = min(omega_interval_sup(omega), 1.0)
-    l0 = 1e-4 * width
-
-    if phi.slope_norm is not None:
-        inf_norm = phi.slope_norm
-    else:
-
-        def inf_norm(x):
-            x = as_point(x, phi.dim)
-            return phi.norm((x - prox(phi, l0, x)) / l0)
-
     return ResolventOperator(
         dim=phi.dim,
-        omega=omega,
+        omega=-phi.lam,
         resolve=lambda lam, x: prox(phi, lam, x),
-        inf_norm_A=inf_norm,
+        inf_norm_A=phi.slope_norm,
         resolve_iterated=phi.prox_iterated,
         weights=phi.weights,
         name=phi.name or "prox-resolvent",

@@ -155,8 +155,8 @@ class TLpStacking(Stacking):
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
-        if p < 1:
-            raise ConstructionError("p must be >= 1")
+        if not 1 <= p < np.inf:
+            raise ConstructionError("p must be finite and >= 1")
         self.measures = dict(measures)
         self.p = float(p)
         self._measure_keys = {}  # content key -> itself, so memo keys share one copy
@@ -252,10 +252,6 @@ class EnergySequence:
         if isinstance(f, ProperFunctional):
             return f.evaluate(x)
         return float(f(np.atleast_1d(np.asarray(x, dtype=float))))
-
-    @property
-    def limit_functional(self):
-        return self.functionals[self.limit_index]
 
 
 @dataclass

@@ -411,8 +411,8 @@ def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
     """
     if mu.dim != nu.dim:
         raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if p < 1:
-        raise PreconditionError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise PreconditionError("p must be finite and >= 1")
     spatial = _spatial_cost_matrix(mu, nu, p)
     start = _staircase(mu.weights, nu.weights)
     staircase = start[-1]

@@ -154,7 +154,7 @@ class TestCli:
         mirror = json.loads((tmp_path / "t.json").read_text())
         assert {"experiment", "n", "t", "metric", "lhs", "rhs", "slack", "pass"} == set(mirror[0])
 
-    @pytest.mark.parametrize("command,config", [
+    EVERY_SUBCOMMAND = pytest.mark.parametrize("command,config", [
         ("bounds", ""),
         ("d2c", "sizes = 8, 16\ntime_grid = 3\n"),
         ("resolvents", "sizes = 8, 16\n"),
@@ -162,19 +162,34 @@ class TestCli:
         ("audit-stacking", "sizes = 4, 8\n"),
         ("audit-p0", ""),
     ])
-    def test_json_mirror_of_every_subcommand(self, tmp_path, command, config):
+
+    @staticmethod
+    def _run_with_json(tmp_path, command, config):
+        """Exit code, CSV lines and JSON mirror text of one subcommand run."""
         cfgfile, out = tmp_path / "exp.cfg", tmp_path / "t.csv"
         cfgfile.write_text(config)
         code = cli_main([command, "--config", str(cfgfile), "--out", str(out), "--json"])
-        lines = out.read_text().splitlines()
-        mirror = json.loads((tmp_path / "t.json").read_text())
+        return code, out.read_text().splitlines(), (tmp_path / "t.json").read_text()
+
+    @EVERY_SUBCOMMAND
+    def test_json_mirror_of_every_subcommand(self, tmp_path, command, config):
+        code, lines, text = self._run_with_json(tmp_path, command, config)
+        mirror = json.loads(text)
         assert len(mirror) == len(lines) - 1 > 0
         for line, rec in zip(lines[1:], mirror):
             experiment, n, t, metric, lhs, rhs, slack, passed = line.split(",")
             assert (rec["experiment"], str(rec["n"]), rec["metric"]) == (experiment, n, metric)
-            assert [f"{rec[k]:.12g}" for k in ("t", "lhs", "rhs", "slack")] == [t, lhs, rhs, slack]
+            assert [f"{float(rec[k]):.12g}" for k in ("t", "lhs", "rhs", "slack")] == [t, lhs, rhs, slack]
             assert rec["pass"] is (passed == "true")
         assert code == (0 if all(rec["pass"] for rec in mirror) else 1)
+
+    @EVERY_SUBCOMMAND
+    def test_json_mirror_is_strict_json(self, tmp_path, command, config):
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        _, _, text = self._run_with_json(tmp_path, command, config)
+        json.loads(text, parse_constant=reject)
 
     def test_config_file_flow(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
@@ -211,6 +226,23 @@ class TestCli:
                             lambda cfg: [Row("tlp", 1, 0.0, "ok", 0.0, 1.0, 1.0, True)])
         out = tmp_path / "missing" / "x.csv"
         self._assert_one_line_config_error(capsys, cli_main(["tlp", "--out", str(out)]), out)
+
+    @pytest.mark.parametrize("command, line", [
+        ("tlp", "p = inf"),
+        ("tlp", "p = nan"),
+        ("tlp", "q = nan"),
+        ("tlp", "q = 2"),
+        ("d2c", "tolerance = nan"),
+        ("d2c", "horizon = inf"),
+    ])
+    def test_nonfinite_or_out_of_range_number_is_config_error(self, capsys, tmp_path, command, line):
+        cfgfile, out = tmp_path / "exp.cfg", tmp_path / "t.csv"
+        cfgfile.write_text(line + "\n")
+        code = cli_main([command, "--config", str(cfgfile), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1 and line.split()[0] in err
+        assert not out.exists()
 
     def test_point_pair_distance_rows(self, tmp_path):
         a = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([0.0, 1.0]))

@@ -246,16 +246,17 @@ class TestSemigroupStructure:
 
 
 class TestDefaultSlopeEstimate:
-    def test_underestimates_and_approximates(self):
+    def test_no_declared_slope_no_certificate(self):
+        # without slope_norm there is no a-priori bound: no estimate stands in
+        # for inf||A(x)||, so the run doubles and is not certified
         q = quadratic_functional(lam=1.0)
         bare = type(q)(dim=1, value=q.value, lam=1.0, weights=q.weights,
                        prox_closed_form=q.prox_closed_form)
         R = resolvent_from_functional(bare)
-        est = R.inf_norm_A(np.array([2.0]))
-        # true minimal gradient norm is lam * |x| = 2
-        assert est <= 2.0 + 1e-12
-        assert abs(est - 2.0) < 1e-3
-
+        assert R.inf_norm_A is None
+        u, cert = crandall_liggett(R, 1.0, 1.0, 1e-3)
+        assert not cert.certified and cert.value == 1e-3
+        assert abs(u[0] - np.exp(-1.0)) < 1e-3
 
     def test_doubling_decay_on_shipped_operators(self, rng):
         # the a-posteriori gap shrinks (or hits exactness) while doubling

@@ -64,6 +64,11 @@ class TestStackingDistance:
         assert stacking_distance(s, 2, u, 2, v) == direct
         assert stacking_distance(s, 2, u, 2, v) == direct
 
+    @pytest.mark.parametrize("p", [0.5, np.inf, np.nan])
+    def test_tlp_exponent_finite_and_at_least_one(self, p):
+        with pytest.raises(ConstructionError):
+            TLpStacking({LIMIT: uniform_measure([[0.0], [1.0]])}, p=p)
+
     def test_cross_index_triangle_inequality(self, rng):
         s = matrix_stack()
         for _ in range(20):

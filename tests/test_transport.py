@@ -174,6 +174,12 @@ class TestTlpDistance:
         d, _ = tlp_distance(a, b, 2.0)
         assert d < 1e-12
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_nonfinite_p_rejected(self, p):
+        a = _pt([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(PreconditionError):
+            tlp_distance(a, a, p)
+
     def test_zero_dimensional_atoms(self):
         # atoms in R^0 all coincide: no spatial cost, only the values are moved
         mu = EmpiricalMeasure(np.zeros((2, 0)), [0.5, 0.5])

@@ -4,9 +4,11 @@
 
 Imports gfstack from ``<checkout>/src`` and prints, for each config of the
 sweep below, two lines: ``<config> csv <sha256>`` over ``rows_to_csv`` and
-``<config> json <sha256>`` over ``rows_to_json``.  A runner that raises, or a
-mirror that json cannot write, prints ``error <exception type>`` in place of
-the digest and its traceback on stderr.  Run it on two checkouts
+``<config> json <sha256>`` over ``rows_to_json``.  Each mirror is parsed
+back strictly, with no ``NaN`` or ``Infinity`` token allowed.  A runner that
+raises, or a mirror that json cannot write or that is not strict JSON, prints
+``error <exception type>`` in place of the digest and its traceback on
+stderr.  Run it on two checkouts
 and diff the outputs: an empty diff means every table of the sweep is
 byte-identical.
 
@@ -22,6 +24,7 @@ The sweep:
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import traceback
 from pathlib import Path
@@ -52,10 +55,14 @@ def sweep():
             kind="stacking_audit", seed=seed, sizes=(4, 8, 16, 32))
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def _digest(render, rows) -> str:
     try:
         text = render(rows)
-    except (TypeError, ValueError) as exc:  # json rejects a value: a result of the sweep
+    except (TypeError, ValueError) as exc:  # json rejects a value or a token: a result of the sweep
         traceback.print_exc()
         return f"error {type(exc).__name__}"
     return hashlib.sha256(text.encode()).hexdigest()
@@ -77,6 +84,11 @@ def main(argv) -> int:
         print(f"imported gfstack from {gfstack.__file__}, not {src}", file=sys.stderr)
         return 2
 
+    def strict_json(rows):
+        text = rows_to_json(rows)
+        json.loads(text, parse_constant=_reject_constant)
+        return text
+
     for label, fields in sweep():
         try:
             rows = run_experiment(ExperimentConfig(**fields))
@@ -85,7 +97,7 @@ def main(argv) -> int:
             print(f"{label} run error {type(exc).__name__}", flush=True)
             continue
         print(f"{label} csv {_digest(rows_to_csv, rows)}")
-        print(f"{label} json {_digest(rows_to_json, rows)}", flush=True)
+        print(f"{label} json {_digest(strict_json, rows)}", flush=True)
     return 0
 
 
