@@ -23,8 +23,15 @@ PROX_GRADIENT_MAX_ITER = 1000
 
 
 def as_point(x, dim: int) -> np.ndarray:
-    """Coerce a scalar or sequence to a float vector of length dim."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
+    """Coerce a scalar or sequence to a float vector of length dim.
+
+    A 1-D float64 ndarray is returned as it is, not as a view of itself: the
+    prox layer calls this on every vector it is handed, and most already are.
+    """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64:
+        arr = x
+    else:
+        arr = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
     if arr.size != dim:
         raise ValueError(f"expected a point of dimension {dim}, got shape {arr.shape}")
     return arr
@@ -35,7 +42,7 @@ def weighted_norm(x, weights=None) -> float:
     x = np.asarray(x, dtype=float)
     if weights is None:
         return float(np.linalg.norm(x))
-    return float(np.sqrt(np.sum(np.asarray(weights) * x * x)))
+    return float(np.sqrt((np.asarray(weights) * x * x).sum()))
 
 
 def weighted_lr_norm(values, weights, r) -> float:
@@ -126,7 +133,7 @@ class ProperFunctional:
     # weighted geometry -------------------------------------------------
 
     def inner(self, x, y) -> float:
-        return float(np.sum(self.weights * np.asarray(x) * np.asarray(y)))
+        return float((self.weights * np.asarray(x) * np.asarray(y)).sum())
 
     def norm(self, x) -> float:
         return weighted_norm(x, self.weights)
@@ -219,7 +226,7 @@ def moreau_envelope(phi: ProperFunctional, gamma: float, x) -> float:
     x = as_point(x, phi.dim)
     p = prox(phi, gamma, x)
     d = p - x
-    return phi.evaluate(p) + float(np.sum(phi.weights * d * d)) / (2.0 * gamma)
+    return phi.evaluate(p) + float((phi.weights * d * d).sum()) / (2.0 * gamma)
 
 
 def envelope_functional(phi: ProperFunctional, gamma: float) -> ProperFunctional:

@@ -98,8 +98,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        if list(self.sizes) != sorted(set(self.sizes)) or any(s < 2 for s in self.sizes):
-            raise ConfigError("sizes must be strictly increasing integers >= 2")
+        if not self.sizes or list(self.sizes) != sorted(set(self.sizes)) or any(s < 2 for s in self.sizes):
+            raise ConfigError("sizes must be one or more strictly increasing integers >= 2")
         if not 0 <= self.horizon < np.inf:
             raise ConfigError("horizon must be finite and nonnegative")
         if self.time_grid < 1:

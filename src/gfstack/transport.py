@@ -353,6 +353,10 @@ def solve_transport(a, b, C):
     arithmetic.  The staircase start and its potentials are arrays, and
     all m x n of its reduced costs are tested in row blocks; the spanning
     tree is built, and pivoted, only when one of them is below -_RC_TOL.
+
+    A public entry point for callers with their own cost matrix, and the one
+    the linprog oracle tests solve through.  No runner path calls it: the
+    TL^p distances go through _tlp_plans, which shares _solve.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)

@@ -12,6 +12,7 @@ from gfstack.convex import (
     PROX_RESIDUAL_TOL,
     ProperFunctional,
     abs_functional,
+    as_point,
     check_lambda_convexity,
     constant_functional,
     default_triple_sampler,
@@ -20,6 +21,7 @@ from gfstack.convex import (
     moreau_envelope,
     prox,
     quadratic_functional,
+    weighted_norm,
 )
 from gfstack.energies import GraphEnergy, counterexample_functional, quadratic_map_energy
 from gfstack.errors import (
@@ -338,6 +340,37 @@ class TestTripleSampler:
         assert _bits(ys) == _bits([y for _, y, _ in want])
         assert _bits(ts) == _bits([t for _, _, t in want])
         assert rng_batch.bit_generator.state == rng_oracle.bit_generator.state
+
+
+class TestSumForms:
+    """The prox layer sums with ndarray.sum and passes float vectors through as_point
+    untouched; each result is pinned bitwise to the np.sum and coercing forms."""
+
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
+           st.floats(-6.0, 6.0))
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_the_np_sum_forms(self, dim, seed, gamma, log_scale):
+        r = np.random.default_rng(seed)
+        w = r.random(dim) + 0.01
+        w /= w.sum()
+        x, y = r.normal(size=(2, dim)) * 10.0**log_scale
+        for raw in (x, x.tolist(), x.astype(np.float32), x.reshape(1, -1), np.repeat(x, 2)[::2]):
+            got, want = as_point(raw, dim), np.atleast_1d(np.asarray(raw, dtype=float)).reshape(-1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert as_point(x, dim) is x
+        with pytest.raises(ValueError):
+            as_point(x, dim + 1)
+        A = r.random((dim, dim))
+        phi = GraphEnergy(adjacency=A, node_weights=w).to_functional()
+        assert phi.inner(x, y).hex() == float(np.sum(phi.weights * x * y)).hex()
+        assert phi.norm(x).hex() == float(np.sqrt(np.sum(phi.weights * x * x))).hex()
+        assert weighted_norm(x, w).hex() == float(np.sqrt(np.sum(w * x * x))).hex()
+        for f in (phi, envelope_functional(phi, 0.5)):
+            p = prox(f, gamma, x)
+            d = p - x
+            want = f.evaluate(p) + float(np.sum(f.weights * d * d)) / (2.0 * gamma)
+            assert moreau_envelope(f, gamma, x).hex() == want.hex()
 
 
 def _oracle_cases():

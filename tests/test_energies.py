@@ -231,6 +231,14 @@ class TestCounterexample:
         with pytest.raises(PreconditionError):
             counterexample_functional(-0.5)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 4.0])
+    def test_value_bitwise_the_numpy_scalar_formula(self, lam):
+        phi = counterexample_functional(lam)
+        xs, ys, ts = default_triple_sampler(phi, np.random.default_rng(0))(1000)
+        for u in np.vstack([xs, ys, ts[:, None] * xs + (1.0 - ts)[:, None] * ys]):
+            want = (lam + 1.0) * (u[0] + u[1]) ** 2 + 0.5 * lam * (u[0] ** 2 + u[1] ** 2)
+            assert float(phi.value(u)).hex() == float(want).hex()
+
 
 class TestGraphEnergy:
     def test_value_and_pair_matrix(self):
@@ -402,17 +410,20 @@ def _dense_prox_power(ge, gamma, k, h):
 
 
 class TestClosedFormPathFactors:
-    """A path with one coefficient and equal weights is factored by the DCT-II basis.
+    """A path of at least DCT_MIN_NODES nodes with one coefficient and equal weights
+    is factored by the DCT-II basis; a shorter one by eigh.
 
     The energy keeps only (evals, twiddle, s) and applies the basis by FFT;
     spectral_factors forms the basis Q on read, and these checks use that Q.
     """
 
     def test_factors_match_eigh(self, rng):
+        # the closed form at every n, called directly: below DCT_MIN_NODES the energy uses eigh
         for n in range(3, 65):
             c, w = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.01, 2.0))
             ge = _path_energy(n, c, np.full(n, w))
-            evals, Q, s = ge.spectral_factors()  # Q formed on read
+            evals, twiddle = energies._path_eigensystem(ge._edges, ge.node_weights)
+            Q, s = energies._dct_basis(n), 1.0 / np.sqrt(ge.node_weights)
             K = ge.pair_matrix()
             ref = np.linalg.eigvalsh((K * s[None, :]) * s[:, None])
             assert np.abs(evals - ref).max() <= 1e-12 * ref.max()
@@ -420,6 +431,27 @@ class TestClosedFormPathFactors:
             # W^{1/2} Q diag(evals) Q' W^{1/2} is the pair matrix
             rebuilt = (Q * evals) @ Q.T / np.outer(s, s)
             assert np.abs(rebuilt - K).max() <= 1e-12 * np.abs(K).max()
+            # the FFTs apply Q' and Q
+            x = rng.normal(size=n)
+            nrm = np.full(n, np.sqrt(2.0 / n))
+            nrm[0] = np.sqrt(1.0 / n)
+            assert np.abs(nrm * energies._dct2(x, twiddle) - Q.T @ x).max() <= 1e-13 * np.abs(x).max()
+            assert np.abs(energies._dct3(x / nrm, twiddle) - Q @ x).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 17, energies.DCT_MIN_NODES - 1])
+    def test_short_path_makes_one_eigh_call(self, monkeypatch, rng, n):
+        calls = _count_eigh(monkeypatch)
+        ge = _path_energy(n, 0.7, np.full(n, 1.0 / n))
+        assert calls == [(n, n)] and ge._factors[1].shape == (n, n)
+        h = rng.normal(size=n)
+        for gamma, k in ((0.1, 1), (3.0, 7)):
+            got = graph_prox(ge, gamma, h) if k == 1 else ge.to_functional().prox_iterated(gamma, k, h)
+            assert np.abs(got - _dense_prox_power(ge, gamma, k, h)).max() <= 1e-13 * np.abs(h).max()
+        assert calls == [(n, n)]
+        monkeypatch.setattr(energies, "DCT_MIN_NODES", n)  # the same path in closed form
+        closed = _path_energy(n, 0.7, np.full(n, 1.0 / n))
+        assert calls == [(n, n)] and closed._factors[1].shape == (n,)
+        assert np.abs(graph_prox(ge, 0.1, h) - graph_prox(closed, 0.1, h)).max() <= 1e-13 * np.abs(h).max()
 
     @pytest.mark.parametrize("n", [64, 512, 1024])
     def test_fine_grid_makes_no_eigh_call(self, monkeypatch, n):
@@ -440,7 +472,10 @@ class TestClosedFormPathFactors:
     @settings(max_examples=80, deadline=None)
     def test_fft_prox_matches_dense_basis(self, n, gamma, k, c, seed):
         path = np.arange(n - 1)
-        ge = GraphEnergy.from_edges(n, path, path + 1, np.full(n - 1, c), np.full(n, 1.0 / n))
+        with pytest.MonkeyPatch.context() as mp:  # the closed form at every n
+            mp.setattr(energies, "DCT_MIN_NODES", 2)
+            ge = GraphEnergy.from_edges(n, path, path + 1, np.full(n - 1, c), np.full(n, 1.0 / n))
+        assert ge._factors[1].ndim == 1
         phi = ge.to_functional()
         h = np.random.default_rng(seed).normal(size=n)
         # Both sides carry the rounding of h, and a large gamma * k leaves an
@@ -507,6 +542,22 @@ class TestEdgeList:
         grad_w = 2.0 * (sq.pair_matrix() @ u) / sq.node_weights
         slope = np.sqrt(np.sum(sq.node_weights * grad_w * grad_w))
         assert sq.to_functional().slope_norm(u) == pytest.approx(slope, rel=1e-12, abs=1e-14)
+
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_value_and_slope_bitwise_the_np_sum_forms(self, n, seed):
+        r = np.random.default_rng(seed)
+        A = r.random((n, n))
+        u = r.normal(size=n)
+        sq, ab = GraphEnergy(adjacency=A), GraphEnergy(adjacency=A, loss_kind="absolute")
+        iu, ju, c = sq._edges
+        d = u[iu] - u[ju]
+        assert sq.value(u).hex() == float(np.sum(c * d * d)).hex()
+        assert ab.value(u).hex() == float(np.sum(c * np.abs(d))).hex()
+        w = sq.node_weights
+        grad_w = 2.0 * (np.bincount(iu, c * d, n) - np.bincount(ju, c * d, n)) / w
+        slope = float(np.sqrt(np.sum(w * grad_w * grad_w)))
+        assert sq.to_functional().slope_norm(u).hex() == slope.hex()
 
     def test_edges_read_only(self, rng):
         ge = GraphEnergy(adjacency=rng.random((4, 4)))

@@ -234,6 +234,9 @@ class TestCli:
         ("tlp", "q = 2"),
         ("d2c", "tolerance = nan"),
         ("d2c", "horizon = inf"),
+        ("d2c", "sizes ="),
+        ("resolvents", "sizes = ,"),
+        ("audit-stacking", "sizes ="),
     ])
     def test_nonfinite_or_out_of_range_number_is_config_error(self, capsys, tmp_path, command, line):
         cfgfile, out = tmp_path / "exp.cfg", tmp_path / "t.csv"

@@ -1,0 +1,282 @@
+"""Re-run the recorded mutation checks on a gfstack checkout.
+
+    python3 tools/mutants.py [--checkout DIR] [NAME ...]
+
+Each entry of MUTANTS is a file of the checkout, an exact old string that
+must occur there once, its replacement, and the pytest ids that must fail
+with it applied.  The tool copies the checkout's src/, tests/, demos/ and
+pyproject.toml to a temporary directory, runs the listed tests of the chosen
+entries (all by default) once on that clean copy, where every one must pass,
+and then, for each entry, applies the mutant to a fresh copy and runs only
+its tests there.  A mutant is killed when every one of its tests fails.
+Hypothesis runs with a fixed seed, so a result repeats.
+
+It prints one line per entry and exits 1 when a mutant survives or times
+out, its old string no longer occurs exactly once, or one of its tests is
+missing or fails on the clean copy.  It is tooling, not a test: the tier-1
+suite does not run it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+COPIED = ("src", "tests", "demos", "pyproject.toml")
+TIMEOUT_S = 900
+
+# A pytest plugin that keeps only the ids listed in MUTANTS_IDS, so an id that
+# no longer exists is reported missing and the others still run, and writes
+# {nodeid: "failed" | "passed" | "skipped"} to the file named by MUTANTS_REPORT;
+# a test fails if any of its phases fails.
+_PLUGIN = '''
+import json, os
+
+_outcomes = {}
+
+def pytest_collection_modifyitems(config, items):
+    keep = set(json.loads(os.environ["MUTANTS_IDS"]))
+    items[:] = [item for item in items if item.nodeid in keep]
+
+def pytest_runtest_logreport(report):
+    if report.failed:
+        _outcomes[report.nodeid] = "failed"
+    elif report.when == "call" or report.skipped:
+        _outcomes.setdefault(report.nodeid, report.outcome)
+
+def pytest_sessionfinish(session):
+    with open(os.environ["MUTANTS_REPORT"], "w") as fh:
+        json.dump(_outcomes, fh)
+'''
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+ENERGIES, CONVEX = "src/gfstack/energies.py", "src/gfstack/convex.py"
+TRANSPORT, STACKING = "src/gfstack/transport.py", "src/gfstack/stacking.py"
+T_ENERGIES, T_CONVEX = "tests/test_energies.py", "tests/test_convex.py"
+T_TRANSPORT, T_STACKING = "tests/test_transport.py", "tests/test_stacking.py"
+EXPERIMENTS, T_EXPERIMENTS = "src/gfstack/experiments.py", "tests/test_experiments.py"
+T_ACCEPTANCE = "tests/test_acceptance.py"
+
+MUTANTS = [
+    # the path-size rule, as_point, the counterexample's value and the sizes check
+    Mutant("dct-size-rule-flipped", ENERGIES,
+           "if n >= DCT_MIN_NODES else None", "if n < DCT_MIN_NODES else None",
+           (f"{T_ENERGIES}::TestClosedFormPathFactors::test_short_path_makes_one_eigh_call[2]",
+            f"{T_ENERGIES}::TestClosedFormPathFactors::test_fine_grid_makes_no_eigh_call[64]")),
+    Mutant("as-point-no-size-check", CONVEX,
+           '    if arr.size != dim:\n'
+           '        raise ValueError(f"expected a point of dimension {dim}, got shape {arr.shape}")\n',
+           "",
+           (f"{T_CONVEX}::TestSumForms::test_bitwise_the_np_sum_forms",)),
+    Mutant("as-point-fast-path-any-dtype", CONVEX,
+           "x.ndim == 1 and x.dtype == np.float64", "x.ndim == 1",
+           (f"{T_CONVEX}::TestSumForms::test_bitwise_the_np_sum_forms",)),
+    Mutant("counterexample-coefficient", ENERGIES,
+           "(lam + 1.0) * (u0 + u1) ** 2", "(lam + 1.5) * (u0 + u1) ** 2",
+           (f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[1.0]",
+            f"{T_ENERGIES}::TestCounterexample::test_slack_at_four")),
+    Mutant("empty-sizes-accepted", EXPERIMENTS,
+           "if not self.sizes or list(self.sizes)", "if list(self.sizes)",
+           (f"{T_EXPERIMENTS}::TestCli::test_nonfinite_or_out_of_range_number_is_config_error"
+            "[d2c-sizes =]",)),
+    # transport (exact-marginal simplex, staircase start, plan checks)
+    Mutant("ratio-test-eps-first", TRANSPORT,
+           "if s < 0 and tree.flows[(i, j)] < theta:",
+           "if s < 0 and tree.flows[(i, j)][::-1] < theta[::-1]:",
+           (f"{T_TRANSPORT}::TestDegenerateInstances::test_tied_marginals_match_linprog",
+            f"{T_TRANSPORT}::TestWasserstein::test_plan_invariants")),
+    Mutant("staircase-sources-before-sinks", TRANSPORT,
+           "order = np.lexsort((eps, pos))", "order = np.lexsort((-eps, pos))",
+           (f"{T_TRANSPORT}::TestStaircaseStart::test_staircase_is_a_nondegenerate_basis",)),
+    Mutant("check-without-cost-test", TRANSPORT,
+           "        self.check_marginals(tol)\n        self.check_cost(tol)\n",
+           "        self.check_marginals(tol)\n",
+           (f"{T_TRANSPORT}::TestPlanCheck::test_stored_cost_off_by_1e6_raises",)),
+    Mutant("check-without-row-test", TRANSPORT,
+           "if row > tol or col > tol:", "if col > tol:",
+           (f"{T_TRANSPORT}::TestPlanCheck::test_row_marginal_off_by_1e8_raises",)),
+    Mutant("stagnation-over-full-cost", TRANSPORT,
+           "np.multiply(plan.pi, spatial, out=spatial)",
+           "np.multiply(plan.pi, plan.cost_matrix, out=spatial)",
+           (f"{T_TRANSPORT}::TestPlanCheck::test_cell_sums_match_dense_sums",
+            f"{T_TRANSPORT}::TestTlpDistance::test_zero_dimensional_atoms")),
+    # graph energies
+    Mutant("dct-basis-no-constant-column", ENERGIES,
+           "    Q[:, 0] = np.sqrt(1.0 / n)\n", "",
+           (f"{T_ENERGIES}::TestClosedFormPathFactors::test_factors_match_eigh",
+            f"{T_ENERGIES}::TestClosedFormPathFactors::test_path_keeps_no_basis")),
+    Mutant("from-edges-keeps-zero-coefficients", ENERGIES,
+           "        order = order[c[order] > 0]\n", "",
+           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_edges_of_any_adjacency",)),
+    Mutant("from-edges-unsorted", ENERGIES,
+           "order = np.lexsort((ju, iu))", "order = np.arange(c.size)",
+           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_edges_of_any_adjacency",)),
+    Mutant("from-edges-no-i-below-j-test", ENERGIES,
+           "np.any(iu < 0) or np.any(iu >= ju) or np.any(ju >= n)",
+           "np.any(iu < 0) or np.any(ju >= n)",
+           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_from_edges_validation[iu3-ju3-c3-w3]",)),
+    Mutant("formed-adjacency-writable", ENERGIES,
+           "        A[iu, ju] = c\n        A.flags.writeable = False\n", "        A[iu, ju] = c\n",
+           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_adjacency_formed_on_read",)),
+    Mutant("fine-grid-half-coefficient", EXPERIMENTS,
+           "2.0 * coef, measure.weights", "coef, measure.weights",
+           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_fine_grid_equals_dense_build[64]",
+            f"{T_ACCEPTANCE}::test_criterion_12_discrete_to_continuum")),
+    Mutant("scipy-in-absolute-prox", ENERGIES,
+           "    # absolute loss: minimize",
+           "    import scipy.linalg  # noqa: F401\n    # absolute loss: minimize",
+           (f"{T_STACKING}::TestEquicoercivity::test_stacking_audit_loads_no_scipy",)),
+    # the P0 family's ramp table
+    Mutant("smoothstep-integral-quartic", ENERGIES,
+           "S[k] * (0.5 * t4 - t3 + t)", "S[k] * (0.25 * t4 - t3 + t)",
+           (f"{T_ENERGIES}::TestP0Family::test_cached_matches_exact_quadrature",)),
+    Mutant("ramp-table-cell-term", ENERGIES,
+           "(hd[:-1] - hd[1:]) / 12.0", "(hd[:-1] - hd[1:]) / 6.0",
+           (f"{T_ENERGIES}::TestP0Family::test_cached_matches_exact_quadrature",)),
+    Mutant("hermite-half-end-slope", ENERGIES,
+           "hd[k + 1] * (t3 - t2))", "0.5 * hd[k + 1] * (t3 - t2))",
+           (f"{T_ENERGIES}::TestP0Family::test_smoothstep_matches_bump_quadrature",)),
+    Mutant("ramp-table-built-in-p0-family", ENERGIES,
+           "    return P0TestFunction(a=a, rise_width=w,",
+           "    _ramp_table()\n    return P0TestFunction(a=a, rise_width=w,",
+           (f"{T_ENERGIES}::TestP0Family::test_ramp_table_built_on_first_evaluator_use",)),
+    # CLI error handling
+    Mutant("cli-read-not-caught", "src/gfstack/cli.py",
+           "except (OSError, UnicodeDecodeError) as exc:", "except () as exc:",
+           (f"{T_EXPERIMENTS}::TestCli::test_unreadable_config_is_config_error[missing]",)),
+    Mutant("cli-write-not-caught", "src/gfstack/cli.py",
+           "except OSError as exc:", "except () as exc:",
+           (f"{T_EXPERIMENTS}::TestCli::test_unwritable_out_is_config_error",)),
+    # the TL^p stacking memo
+    Mutant("memo-point-not-copied", STACKING,
+           "return hit[0].copy(), hit[1]", "return hit[0], hit[1]",
+           (f"{T_STACKING}::TestTLpMemo::test_mutating_a_returned_point_changes_no_later_result",)),
+    Mutant("memo-distance-key-without-p", STACKING,
+           "key = (self.p, self._measure_key(e1.measure),", "key = (self._measure_key(e1.measure),",
+           (f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh",)),
+    Mutant("memo-recovery-key-without-p", STACKING,
+           "key = (self.p, mk, nk, x_limit.tobytes())", "key = (mk, nk, x_limit.tobytes())",
+           (f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh",)),
+    Mutant("memo-no-zero-function-store", STACKING,
+           "            self._distances[zero] = d", "            pass",
+           (f"{T_STACKING}::TestTLpMemo::test_zero_gap_reads_the_spatial_solve",)),
+    Mutant("memo-keeps-plan", STACKING,
+           "(barycentric_map(plan, x_limit), plan.stagnation_cost)",
+           "(barycentric_map(plan, x_limit), plan.stagnation_cost, plan)",
+           (f"{T_STACKING}::TestTLpMemo::test_memo_holds_no_dense_plan",)),
+    Mutant("memo-index-key", STACKING,
+           "mk, nk = self._measure_key(mu), self._measure_key(nu)", "mk, nk = idx, limit_idx",
+           (f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh",
+            f"{T_STACKING}::TestTLpMemo::test_stacking_audit_solves_each_problem_once")),
+]
+
+
+def _copy(checkout: Path, dest: Path) -> None:
+    for name in COPIED:
+        src = checkout / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        elif src.is_file():
+            shutil.copy2(src, dest / name)
+    (dest / "_mutants_report.py").write_text(_PLUGIN)
+
+
+def _apply(root: Path, m: Mutant) -> bool:
+    """Apply m in root; False when its old string does not occur exactly once."""
+    path = root / m.path
+    text = path.read_text() if path.is_file() else ""
+    if text.count(m.old) != 1:
+        return False
+    path.write_text(text.replace(m.old, m.new))
+    return True
+
+
+def _run(root: Path, ids):
+    """Run pytest on ids in root: nodeid -> outcome, or None when the run outlasts TIMEOUT_S."""
+    report = root / "_outcomes.json"
+    report.unlink(missing_ok=True)
+    env = dict(os.environ, MUTANTS_REPORT=str(report), MUTANTS_IDS=json.dumps(list(ids)),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    files = sorted({t.split("::")[0] for t in ids})
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "_mutants_report",
+           "--hypothesis-seed=0", *files]
+    try:
+        subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                       timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return json.loads(report.read_text()) if report.is_file() else {}
+
+
+def _fresh(checkout: Path, tmp: Path, label: str) -> Path:
+    root = tmp / label
+    root.mkdir()
+    _copy(checkout, root)
+    return root
+
+
+def check(checkout: Path, mutants) -> int:
+    """Run each mutant's tests on the clean copy, then on the mutant; 0 when all are killed."""
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="gfstack-mutants-") as tmp:
+        tmp = Path(tmp)
+        ids = sorted({t for m in mutants for t in m.tests})
+        clean = _run(_fresh(checkout, tmp, "clean"), ids) or {}
+        not_passing = {t for t in ids if clean.get(t) != "passed"}
+        for t in sorted(not_passing):
+            print(f"CLEAN {clean.get(t, 'missing')}: {t}")
+        for k, m in enumerate(mutants):
+            root = _fresh(checkout, tmp, f"m{k}")
+            if not _apply(root, m):
+                print(f"STALE {m.name}: the old string does not occur once in {m.path}")
+                bad += 1
+                continue
+            if not_passing & set(m.tests):
+                print(f"UNCHECKED {m.name}: a test of it does not pass on the clean copy")
+                bad += 1
+                continue
+            out = _run(root, m.tests)
+            if out is None:
+                print(f"TIMEOUT {m.name}: its tests ran longer than {TIMEOUT_S} s")
+                bad += 1
+                continue
+            alive = [t for t in m.tests if out.get(t) != "failed"]
+            if alive:
+                print(f"SURVIVED {m.name}: {', '.join(alive)}")
+                bad += 1
+            else:
+                print(f"killed {m.name} ({len(m.tests)} tests)")
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
+    return 1 if bad else 0
+
+
+def main(argv) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("names", nargs="*", help="entries to run (default: all)")
+    args = ap.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    return check(args.checkout.resolve(), [by_name[n] for n in args.names] or MUTANTS)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
