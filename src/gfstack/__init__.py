@@ -23,6 +23,7 @@ from .energies import (
     counterexample_functional,
     graph_prox,
     lr_contraction_check,
+    lr_contraction_checks,
     p0_convexity_check,
     p0_family,
     quadratic_map_energy,

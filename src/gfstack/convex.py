@@ -95,6 +95,9 @@ class ProperFunctional:
     the declared lambda-convexity modulus with respect to the weighted norm.
     prox_closed_form(gamma, x), when supplied, is the exact prox, and
     prox_iterated(gamma, n, x) the exact n-fold prox composition.
+    value_rows(U), when supplied, returns F at each row of a (k, dim) array
+    as a length-k array, bitwise equal to value row by row; sampling checks
+    then evaluate their points in one call.
     slope_norm(x), when supplied, returns the minimal-subgradient norm
     inf ||dF(x)|| used for a-priori flow certificates.
     gradient(x), when supplied, is the weighted Riesz gradient of a
@@ -114,6 +117,7 @@ class ProperFunctional:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_hint: Optional[tuple] = None
     name: str = ""
+    value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -300,7 +304,10 @@ def check_lambda_convexity(
     A row with a +inf endpoint counts as checked (its right side is +inf)
     and its midpoint is not evaluated.  A violation (x, y, t, slack) is
     recorded, in row order, whenever the left side exceeds the right side
-    by more than tol.
+    by more than tol.  Points are evaluated by phi.value_rows in one call
+    when it is set, else by phi.value one row at a time; either way a NaN
+    or -inf value, or a value_rows result of the wrong shape, raises
+    ConstructionError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -311,7 +318,13 @@ def check_lambda_convexity(
     t = np.concatenate([[float(c) for _, _, c in triples], ts])
 
     def values(points):
-        v = np.array([float(phi.value(p)) for p in points])
+        if phi.value_rows is None:
+            v = np.array([float(phi.value(p)) for p in points])
+        else:
+            v = np.asarray(phi.value_rows(points), dtype=float)
+            if v.shape != (len(points),):
+                raise ConstructionError(
+                    f"value_rows returned shape {v.shape} for {len(points)} points")
         bad = np.isnan(v) | (v == -np.inf)
         if bad.any():
             raise ConstructionError(f"functional returned {v[bad][0]}; values must lie in (-inf, +inf]")

@@ -617,13 +617,17 @@ def counterexample_functional(lam: float) -> ProperFunctional:
         raise PreconditionError("lam must be nonnegative")
     w = np.array([0.5, 0.5])
 
-    def val(u):
-        u0, u1 = u.tolist()  # Python floats: the same bits as numpy scalars, at a fraction of the cost
-        return (lam + 1.0) * (u0 + u1) ** 2 + 0.5 * lam * (u0 ** 2 + u1 ** 2)
+    def val(u0, u1):
+        # float_power squares by libm pow, as float ** does (ndarray ** 2 multiplies,
+        # which differs in the last bit on about 0.1% of inputs): one point or many
+        # rows give the same bits
+        sq = np.float_power
+        return (lam + 1.0) * sq(u0 + u1, 2.0) + 0.5 * lam * (sq(u0, 2.0) + sq(u1, 2.0))
 
     return ProperFunctional(
         dim=2,
-        value=val,
+        value=lambda u: float(val(u[0], u[1])),
+        value_rows=lambda U: val(U[:, 0], U[:, 1]),
         lam=lam,
         weights=w,
         domain_hint=(np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
@@ -670,14 +674,23 @@ class LrContractionReport:
     ok: bool
 
 
-def lr_contraction_check(ge: GraphEnergy, x, y, t: float, r: float,
-                         tol: float = 1e-6) -> LrContractionReport:
-    """Check that the flow of an exchange-stable graph energy contracts L^r.
+def lr_contraction_checks(ge: GraphEnergy, x, y, t: float, rs,
+                          tol: float = 1e-6) -> list:
+    """Check that the flow of an exchange-stable graph energy contracts L^r, for each r in rs.
 
-    Flows are computed in the weighted L^2 geometry; the solver certificates
-    are converted into an L^r allowance through the weighted L^2 -> sup
-    comparison (factor 1/sqrt(min weight)).
+    The flow is completely accretive (Benilan & Crandall 1991), so one pair
+    of flows from x and y serves every r; one report per r, in order.  t
+    must be finite and >= 0 (S(0) is the identity) and each r in [1, inf];
+    otherwise PreconditionError.  Flows are computed in the weighted L^2
+    geometry; the solver certificates are converted into an L^r allowance
+    through the weighted L^2 -> sup comparison (factor 1/sqrt(min weight)).
     """
+    if not (np.isfinite(t) and t >= 0.0):
+        raise PreconditionError(f"t must be finite and >= 0, got {t}")
+    rs = list(rs)
+    for r in rs:
+        if not 1.0 <= r <= np.inf:
+            raise PreconditionError(f"r must lie in [1, inf], got {r}")
     phi = ge.to_functional()
     x = as_point(x, ge.n_nodes)
     y = as_point(y, ge.n_nodes)
@@ -685,9 +698,18 @@ def lr_contraction_check(ge: GraphEnergy, x, y, t: float, r: float,
     fx = gradient_flow(phi, x, times, tol)
     fy = gradient_flow(phi, y, times, tol)
     ux, uy = fx.trajectory.states[-1], fy.trajectory.states[-1]
-    lhs = weighted_lr_norm(ux - uy, ge.node_weights, r)
-    rhs = weighted_lr_norm(x - y, ge.node_weights, r)
     certs = float(fx.certificates[-1].value + fy.certificates[-1].value)
     allowance = certs / np.sqrt(float(np.min(ge.node_weights))) + 1e-12
-    return LrContractionReport(r=r, lhs=lhs, rhs=rhs, allowance=allowance,
-                               ok=lhs <= rhs + allowance)
+    reports = []
+    for r in rs:
+        lhs = weighted_lr_norm(ux - uy, ge.node_weights, r)
+        rhs = weighted_lr_norm(x - y, ge.node_weights, r)
+        reports.append(LrContractionReport(r=r, lhs=lhs, rhs=rhs, allowance=allowance,
+                                           ok=lhs <= rhs + allowance))
+    return reports
+
+
+def lr_contraction_check(ge: GraphEnergy, x, y, t: float, r: float,
+                         tol: float = 1e-6) -> LrContractionReport:
+    """lr_contraction_checks at the one exponent r."""
+    return lr_contraction_checks(ge, x, y, t, (r,), tol)[0]

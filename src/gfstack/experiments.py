@@ -26,7 +26,7 @@ from .convex import (
 from .energies import (
     GraphEnergy,
     counterexample_demo,
-    lr_contraction_check,
+    lr_contraction_checks,
     p0_convexity_check,
     p0_family,
     quadratic_map_energy,
@@ -450,9 +450,8 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
     for ge in graphs:
         x = rng_lr.normal(size=ge.n_nodes)
         y = rng_lr.normal(size=ge.n_nodes)
-        for r in (1.0, 2.0, 3.0, 4.0, np.inf):
-            rep = lr_contraction_check(ge, x, y, 0.5, r, tol)
-            rows.append(Row("bounds", ge.n_nodes, 0.5, f"lr_contraction:{ge.name}:r={r:g}",
+        for rep in lr_contraction_checks(ge, x, y, 0.5, (1.0, 2.0, 3.0, 4.0, np.inf), tol):
+            rows.append(Row("bounds", ge.n_nodes, 0.5, f"lr_contraction:{ge.name}:r={rep.r:g}",
                             rep.lhs, rep.rhs + rep.allowance, rep.rhs + rep.allowance - rep.lhs,
                             rep.ok))
     return rows

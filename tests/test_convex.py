@@ -384,6 +384,46 @@ def _oracle_cases():
     ]
 
 
+def _report_bits(rep):
+    """(n_checked, violation bits, max slack bits) of a ConvexityReport."""
+    return (rep.n_checked, [tuple(_bits(v) for v in viol) for viol in rep.violations],
+            _bits(rep.max_slack_violation))
+
+
+class TestValueRows:
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("inflated", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_array_path_matches_per_row_path_and_oracle(self, lam, inflated, seed):
+        phi = counterexample_functional(lam)
+        # the exact modulus is 2*lam, along (1, -1); above it the samples violate
+        check_lam = 2.0 * lam + 1.0 if inflated else lam
+        per_row = replace(phi, value_rows=None)
+        triples = [(np.array([-2.0, 1.0]), np.array([2.0, 0.5]), 0.5),
+                   (np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.25)]
+        reps = [check_lambda_convexity(f, check_lam, default_triple_sampler(
+            f, np.random.default_rng(seed)), 300, triples=triples) for f in (phi, per_row)]
+        n, viol, max_slack = _per_triple_check(
+            phi, check_lam, _per_triple_draws(phi, np.random.default_rng(seed), 3.0, 300),
+            triples)
+        oracle = (n, [(_bits(x), _bits(y), _bits(t), _bits(s)) for x, y, t, s in viol],
+                  _bits(max_slack))
+        assert _report_bits(reps[0]) == _report_bits(reps[1]) == oracle
+        assert bool(viol) == inflated
+
+    @pytest.mark.parametrize("bad", [
+        lambda U: np.where(U[:, 0] < 0, np.nan, 0.0),
+        lambda U: np.where(U[:, 0] < 0, -np.inf, 0.0),
+        lambda U: np.zeros(len(U) - 1),
+        lambda U: np.zeros((len(U), 1)),
+    ], ids=["nan", "-inf", "short", "column"])
+    def test_bad_value_rows_raise(self, bad):
+        phi = ProperFunctional(dim=1, value=lambda x: 0.0, weights=[1.0], value_rows=bad)
+        with pytest.raises(ConstructionError):
+            check_lambda_convexity(phi, 0.0, default_triple_sampler(
+                phi, np.random.default_rng(0)), 50)
+
+
 class TestLambdaConvexity:
     @pytest.mark.parametrize("case", range(4))
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -17,12 +17,14 @@ from gfstack.energies import (
     counterexample_functional,
     graph_prox,
     lr_contraction_check,
+    lr_contraction_checks,
     p0_convexity_check,
     p0_family,
     quadratic_map_energy,
     weighted_lr_norm,
 )
 from gfstack.errors import ConstructionError, PreconditionError, SolverDiagnosticError
+from gfstack.flow import gradient_flow
 
 from oracles import grid_prox_2d
 
@@ -231,13 +233,26 @@ class TestCounterexample:
         with pytest.raises(PreconditionError):
             counterexample_functional(-0.5)
 
+    _coordinate = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 1e150, -1e150])
+
+    @given(st.sampled_from([0.0, 1.0, 4.0]),
+           st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_value_rows_bitwise_the_per_row_value(self, lam, points):
+        # |u_i| <= 1e150 keeps every square finite
+        phi = counterexample_functional(lam)
+        U = np.array(points).reshape(-1, 2)
+        want = [float(phi.value(u)).hex() for u in U]
+        assert [float(v).hex() for v in phi.value_rows(U)] == want
+
     @pytest.mark.parametrize("lam", [0.0, 1.0, 4.0])
     def test_value_bitwise_the_numpy_scalar_formula(self, lam):
         phi = counterexample_functional(lam)
         xs, ys, ts = default_triple_sampler(phi, np.random.default_rng(0))(1000)
-        for u in np.vstack([xs, ys, ts[:, None] * xs + (1.0 - ts)[:, None] * ys]):
+        U = np.vstack([xs, ys, ts[:, None] * xs + (1.0 - ts)[:, None] * ys])
+        for u, row in zip(U, phi.value_rows(U)):
             want = (lam + 1.0) * (u[0] + u[1]) ** 2 + 0.5 * lam * (u[0] ** 2 + u[1] ** 2)
-            assert float(phi.value(u)).hex() == float(want).hex()
+            assert float(phi.value(u)).hex() == float(row).hex() == float(want).hex()
 
 
 class TestGraphEnergy:
@@ -666,6 +681,49 @@ class TestEdgeBuiltEnergy:
 
 
 class TestLrContraction:
+    @pytest.mark.parametrize("nodes", [2, 5])
+    def test_batch_equals_per_r_reports(self, nodes, rng):
+        A = rng.random((nodes, nodes))
+        A[np.diag_indices(nodes)] = 0.0
+        ge = GraphEnergy(adjacency=A)
+        x, y = rng.normal(size=nodes), rng.normal(size=nodes)
+        rs = (1.0, 2.0, 3.0, 4.0, np.inf)
+        batch = lr_contraction_checks(ge, x, y, 0.5, rs, tol=1e-6)
+        assert [rep.r for rep in batch] == list(rs)
+        for rep, r in zip(batch, rs):
+            one = lr_contraction_check(ge, x, y, 0.5, r, tol=1e-6)
+            assert [float(v).hex() for v in astuple(rep)] == [float(v).hex() for v in astuple(one)]
+
+    def test_lhs_is_the_distance_of_the_two_flows(self, rng):
+        A = rng.random((5, 5))
+        A[np.diag_indices(5)] = 0.0
+        ge = GraphEnergy(adjacency=A)
+        x, y = rng.normal(size=5), rng.normal(size=5)
+        phi = ge.to_functional()
+        ux, uy = (gradient_flow(phi, z, [0.5], 1e-6).trajectory.states[-1] for z in (x, y))
+        for rep in lr_contraction_checks(ge, x, y, 0.5, (1.0, 3.0, np.inf), tol=1e-6):
+            want = weighted_lr_norm(ux - uy, ge.node_weights, rep.r)
+            assert rep.lhs == want and 0.0 < rep.lhs < rep.rhs
+
+    def test_zero_time_is_the_identity(self):
+        ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rep = lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], 0.0, 2.0)
+        assert rep.ok and rep.lhs == rep.rhs
+
+    @pytest.mark.parametrize("t", [-3.0, -1e-300, np.nan, np.inf])
+    def test_bad_time_rejected(self, t):
+        ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(PreconditionError):
+            lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], t, 2.0)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, np.nan, -np.inf])
+    def test_bad_exponent_rejected(self, r):
+        ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(PreconditionError):
+            lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], 0.5, r)
+        with pytest.raises(PreconditionError):  # one bad r among good ones
+            lr_contraction_checks(ge, [1.0, 0.0], [0.0, 0.0], 0.5, (1.0, r, np.inf))
+
     def test_identical_states(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
         rep = lr_contraction_check(ge, [1.0, 0.0], [1.0, 0.0], 0.5, 2.0)

@@ -3,11 +3,12 @@
 import json
 import re
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
+from gfstack import energies
 from gfstack.cli import main as cli_main
 from gfstack.errors import ConfigError, SolverDiagnosticError
 from gfstack.experiments import (
@@ -388,6 +389,24 @@ class TestExperimentBehaviour:
         rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=0))
         assert len(rows) >= 200
         assert all(r.passed for r in rows)
+
+    def test_bound_suite_samples_and_flows_once(self, monkeypatch):
+        flows, values = [], []
+        flow, functional = energies.gradient_flow, energies.counterexample_functional
+
+        def counted(lam):
+            phi = functional(lam)
+            return replace(phi, value=lambda u: values.append(lam) or phi.value(u))
+
+        monkeypatch.setattr(energies, "gradient_flow", lambda *a: flows.append(a) or flow(*a))
+        monkeypatch.setattr(energies, "counterexample_functional", counted)
+        rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=0))
+        # one flow pair per graph serves its five L^r rows
+        assert sum(r.metric.startswith("lr_contraction:") for r in rows) == 15
+        assert len(flows) == 6
+        # the lambda-convexity samples go through value_rows; only the
+        # exchange check's four points per lam reach value
+        assert sorted(values) == [0.0] * 4 + [4.0] * 4
 
     def test_resolvent_columns_decrease(self):
         rows = run_experiment(ExperimentConfig(kind="resolvent_convergence", seed=0))

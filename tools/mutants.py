@@ -87,13 +87,53 @@ MUTANTS = [
            "x.ndim == 1 and x.dtype == np.float64", "x.ndim == 1",
            (f"{T_CONVEX}::TestSumForms::test_bitwise_the_np_sum_forms",)),
     Mutant("counterexample-coefficient", ENERGIES,
-           "(lam + 1.0) * (u0 + u1) ** 2", "(lam + 1.5) * (u0 + u1) ** 2",
+           "(lam + 1.0) * sq(u0 + u1, 2.0)", "(lam + 1.5) * sq(u0 + u1, 2.0)",
            (f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[1.0]",
             f"{T_ENERGIES}::TestCounterexample::test_slack_at_four")),
     Mutant("empty-sizes-accepted", EXPERIMENTS,
            "if not self.sizes or list(self.sizes)", "if list(self.sizes)",
            (f"{T_EXPERIMENTS}::TestCli::test_nonfinite_or_out_of_range_number_is_config_error"
             "[d2c-sizes =]",)),
+    # array evaluation of the lambda-convexity samples, one flow pair for all L^r rows
+    Mutant("counterexample-quarter-lam", ENERGIES,
+           "+ 0.5 * lam * (sq(u0", "+ 0.25 * lam * (sq(u0",
+           (f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[4.0]",
+            f"{T_ENERGIES}::TestCounterexample::test_slack_at_four")),
+    Mutant("counterexample-squares-multiplied", ENERGIES,
+           "sq = np.float_power", "sq = np.power",
+           (f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[4.0]",)),
+    Mutant("value-rows-ndarray-squares", ENERGIES,
+           "value_rows=lambda U: val(U[:, 0], U[:, 1]),",
+           "value_rows=lambda U: (lam + 1.0) * (U[:, 0] + U[:, 1]) ** 2"
+           " + 0.5 * lam * (U[:, 0] ** 2 + U[:, 1] ** 2),",
+           (f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[0.0]",
+            f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[4.0]")),
+    Mutant("value-rows-one-column", ENERGIES,
+           "val(U[:, 0], U[:, 1])", "val(U[:, 0], U[:, 0])",
+           (f"{T_ENERGIES}::TestCounterexample::test_value_rows_bitwise_the_per_row_value",
+            f"{T_CONVEX}::TestValueRows::test_array_path_matches_per_row_path_and_oracle"
+            "[0-True-4.0]")),
+    Mutant("value-rows-no-shape-check", CONVEX,
+           "            if v.shape != (len(points),):\n"
+           "                raise ConstructionError(\n"
+           '                    f"value_rows returned shape {v.shape} for {len(points)} points")\n',
+           "",
+           (f"{T_CONVEX}::TestValueRows::test_bad_value_rows_raise[short]",
+            f"{T_CONVEX}::TestValueRows::test_bad_value_rows_raise[column]")),
+    Mutant("value-rows-never-used", CONVEX,
+           "if phi.value_rows is None:", "if True:",
+           (f"{T_EXPERIMENTS}::TestExperimentBehaviour::test_bound_suite_samples_and_flows_once",)),
+    Mutant("lr-lhs-ux-for-uy", ENERGIES,
+           "lhs = weighted_lr_norm(ux - uy,", "lhs = weighted_lr_norm(ux - ux,",
+           (f"{T_ENERGIES}::TestLrContraction::test_lhs_is_the_distance_of_the_two_flows",)),
+    Mutant("lr-negative-time-accepted", ENERGIES,
+           "if not (np.isfinite(t) and t >= 0.0):", "if not np.isfinite(t):",
+           (f"{T_ENERGIES}::TestLrContraction::test_bad_time_rejected[-3.0]",
+            f"{T_ENERGIES}::TestLrContraction::test_bad_time_rejected[-1e-300]")),
+    Mutant("lr-exponent-below-one-accepted", ENERGIES,
+           "if not 1.0 <= r <= np.inf:", "if not r <= np.inf:",
+           (f"{T_ENERGIES}::TestLrContraction::test_bad_exponent_rejected[0.0]",
+            f"{T_ENERGIES}::TestLrContraction::test_bad_exponent_rejected[0.5]")),
     # transport (exact-marginal simplex, staircase start, plan checks)
     Mutant("ratio-test-eps-first", TRANSPORT,
            "if s < 0 and tree.flows[(i, j)] < theta:",
