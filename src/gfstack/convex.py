@@ -11,6 +11,7 @@ summing to one, so discrete measures act as the inner-product weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -167,22 +168,27 @@ def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.nda
     """
     mu = 1.0 / gamma + phi.lam
     eps = PROX_RESIDUAL_TOL * (1.0 + phi.norm(x))
+    # the loop runs on Python floats; np.add.reduce is the reduction
+    # ndarray.sum runs, and w*s*s is inner's product order, so every
+    # residual, curvature and step keeps the bits of phi.norm and phi.inner
+    w, gradient, dim, add = phi.weights, phi.gradient, phi.dim, np.add.reduce
 
     def grad_h(y):
-        return as_point(phi.gradient(y), phi.dim) + (y - x) / gamma
+        return as_point(gradient(y), dim) + (y - x) / gamma
 
     y, gy = x, grad_h(x)
-    step, theta = 1.0 / mu, np.inf
+    step, theta = 1.0 / mu, math.inf
     for _ in range(PROX_GRADIENT_MAX_ITER):
-        res = phi.norm(gy) / mu
+        res = math.sqrt(add(w * gy * gy)) / mu
         if res <= eps:
             return y
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             break
         y_next = y - step * gy
         g_next = grad_h(y_next)
         s, r = y_next - y, g_next - gy
-        ss, sr, rr = phi.inner(s, s), phi.inner(s, r), phi.inner(r, r)
+        ws = w * s
+        ss, sr, rr = float(add(ws * s)), float(add(ws * r)), float(add(w * r * r))
         y, gy = y_next, g_next
         if not sr >= 0.5 * mu * ss > 0.0:
             raise SolverDiagnosticError(
@@ -190,7 +196,7 @@ def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.nda
                 f"<s, r> = {sr:.3e} against mu <s, s> = {mu * ss:.3e}",
                 last_iterate=y, residual=phi.norm(gy) / mu,
             )
-        next_step = min(np.sqrt(1.0 + theta) * step, 0.5 * np.sqrt(ss / rr))
+        next_step = min(math.sqrt(1.0 + theta) * step, 0.5 * math.sqrt(ss / rr))
         step, theta = next_step, next_step / step
     res = phi.norm(gy) / mu
     raise SolverDiagnosticError(

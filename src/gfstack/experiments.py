@@ -362,17 +362,17 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
     zoo, graphs = _bound_zoo(rng)
     times = [0.1, 0.25, 0.5, 1.0]
 
-    def energy_rows(name, phi, x0s):
+    def energy_rows(name, phi, flows):
         rows = []
-        for x0 in x0s:
-            for t in times:
-                rep = energy_bound_check(phi, x0, t, tol)
-                rows.append(Row("bounds", phi.dim, t, f"energy_bound:{name}",
+        for flow in flows:
+            bounds = energy_bound_check(phi, flow, tol)
+            decays = decay_rate_check(phi, flow, np.zeros(phi.dim), tol) if phi.lam >= 0 else ()
+            for k, rep in enumerate(bounds):
+                rows.append(Row("bounds", phi.dim, rep.t, f"energy_bound:{name}",
                                 rep.flow_energy, rep.envelope_value, rep.slack, rep.ok))
-                if phi.lam >= 0:
-                    minimizer = np.zeros(phi.dim)
-                    dec = decay_rate_check(phi, x0, minimizer, t, tol)
-                    rows.append(Row("bounds", phi.dim, t, f"decay_rate:{name}",
+                if decays:
+                    dec = decays[k]
+                    rows.append(Row("bounds", phi.dim, dec.t, f"decay_rate:{name}",
                                     dec.lhs, dec.rhs, dec.rhs - dec.lhs, dec.ok))
         return rows
 
@@ -393,15 +393,12 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
                                 abs(nested - direct) <= 1e-7))
         return rows
 
-    def contraction_rows(name, phi, x0s):
+    def contraction_rows(name, phi, flows):
         R = resolvent_from_functional(phi)
-        rows = []
-        for t in (0.25, 1.0):
-            rep = semigroup_contraction_check(R, t, x0s[0], x0s[1], tol)
-            rows.append(Row("bounds", phi.dim, t, f"semigroup_contraction:{name}",
-                            rep.lhs, rep.rhs, rep.rhs - rep.lhs,
-                            rep.ok))
-        return rows
+        return [Row("bounds", phi.dim, rep.t, f"semigroup_contraction:{name}",
+                    rep.lhs, rep.rhs, rep.rhs - rep.lhs, rep.ok)
+                for rep in semigroup_contraction_check(R, flows[0], flows[1])
+                if rep.t in (0.25, 1.0)]
 
     def cl_rows():
         phi = quadratic_functional(lam=1.0)
@@ -440,9 +437,11 @@ def run_bound_suite(cfg: ExperimentConfig) -> List[Row]:
 
     rows: List[Row] = []
     for name, phi, x0s in zoo:
-        rows += energy_rows(name, phi, x0s)
+        # one flow per sample point; the energy, decay and contraction rows all read it
+        flows = [gradient_flow(phi, x0, times, tol) for x0 in x0s]
+        rows += energy_rows(name, phi, flows)
         rows += envelope_rows(name, phi, x0s)
-        rows += contraction_rows(name, phi, x0s)
+        rows += contraction_rows(name, phi, flows)
     rows += cl_rows() + _counterexample_rows("bounds", (0.0, 4.0), cfg.seed + 1) + envelope_limit_rows()
 
     # weighted L^r contraction rows for the graph energies

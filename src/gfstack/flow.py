@@ -2,13 +2,14 @@
 
 The flow is always computed through the exponential formula over the prox
 resolvent (never explicit Euler): unconditional stability plus a usable
-error certificate.  Alongside the trajectory this module provides the
-energy along the flow, a check of the Moreau-envelope upper bound
+error certificate.  gradient_flow computes a flow once, on a time grid; the
+checks here read that result and never flow again:
 
-    F(u(t)) <= [F]^{kappa(t, lam)}(x0),
+    F(u(t)) <= [F]^{kappa(t, lam)}(x0)            (energy_bound_check)
+    F(u(t)) - F(x) <= ||x0 - x||^2 / (2 kappa)    (decay_rate_check)
 
-decay-rate and evolution-variational-inequality diagnostics, and discrete
-metric derivatives.
+each with one report per sample time t > 0, plus an evolution-variational-
+inequality diagnostic and discrete metric derivatives.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .convex import (
     kappa,
     moreau_envelope,
 )
-from .errors import PreconditionError
+from .errors import IntervalError, PreconditionError
 from .semigroup import (
     Certificate,
     Trajectory,
@@ -34,8 +35,9 @@ from .semigroup import (
 
 @dataclass
 class FlowResult:
-    """A computed gradient flow: its trajectory, F along it, and one certificate per sample."""
+    """A computed gradient flow: its start, trajectory, F along it, one certificate per sample."""
 
+    x0: np.ndarray
     trajectory: Trajectory
     energies: np.ndarray
     certificates: list = field(default_factory=list)
@@ -46,7 +48,8 @@ def gradient_flow(phi: ProperFunctional, x0, times, tol: float = 1e-6) -> FlowRe
 
     Each sample is an independent exponential-formula evaluation over the
     prox resolvent with accretivity modulus omega = -lam; energies[k] is
-    F(u(t_k)).  The Moreau-envelope bound on it is energy_bound_check's.
+    F(u(t_k)).  A non-finite time raises IntervalError and a non-finite tol
+    PreconditionError (crandall_liggett's).  The checks below read the result.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -64,11 +67,21 @@ def gradient_flow(phi: ProperFunctional, x0, times, tol: float = 1e-6) -> FlowRe
         states=np.asarray(states),
         error_bounds=np.asarray([c.value for c in certs]),
     )
-    return FlowResult(trajectory=traj, energies=np.asarray(energies), certificates=certs)
+    return FlowResult(x0=x0.copy(), trajectory=traj, energies=np.asarray(energies),
+                      certificates=certs)
+
+
+def _positive_samples(flow: FlowResult):
+    """(k, t) for each sample time t > 0; IntervalError on a non-finite or negative time."""
+    times = flow.trajectory.times
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise IntervalError(f"sample times must be finite and nonnegative, got {times}")
+    return [(k, float(t)) for k, t in enumerate(times) if t > 0.0]
 
 
 @dataclass
 class BoundReport:
+    t: float
     flow_energy: float
     envelope_value: float
     slack: float
@@ -76,46 +89,49 @@ class BoundReport:
     certificate: Certificate
 
 
-def energy_bound_check(phi: ProperFunctional, x0, t: float, tol: float = 1e-6) -> BoundReport:
-    """slack = [F]^{kappa(t,lam)}(x0) - F(u(t)); the bound demands slack >= -tol."""
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    x0 = as_point(x0, phi.dim)
-    R = resolvent_from_functional(phi)
-    u, cert = crandall_liggett(R, t, x0, tol)
-    flow_energy = phi.evaluate(u)
-    envelope_value = moreau_envelope(phi, kappa(t, phi.lam), x0)
-    slack = envelope_value - flow_energy
-    return BoundReport(
-        flow_energy=flow_energy,
-        envelope_value=envelope_value,
-        slack=slack,
-        ok=slack >= -tol,
-        certificate=cert,
-    )
+def energy_bound_check(phi: ProperFunctional, flow: FlowResult, tol: float = 1e-6) -> list:
+    """One BoundReport per sample time t > 0 of flow, the flow of phi from flow.x0.
+
+    slack = [F]^{kappa(t,lam)}(x0) - F(u(t)); the bound demands slack >= -tol.
+    F(u(t)) and the certificate are the flow's own, so nothing is flowed again.
+    """
+    reports = []
+    for k, t in _positive_samples(flow):
+        flow_energy = float(flow.energies[k])
+        envelope_value = moreau_envelope(phi, kappa(t, phi.lam), flow.x0)
+        slack = envelope_value - flow_energy
+        reports.append(BoundReport(t=t, flow_energy=flow_energy, envelope_value=envelope_value,
+                                   slack=slack, ok=slack >= -tol,
+                                   certificate=flow.certificates[k]))
+    return reports
 
 
 @dataclass
 class DecayReport:
+    t: float
     lhs: float
     rhs: float
     ok: bool
 
 
-def decay_rate_check(phi: ProperFunctional, x0, x, t: float, tol: float = 1e-6) -> DecayReport:
-    """Check F(u(t)) - F(x) <= ||x0 - x||^2 / (2 kappa(t, lam)) for lam >= 0."""
+def decay_rate_check(phi: ProperFunctional, flow: FlowResult, x, tol: float = 1e-6) -> list:
+    """Check F(u(t)) - F(x) <= ||x0 - x||^2 / (2 kappa(t, lam)) for lam >= 0.
+
+    One DecayReport per sample time t > 0 of flow, the flow of phi from
+    flow.x0; F(u(t)) is the flow's own and F(x) is evaluated once.
+    """
     if phi.lam < 0:
         raise PreconditionError("decay rate bound requires lam >= 0")
-    if t <= 0:
-        raise PreconditionError("t must be positive")
-    x0 = as_point(x0, phi.dim)
+    samples = _positive_samples(flow)
     x = as_point(x, phi.dim)
-    R = resolvent_from_functional(phi)
-    u, _ = crandall_liggett(R, t, x0, tol)
-    lhs = phi.evaluate(u) - phi.evaluate(x)
-    d = phi.norm(x0 - x)
-    rhs = d * d / (2.0 * kappa(t, phi.lam))
-    return DecayReport(lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
+    fx = phi.evaluate(x)
+    d = phi.norm(flow.x0 - x)
+    reports = []
+    for k, t in samples:
+        lhs = float(flow.energies[k]) - fx
+        rhs = d * d / (2.0 * kappa(t, phi.lam))
+        reports.append(DecayReport(t=t, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol))
+    return reports
 
 
 @dataclass

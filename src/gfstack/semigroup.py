@@ -136,15 +136,17 @@ def crandall_liggett(R: ResolventOperator, t: float, x, tol: float):
     bound is a certified a-priori error.  Otherwise n doubles until
     consecutive iterates agree within tol/2 and the returned estimate is the
     requested tol with the certified flag cleared; past DOUBLING_CAP it
-    raises SolverDiagnosticError with the last gap as the residual.
+    raises SolverDiagnosticError with the last gap as the residual.  A
+    non-finite or negative t raises IntervalError, a tol that is not finite
+    and positive PreconditionError.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise PreconditionError(f"tol must be finite and positive, got {tol}")
     x = as_point(x, R.dim)
     if t == 0.0:
         return x.copy(), Certificate(0.0, True, 0)
-    if t < 0:
-        raise IntervalError("t must be nonnegative")
+    if not 0.0 < t < np.inf:
+        raise IntervalError(f"t must be finite and nonnegative, got {t}")
 
     if R.inf_norm_A is not None:
         M = float(R.inf_norm_A(x))
@@ -232,22 +234,36 @@ def eps_approximate_solution(R: ResolventOperator, partition, x) -> Trajectory:
 
 @dataclass
 class ContractionReport:
+    t: float
     lhs: float
     rhs: float
     ok: bool
     certificates: tuple
 
 
-def semigroup_contraction_check(
-    R: ResolventOperator, t: float, x, y, tol: float
-) -> ContractionReport:
-    """Check ||S(t)x - S(t)y|| <= e^{omega t} ||x - y|| up to solver tolerance."""
-    ux, cx = crandall_liggett(R, t, x, tol)
-    uy, cy = crandall_liggett(R, t, y, tol)
-    lhs = R.norm(ux - uy)
-    rhs = float(np.exp(R.omega * t)) * R.norm(as_point(x, R.dim) - as_point(y, R.dim))
-    ok = lhs <= rhs + cx.value + cy.value + 1e-12
-    return ContractionReport(lhs=lhs, rhs=rhs, ok=ok, certificates=(cx, cy))
+def semigroup_contraction_check(R: ResolventOperator, fx, fy) -> list:
+    """Check ||S(t)x - S(t)y|| <= e^{omega t} ||x - y|| up to the solver certificates.
+
+    fx and fy are flows of R from x = fx.x0 and y = fy.x0 on one time grid,
+    as flow.gradient_flow returns them (x0, trajectory, certificates); they
+    are read, not recomputed.  One report per sample time.  Two grids that
+    differ raise PreconditionError, a non-finite or negative time IntervalError.
+    """
+    times = fx.trajectory.times
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise IntervalError(f"sample times must be finite and nonnegative, got {times}")
+    if not np.array_equal(times, fy.trajectory.times):
+        raise PreconditionError("the two flows must share one time grid")
+    d = R.norm(as_point(fx.x0, R.dim) - as_point(fy.x0, R.dim))
+    reports = []
+    for k, t in enumerate(times):
+        t = float(t)
+        cx, cy = fx.certificates[k], fy.certificates[k]
+        lhs = R.norm(fx.trajectory.states[k] - fy.trajectory.states[k])
+        rhs = float(np.exp(R.omega * t)) * d
+        ok = lhs <= rhs + cx.value + cy.value + 1e-12
+        reports.append(ContractionReport(t=t, lhs=lhs, rhs=rhs, ok=ok, certificates=(cx, cy)))
+    return reports
 
 
 def resolvent_from_functional(phi: ProperFunctional) -> ResolventOperator:

@@ -80,3 +80,33 @@ def backward_euler_flow(prox_fn, x0, t, n_steps):
     for _ in range(n_steps):
         y = prox_fn(dt, y)
     return y
+
+
+def gradient_prox_loop(phi, gamma, x, max_iter=1000, tol=1e-10):
+    """Reference for convex._gradient_prox: the same Malitsky-Mishchenko steps
+    written with phi.norm, phi.inner and np.sqrt; returns the certified point
+    or None when the reference loop would stop without one."""
+    mu = 1.0 / gamma + phi.lam
+    eps = tol * (1.0 + phi.norm(x))
+
+    def grad_h(y):
+        return np.asarray(phi.gradient(y), dtype=float) + (y - x) / gamma
+
+    y, gy = x, grad_h(x)
+    step, theta = 1.0 / mu, np.inf
+    for _ in range(max_iter):
+        res = phi.norm(gy) / mu
+        if res <= eps:
+            return y
+        if not np.isfinite(res):
+            return None
+        y_next = y - step * gy
+        g_next = grad_h(y_next)
+        s, r = y_next - y, g_next - gy
+        ss, sr, rr = phi.inner(s, s), phi.inner(s, r), phi.inner(r, r)
+        y, gy = y_next, g_next
+        if not sr >= 0.5 * mu * ss > 0.0:
+            return None
+        next_step = min(np.sqrt(1.0 + theta) * step, 0.5 * np.sqrt(ss / rr))
+        step, theta = next_step, next_step / step
+    return None

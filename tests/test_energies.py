@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfstack import energies
@@ -238,6 +238,10 @@ class TestCounterexample:
     @given(st.sampled_from([0.0, 1.0, 4.0]),
            st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
+    # rows where ndarray ** 2 (a multiply) and pow differ in the last bit; about
+    # 0.1% of inputs do, too few for the derandomized draws to meet one
+    @example(0.0, [(1.8011554613610317, -0.6233673046511057)])
+    @example(4.0, [(-1.43721851832041, -1.821302512912592)])
     def test_value_rows_bitwise_the_per_row_value(self, lam, points):
         # |u_i| <= 1e150 keeps every square finite
         phi = counterexample_functional(lam)

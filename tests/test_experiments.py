@@ -8,7 +8,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from gfstack import energies
+from gfstack import energies, experiments, flow, semigroup
 from gfstack.cli import main as cli_main
 from gfstack.errors import ConfigError, SolverDiagnosticError
 from gfstack.experiments import (
@@ -407,6 +407,23 @@ class TestExperimentBehaviour:
         # the lambda-convexity samples go through value_rows; only the
         # exchange check's four points per lam reach value
         assert sorted(values) == [0.0] * 4 + [4.0] * 4
+
+    def test_bound_suite_flows_each_sample_once(self, monkeypatch):
+        # 7 zoo members x 2 points x 4 times, read by the energy, decay and
+        # contraction rows alike, plus the 3 graphs' L^r flow pairs at t = 0.5
+        calls = []
+        original = semigroup.crandall_liggett
+
+        def counted(R, t, x, tol):
+            calls.append((R.name, R.omega, np.asarray(x, dtype=float).tobytes(), float(t)))
+            return original(R, t, x, tol)
+
+        for module in (semigroup, flow, experiments):
+            monkeypatch.setattr(module, "crandall_liggett", counted)
+        rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=0))
+        assert len(rows) == 211 and all(r.passed for r in rows)
+        assert len(calls) == 56 + 6
+        assert len(set(calls)) == len(calls)
 
     def test_resolvent_columns_decrease(self):
         rows = run_experiment(ExperimentConfig(kind="resolvent_convergence", seed=0))

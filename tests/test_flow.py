@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from gfstack.convex import abs_functional, kappa, quadratic_functional
+from gfstack.convex import abs_functional, kappa, moreau_envelope, quadratic_functional
 from gfstack.energies import GraphEnergy, graph_prox
-from gfstack.errors import PreconditionError
+from gfstack.errors import IntervalError, PreconditionError
 from gfstack.flow import (
     FlowResult,
     decay_rate_check,
@@ -14,9 +14,26 @@ from gfstack.flow import (
     gradient_flow,
     metric_derivative,
 )
-from gfstack.semigroup import Trajectory
+from gfstack.semigroup import (
+    Trajectory,
+    crandall_liggett,
+    resolvent_from_functional,
+    semigroup_contraction_check,
+)
 
 from oracles import backward_euler_flow
+
+
+def one_bound(phi, x0, t, tol=1e-6):
+    """energy_bound_check's report on the flow of phi from x0 sampled at the one time t."""
+    (rep,) = energy_bound_check(phi, gradient_flow(phi, x0, [t], tol), tol)
+    return rep
+
+
+def one_decay(phi, x0, x, t, tol=1e-6):
+    """decay_rate_check's report on the flow of phi from x0 sampled at the one time t."""
+    (rep,) = decay_rate_check(phi, gradient_flow(phi, x0, [t], tol), x, tol)
+    return rep
 
 
 class TestGradientFlow:
@@ -53,9 +70,10 @@ class TestGradientFlow:
         x0, times = rng.normal(size=5), np.linspace(0, 1, 11)
         res = gradient_flow(phi, x0, times, tol=1e-7)
         assert np.all(np.diff(res.energies) <= 1e-10)
-        for t, energy in zip(times[1:], res.energies[1:]):
-            rep = energy_bound_check(phi, x0, t, tol=1e-7)
-            assert rep.flow_energy == energy  # the same resolvent iterate
+        reports = energy_bound_check(phi, res, tol=1e-7)
+        assert [rep.t for rep in reports] == times[1:].tolist()  # t = 0 has no bound
+        for energy, rep in zip(res.energies[1:], reports):
+            assert rep.flow_energy == energy  # read from the flow, not flowed again
             assert energy <= rep.envelope_value + 1e-7
 
     def test_flow_contraction(self, rng):
@@ -81,7 +99,7 @@ class TestGradientFlow:
 class TestEnergyBound:
     def test_quadratic_gap_formula(self):
         q = quadratic_functional(lam=1.0)
-        rep = energy_bound_check(q, 1.0, 1.0)
+        rep = one_bound(q, 1.0, 1.0)
         assert rep.ok
         assert abs(rep.flow_energy - 0.5 * np.exp(-2.0)) < 1e-6
         assert abs(rep.envelope_value - 1.0 / (1.0 + np.e**2)) < 1e-9
@@ -90,13 +108,13 @@ class TestEnergyBound:
 
     def test_slack_zero_at_minimizer(self):
         q = quadratic_functional(lam=1.0)
-        rep = energy_bound_check(q, 0.0, 0.7)
+        rep = one_bound(q, 0.0, 0.7)
         assert rep.ok and abs(rep.slack) < 1e-12
 
     def test_two_node_graph_against_euler_oracle(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
         phi = ge.to_functional()
-        rep = energy_bound_check(phi, [1.0, 0.0], 0.5, tol=1e-7)
+        rep = one_bound(phi, [1.0, 0.0], 0.5, tol=1e-7)
         assert rep.ok and rep.slack >= 0
         oracle_state = backward_euler_flow(lambda dt, y: graph_prox(ge, dt, y),
                                            [1.0, 0.0], 0.5, 2000)
@@ -104,36 +122,36 @@ class TestEnergyBound:
 
     def test_gap_shrinks_as_time_vanishes(self):
         q = quadratic_functional(lam=1.0)
-        slacks = [energy_bound_check(q, 1.0, t).slack for t in (0.5, 0.1, 0.05, 0.01)]
-        assert np.all(np.diff(slacks) < 0)
-        assert slacks[-1] < 1e-2
+        reports = energy_bound_check(q, gradient_flow(q, 1.0, [0.01, 0.05, 0.1, 0.5]))
+        slacks = [rep.slack for rep in reports]
+        assert np.all(np.diff(slacks) > 0)
+        assert slacks[0] < 1e-2
         # both envelope and flow energy approach the value at the start
-        rep = energy_bound_check(q, 1.0, 0.01)
-        assert abs(rep.envelope_value - q.evaluate(1.0)) < 2e-2
+        assert abs(reports[0].envelope_value - q.evaluate(1.0)) < 2e-2
 
     def test_observed_gap_recorded_one_sided_only(self):
         # sharpness of the bound is open: assert one-sidedness, record the gap
         q = quadratic_functional(lam=3.0)
-        rep = energy_bound_check(q, 2.0, 0.7)
+        rep = one_bound(q, 2.0, 0.7)
         assert rep.ok and rep.slack > 0
 
 
 class TestDecayRate:
     def test_quadratic_rate(self):
         q = quadratic_functional(lam=1.0)
-        rep = decay_rate_check(q, 1.0, 0.0, 1.0)
+        rep = one_decay(q, 1.0, 0.0, 1.0)
         assert rep.ok
         assert abs(rep.lhs - 0.5 * np.exp(-2.0)) < 1e-6
         assert abs(rep.rhs - 1.0 / (2.0 * kappa(1.0, 1.0))) < 1e-12
 
     def test_same_point_trivial(self):
         q = quadratic_functional(lam=1.0)
-        rep = decay_rate_check(q, 0.0, 0.0, 2.0)
+        rep = one_decay(q, 0.0, 0.0, 2.0)
         assert rep.ok and rep.lhs <= 0 and rep.rhs == 0.0
 
     def test_abs_flow_rate(self):
         a = abs_functional()
-        rep = decay_rate_check(a, 2.0, 0.0, 1.0)
+        rep = one_decay(a, 2.0, 0.0, 1.0)
         assert rep.ok
         assert abs(rep.lhs - 1.0) < 1e-8
         assert abs(rep.rhs - 2.0) < 1e-12
@@ -142,9 +160,9 @@ class TestDecayRate:
         from gfstack.convex import ProperFunctional
 
         soft = ProperFunctional(dim=1, value=lambda x: -0.1 * x[0] ** 2, lam=-0.2,
-                                weights=[1.0])
+                                weights=[1.0], prox_closed_form=lambda g, x: x / (1.0 - 0.2 * g))
         with pytest.raises(PreconditionError):
-            decay_rate_check(soft, 1.0, 0.0, 1.0)
+            decay_rate_check(soft, gradient_flow(soft, 1.0, [1.0]), 0.0)
 
 
 class TestEviResidual:
@@ -176,7 +194,7 @@ class TestEviResidual:
             states.append(graph_prox(ge, float(dt), states[-1]))
         traj = Trajectory(times=times, states=np.asarray(states),
                           error_bounds=np.full(len(times), 1e-9))
-        flow = FlowResult(trajectory=traj,
+        flow = FlowResult(x0=states[0], trajectory=traj,
                           energies=np.asarray([phi.evaluate(s) for s in states]))
         rep = evi_residual(flow, phi, np.zeros(3))
         assert rep.ok
@@ -251,7 +269,7 @@ class TestConstrainedFunctional:
         assert np.allclose(res.trajectory.states[:, 0], 1.0, atol=1e-6)
         assert np.all(res.energies == 0.0)
         # envelope bound degenerates to equality inside the domain
-        rep = energy_bound_check(box, 0.5, 1.0, tol=1e-6)
+        rep = one_bound(box, 0.5, 1.0, tol=1e-6)
         assert rep.ok and abs(rep.slack) < 1e-6
 
 
@@ -262,7 +280,7 @@ class TestCheckerSensitivity:
         ts = np.linspace(0.0, 1.0, 21)
         states = np.exp(+ts)[:, None]  # expanding, not contracting
         traj = Trajectory(times=ts, states=states, error_bounds=np.zeros(len(ts)))
-        fake = FlowResult(trajectory=traj,
+        fake = FlowResult(x0=states[0], trajectory=traj,
                           energies=np.asarray([q.evaluate(s) for s in states]))
         rep = evi_residual(fake, q, 0.0)
         assert not rep.ok and rep.violation > 1.0
@@ -273,7 +291,101 @@ class TestCheckerSensitivity:
         ts = np.linspace(0.0, 1.0, 21)
         states = np.exp(-ts / 4.0)[:, None]
         traj = Trajectory(times=ts, states=states, error_bounds=np.zeros(len(ts)))
-        fake = FlowResult(trajectory=traj,
+        fake = FlowResult(x0=states[0], trajectory=traj,
                           energies=np.asarray([q.evaluate(s) for s in states]))
         rep = evi_residual(fake, q, 0.0)
         assert not rep.ok
+
+
+def _graph16():
+    A = np.random.default_rng(16).random((16, 16))
+    A[np.diag_indices(16)] = 0.0
+    return GraphEnergy(adjacency=A, name="graph16").to_functional()
+
+
+class TestChecksReadTheFlow:
+    """The checks read one computed flow; their reports are bitwise the one-off recomputation."""
+
+    @pytest.mark.parametrize("make, x0s", [
+        (lambda: quadratic_functional(lam=0.5), ([1.0], [-2.0])),
+        (abs_functional, ([2.0], [-1.5])),
+        (_graph16, tuple(np.random.default_rng(3).normal(size=(2, 16)))),
+    ], ids=["quadratic", "abs", "graph16"])
+    def test_reports_equal_one_off_recomputation(self, make, x0s):
+        phi, tol, times = make(), 1e-6, [0.0, 0.1, 0.25, 0.5, 1.0]
+        R = resolvent_from_functional(phi)
+        x0s = [np.asarray(x0, dtype=float) for x0 in x0s]
+        flows = [gradient_flow(phi, x0, times, tol) for x0 in x0s]
+        minimizer = np.zeros(phi.dim)
+        for x0, flow in zip(x0s, flows):
+            bounds = energy_bound_check(phi, flow, tol)
+            decays = decay_rate_check(phi, flow, minimizer, tol)
+            assert [r.t for r in bounds] == [r.t for r in decays] == times[1:]
+            for rep, dec in zip(bounds, decays):
+                u, cert = crandall_liggett(R, rep.t, x0, tol)
+                energy = phi.evaluate(u)
+                envelope = moreau_envelope(phi, kappa(rep.t, phi.lam), x0)
+                assert (rep.flow_energy, rep.envelope_value) == (energy, envelope)
+                assert (rep.slack, rep.ok, rep.certificate) == (envelope - energy,
+                                                                envelope - energy >= -tol, cert)
+                lhs = energy - phi.evaluate(minimizer)
+                d = phi.norm(x0 - minimizer)
+                rhs = d * d / (2.0 * kappa(rep.t, phi.lam))
+                assert (dec.lhs, dec.rhs, dec.ok) == (lhs, rhs, lhs <= rhs + tol)
+        reports = semigroup_contraction_check(R, *flows)
+        assert [r.t for r in reports] == times
+        for rep in reports:
+            (ux, cx), (uy, cy) = (crandall_liggett(R, rep.t, x0, tol) for x0 in x0s)
+            lhs = R.norm(ux - uy)
+            rhs = float(np.exp(R.omega * rep.t)) * R.norm(x0s[0] - x0s[1])
+            assert (rep.lhs, rep.rhs, rep.certificates) == (lhs, rhs, (cx, cy))
+            assert rep.ok == (lhs <= rhs + cx.value + cy.value + 1e-12)
+
+    def test_contraction_needs_one_grid(self):
+        q = quadratic_functional(lam=1.0)
+        R = resolvent_from_functional(q)
+        with pytest.raises(PreconditionError):
+            semigroup_contraction_check(R, gradient_flow(q, 1.0, [0.5]),
+                                        gradient_flow(q, 0.0, [1.0]))
+
+
+class TestNonFiniteTime:
+    """A non-finite time raises IntervalError and a non-finite tol PreconditionError."""
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_gradient_flow(self, t):
+        q = quadratic_functional(lam=1.0)
+        with pytest.raises(IntervalError):
+            gradient_flow(q, 1.0, [0.5, t])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_gradient_flow_tol(self, tol):
+        with pytest.raises(PreconditionError):
+            gradient_flow(quadratic_functional(lam=1.0), 1.0, [0.5], tol)
+
+    @staticmethod
+    def _flow_at(t):
+        # a flow record whose second sample time is t; Trajectory does not reject it
+        q = quadratic_functional(lam=1.0)
+        flow = gradient_flow(q, 1.0, [0.5, 1.0])
+        traj = Trajectory(times=[0.5, t], states=flow.trajectory.states)
+        return q, FlowResult(x0=flow.x0, trajectory=traj, energies=flow.energies,
+                             certificates=flow.certificates)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_energy_bound_check(self, t):
+        q, flow = self._flow_at(t)
+        with pytest.raises(IntervalError):
+            energy_bound_check(q, flow)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_decay_rate_check(self, t):
+        q, flow = self._flow_at(t)
+        with pytest.raises(IntervalError):
+            decay_rate_check(q, flow, 0.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_semigroup_contraction_check(self, t):
+        q, flow = self._flow_at(t)
+        with pytest.raises(IntervalError):
+            semigroup_contraction_check(resolvent_from_functional(q), flow, flow)

@@ -8,6 +8,7 @@ import pytest
 from gfstack import semigroup
 from gfstack.convex import abs_functional, quadratic_functional
 from gfstack.errors import IntervalError, PreconditionError, SolverDiagnosticError
+from gfstack.flow import gradient_flow
 from gfstack.semigroup import (
     ResolventOperator,
     check_accretive,
@@ -152,6 +153,19 @@ class TestCrandallLiggett:
         u, cert = crandall_liggett(quad_resolvent, 0.0, 0.7, 1e-9)
         assert u[0] == 0.7 and cert.value == 0.0
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_interval_error(self, quad_resolvent, zero_resolvent, t):
+        # both the a-priori path and the doubling path refuse before any work
+        bare = ResolventOperator(dim=1, omega=-1.0, resolve=lambda lam, x: x / (1 + lam))
+        for R in (quad_resolvent, zero_resolvent, bare):
+            with pytest.raises(IntervalError):
+                crandall_liggett(R, t, np.zeros(R.dim), 1e-6)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
+    def test_tol_not_finite_positive_is_precondition_error(self, quad_resolvent, tol):
+        with pytest.raises(PreconditionError):
+            crandall_liggett(quad_resolvent, 1.0, 1.0, tol)
+
 
 class TestCheckAccretive:
     def test_gradient_pairs_pass(self):
@@ -196,14 +210,18 @@ class TestEpsApproximateSolution:
 
 class TestSemigroupStructure:
     def test_contraction_quadratic_tight(self, quad_resolvent):
-        rep = semigroup_contraction_check(quad_resolvent, 1.0, 1.0, 0.0, 1e-8)
+        q = quadratic_functional(lam=1.0)
+        (rep,) = semigroup_contraction_check(quad_resolvent, *(gradient_flow(q, z, [1.0], 1e-8)
+                                                               for z in (1.0, 0.0)))
         assert rep.ok
         # the linear flow contracts exactly at rate e^{-t}
         assert abs(rep.lhs - rep.rhs) < 1e-6
         assert abs(rep.rhs - np.exp(-1.0)) < 1e-14
 
     def test_contraction_trivial_pair(self, quad_resolvent):
-        rep = semigroup_contraction_check(quad_resolvent, 0.5, 0.3, 0.3, 1e-8)
+        q = quadratic_functional(lam=1.0)
+        flow = gradient_flow(q, 0.3, [0.5], 1e-8)
+        (rep,) = semigroup_contraction_check(quad_resolvent, flow, flow)
         assert rep.ok and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_contraction_graph_energy(self, rng):
@@ -211,9 +229,11 @@ class TestSemigroupStructure:
 
         A = rng.random((4, 4))
         A[np.diag_indices(4)] = 0.0
-        R = resolvent_from_functional(GraphEnergy(adjacency=A).to_functional())
+        phi = GraphEnergy(adjacency=A).to_functional()
+        R = resolvent_from_functional(phi)
         x, y = rng.normal(size=4), rng.normal(size=4)
-        rep = semigroup_contraction_check(R, 0.5, x, y, 1e-6)
+        flows = [gradient_flow(phi, z, [0.5], 1e-6) for z in (x, y)]
+        (rep,) = semigroup_contraction_check(R, *flows)
         assert rep.ok
         assert rep.lhs <= R.norm(x - y) + 1e-6  # omega = 0: plain contraction
 

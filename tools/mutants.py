@@ -9,7 +9,8 @@ pyproject.toml to a temporary directory, runs the listed tests of the chosen
 entries (all by default) once on that clean copy, where every one must pass,
 and then, for each entry, applies the mutant to a fresh copy and runs only
 its tests there.  A mutant is killed when every one of its tests fails.
-Hypothesis runs with a fixed seed, so a result repeats.
+Hypothesis runs derandomized (tests/conftest.py) and with a fixed seed, so a
+result repeats.
 
 It prints one line per entry and exits 1 when a mutant survives or times
 out, its old string no longer occurs exactly once, or one of its tests is
@@ -66,6 +67,8 @@ class Mutant(NamedTuple):
 
 
 ENERGIES, CONVEX = "src/gfstack/energies.py", "src/gfstack/convex.py"
+FLOW, SEMIGROUP = "src/gfstack/flow.py", "src/gfstack/semigroup.py"
+T_FLOW, T_SEMIGROUP = "tests/test_flow.py", "tests/test_semigroup.py"
 TRANSPORT, STACKING = "src/gfstack/transport.py", "src/gfstack/stacking.py"
 T_ENERGIES, T_CONVEX = "tests/test_energies.py", "tests/test_convex.py"
 T_TRANSPORT, T_STACKING = "tests/test_transport.py", "tests/test_stacking.py"
@@ -107,7 +110,8 @@ MUTANTS = [
            "value_rows=lambda U: (lam + 1.0) * (U[:, 0] + U[:, 1]) ** 2"
            " + 0.5 * lam * (U[:, 0] ** 2 + U[:, 1] ** 2),",
            (f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[0.0]",
-            f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[4.0]")),
+            f"{T_ENERGIES}::TestCounterexample::test_value_bitwise_the_numpy_scalar_formula[4.0]",
+            f"{T_ENERGIES}::TestCounterexample::test_value_rows_bitwise_the_per_row_value")),
     Mutant("value-rows-one-column", ENERGIES,
            "val(U[:, 0], U[:, 1])", "val(U[:, 0], U[:, 0])",
            (f"{T_ENERGIES}::TestCounterexample::test_value_rows_bitwise_the_per_row_value",
@@ -134,6 +138,41 @@ MUTANTS = [
            "if not 1.0 <= r <= np.inf:", "if not r <= np.inf:",
            (f"{T_ENERGIES}::TestLrContraction::test_bad_exponent_rejected[0.0]",
             f"{T_ENERGIES}::TestLrContraction::test_bad_exponent_rejected[0.5]")),
+    # one flow per (functional, x0) in bound_suite, read by every check; the lean gradient prox
+    Mutant("decay-row-previous-energy", FLOW,
+           "lhs = float(flow.energies[k]) - fx", "lhs = float(flow.energies[k - 1]) - fx",
+           (f"{T_FLOW}::TestChecksReadTheFlow::test_reports_equal_one_off_recomputation[quadratic]",
+            f"{T_FLOW}::TestChecksReadTheFlow::test_reports_equal_one_off_recomputation[abs]")),
+    Mutant("contraction-one-flow-for-both-points", SEMIGROUP,
+           "fx.trajectory.states[k] - fy.trajectory.states[k]",
+           "fx.trajectory.states[k] - fx.trajectory.states[k]",
+           (f"{T_FLOW}::TestChecksReadTheFlow::test_reports_equal_one_off_recomputation[graph16]",
+            f"{T_SEMIGROUP}::TestSemigroupStructure::test_contraction_quadratic_tight")),
+    Mutant("contraction-rows-flow-again", EXPERIMENTS,
+           "semigroup_contraction_check(R, flows[0], flows[1])",
+           "semigroup_contraction_check(R, *(gradient_flow(phi, f.x0, times, tol) for f in flows))",
+           (f"{T_EXPERIMENTS}::TestExperimentBehaviour::test_bound_suite_flows_each_sample_once",)),
+    Mutant("prox-curvature-ws-times-s", CONVEX,
+           "float(add(ws * r))", "float(add(ws * s))",
+           (f"{T_CONVEX}::TestGradientProx::test_nested_graph_envelope_points_are_certified",
+            f"{T_CONVEX}::TestGradientProx::test_nested_prox_bitwise_the_reference_loop",
+            f"{T_EXPERIMENTS}::TestDeterminism::test_bound_suite_seed_12_completes")),
+    Mutant("cl-non-finite-t-accepted", SEMIGROUP,
+           "if not 0.0 < t < np.inf:", "if t < 0:",
+           (f"{T_SEMIGROUP}::TestCrandallLiggett::test_non_finite_time_is_interval_error[nan]",
+            f"{T_SEMIGROUP}::TestCrandallLiggett::test_non_finite_time_is_interval_error[inf]",
+            f"{T_FLOW}::TestNonFiniteTime::test_gradient_flow[inf]")),
+    Mutant("cl-non-finite-tol-accepted", SEMIGROUP,
+           "if not 0.0 < tol < np.inf:", "if tol <= 0:",
+           (f"{T_SEMIGROUP}::TestCrandallLiggett::test_tol_not_finite_positive_is_precondition_error"
+            "[nan]",
+            f"{T_SEMIGROUP}::TestCrandallLiggett::test_tol_not_finite_positive_is_precondition_error"
+            "[inf]",
+            f"{T_FLOW}::TestNonFiniteTime::test_gradient_flow_tol[nan]")),
+    Mutant("flow-checks-accept-non-finite-time", FLOW,
+           "if not np.all(np.isfinite(times) & (times >= 0.0)):", "if False:",
+           (f"{T_FLOW}::TestNonFiniteTime::test_energy_bound_check[nan]",
+            f"{T_FLOW}::TestNonFiniteTime::test_decay_rate_check[inf]")),
     # transport (exact-marginal simplex, staircase start, plan checks)
     Mutant("ratio-test-eps-first", TRANSPORT,
            "if s < 0 and tree.flows[(i, j)] < theta:",
