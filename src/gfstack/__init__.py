@@ -77,7 +77,6 @@ from .transport import (
     dump_tlp_point,
     interpolation_bound_check,
     load_tlp_point,
-    pushforward_weak_check,
     solve_transport,
     tlp_distance,
     tlp_distances,

@@ -59,8 +59,8 @@ def weighted_lr_norm(values, weights, r) -> float:
 
 
 def omega_interval_contains(step: float, omega: float) -> bool:
-    """Whether step lies in the admissible interval (0, 1/omega) resp. (0, inf)."""
-    if step <= 0.0:
+    """Whether step is finite and lies in (0, 1/omega) resp. (0, inf); False for NaN."""
+    if not 0.0 < step < math.inf:
         return False
     if omega > 0.0:
         return step < 1.0 / omega
@@ -209,8 +209,9 @@ def prox(phi: ProperFunctional, gamma: float, x) -> np.ndarray:
     """Unique minimizer of y -> F(y) + ||y - x||^2 / (2*gamma).
 
     gamma must lie in the admissible interval for the declared modulus (any
-    positive value when lam >= 0, gamma < 1/|lam| otherwise), making the
-    objective (1/gamma + lam)-strongly convex; otherwise IntervalError.
+    finite positive value when lam >= 0, gamma < 1/|lam| otherwise), making
+    the objective (1/gamma + lam)-strongly convex; otherwise IntervalError,
+    for NaN and inf too.
     There are two paths, in order: phi.prox_closed_form, else the certified
     gradient method when phi.gradient is set.  A functional with neither
     raises PreconditionError before it is evaluated.

@@ -21,11 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .convex import ProperFunctional, as_point, quadratic_functional, weighted_lr_norm
-from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
+from .errors import ConstructionError, PreconditionError
 from .flow import gradient_flow
 
-SPLIT_TOL = 1e-10
-SPLIT_MAX_ITER = 100_000
 # A path with at least this many nodes is factored in closed form and
 # applied by FFT; a shorter one by eigh (see GraphEnergy).
 DCT_MIN_NODES = 64
@@ -310,7 +308,9 @@ class GraphEnergy:
     validated positive but not forced to sum to one (shipped measure-based
     instances use probability weights).  Construction stores the edge list
     (iu, ju, c): the pairs i < j with c = A_ij + A_ji > 0, over which the
-    value, the squared-loss gradient and the absolute-loss prox are summed.
+    value and the squared-loss gradient are summed.  Only the squared loss
+    has a prox (graph_prox); an absolute-loss energy (graph total
+    variation) serves its value, its edge list and the exchange checks.
 
     Build from a dense adjacency, GraphEnergy(adjacency=A, ...), or from the
     edge list itself with GraphEnergy.from_edges, which forms no n x n
@@ -458,7 +458,8 @@ class GraphEnergy:
         """View as a convex functional on the weighted node space.
 
         Requires probability node weights, matching the weighted-space
-        conventions of the prox and flow machinery.
+        conventions of the prox and flow machinery.  The absolute loss gets
+        no prox_closed_form, so prox of it raises PreconditionError.
         """
         w = self.node_weights
         if abs(w.sum() - 1.0) > 1e-9:
@@ -474,14 +475,14 @@ class GraphEnergy:
                 grad_w = 2.0 * (np.bincount(iu, flux, n) - np.bincount(ju, flux, n)) / w
                 return float(np.sqrt((w * grad_w * grad_w).sum()))
 
-            extra = dict(prox_iterated=lambda g, k, h: _squared_prox_power(self, g, k, h),
+            extra = dict(prox_closed_form=lambda g, h: graph_prox(self, g, h),
+                         prox_iterated=lambda g, k, h: _squared_prox_power(self, g, k, h),
                          slope_norm=slope)
         return ProperFunctional(
             dim=self.n_nodes,
             value=self.value,
             lam=0.0,
             weights=w,
-            prox_closed_form=lambda g, h: graph_prox(self, g, h),
             name=self.name or f"graph-{self.loss_kind}",
             **extra,
         )
@@ -504,49 +505,21 @@ def _squared_prox_power(ge: GraphEnergy, gamma: float, k: int, h) -> np.ndarray:
 
 
 def graph_prox(ge: GraphEnergy, gamma: float, h) -> np.ndarray:
-    """Minimizer of F(u) + sum_i w_i (u_i - h_i)^2 / (2 gamma).
+    """Minimizer of F(u) + sum_i w_i (u_i - h_i)^2 / (2 gamma), for the squared loss.
 
-    Squared loss: u = (W + 2 gamma K)^{-1} W h, applied through the spectral
-    factors computed when the energy was built.  Absolute loss: ADMM
-    splitting over the stored edge list's differences, tolerance 1e-10 on the primal/dual
-    residuals, with its linear system factored once per call by eigh.
+    u = (W + 2 gamma K)^{-1} W h, applied through the spectral factors
+    computed when the energy was built.  The absolute loss (graph total
+    variation) has no prox here: no solver for it returns a checkable
+    certificate, so it raises PreconditionError before any work.
     """
+    if ge.loss_kind != "squared":
+        raise PreconditionError(
+            f"graph_prox of the {ge.loss_kind} loss has no certified solver "
+            "(no prox residual or duality-gap certificate)"
+        )
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
-    if ge.loss_kind == "squared":
-        return _squared_prox_power(ge, gamma, 1, h)
-
-    # absolute loss: minimize (1/2g)||u-h||_W^2 + sum_e c_e |u_i - u_j|
-    h = as_point(h, ge.n_nodes)
-    iu, ju, c = ge._edges
-    if len(iu) == 0:
-        return h.copy()
-    n = ge.n_nodes
-    D = np.zeros((len(iu), n))
-    D[np.arange(len(iu)), iu] = 1.0
-    D[np.arange(len(iu)), ju] = -1.0
-    rho = 1.0 / gamma
-    evals, V = np.linalg.eigh(np.diag(ge.node_weights) / gamma + rho * (D.T @ D))
-    u = h.copy()
-    z = D @ u
-    y = np.zeros(len(iu))
-    thresh = c / rho
-    for it in range(SPLIT_MAX_ITER):
-        u = V @ ((V.T @ (ge.node_weights * h / gamma + rho * (D.T @ (z - y)))) / evals)
-        Du = D @ u
-        z_new = Du + y
-        z_new = np.sign(z_new) * np.maximum(np.abs(z_new) - thresh, 0.0)
-        primal = float(np.linalg.norm(Du - z_new))
-        dual = float(rho * np.linalg.norm(D.T @ (z_new - z)))
-        z = z_new
-        y = y + Du - z
-        if primal <= SPLIT_TOL and dual <= SPLIT_TOL:
-            return u
-    raise SolverDiagnosticError(
-        f"edge splitting did not reach {SPLIT_TOL} in {SPLIT_MAX_ITER} iterations",
-        last_iterate=u,
-        residual=max(primal, dual),
-    )
+    return _squared_prox_power(ge, gamma, 1, h)
 
 
 def quadratic_map_energy(weights) -> ProperFunctional:

@@ -82,8 +82,8 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         if len(self.times) != len(self.states):
             raise PreconditionError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise PreconditionError("times must be strictly increasing")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
+            raise PreconditionError("times must be finite and strictly increasing")
 
 
 def _check_step(R: ResolventOperator, step: float):
@@ -218,12 +218,13 @@ def check_accretive(pairs, omega: float, lambdas, weights=None, tol: float = 1e-
 def eps_approximate_solution(R: ResolventOperator, partition, x) -> Trajectory:
     """Backward-Euler trajectory v_i = R_{t_i - t_{i-1}}(v_{i-1}) on the partition.
 
-    The partition must start at 0; the returned trajectory samples the
+    The partition must be finite, strictly increasing and start at 0, else
+    PreconditionError before any step; the returned trajectory samples the
     piecewise-constant interpolant at the partition times.
     """
     times = np.asarray(partition, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise PreconditionError("partition must be strictly increasing and start at 0")
+    if not (times[0] == 0.0 and np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise PreconditionError("partition must be finite, strictly increasing and start at 0")
     x = as_point(x, R.dim)
     states = [x.copy()]
     for dt in np.diff(times):

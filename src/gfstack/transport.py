@@ -520,40 +520,6 @@ def interpolation_bound_check(
     return InterpolationReport(lhs=lhs, rhs=rhs, theta=theta, ok=lhs <= rhs + 1e-9)
 
 
-@dataclass
-class PushforwardReport:
-    gaps: np.ndarray  # (n_points, n_fns)
-    bounds: np.ndarray
-    within_bounds: bool
-    decreasing: bool
-
-
-def pushforward_weak_check(seq, limit: TLpPoint, test_fns) -> PushforwardReport:
-    """Weak convergence of the value distributions u_n # mu_n -> u # mu.
-
-    test_fns is a list of (f, lipschitz_constant) pairs of bounded Lipschitz
-    maps.  Each integral gap is compared against L times the TL^1 distance,
-    and the per-function gap columns are checked for a decreasing trend
-    (first vs last entry).
-    """
-    fns = [(f, float(L)) for f, L in test_fns]
-    lim_ints = [
-        float(np.sum(limit.measure.weights * np.asarray([f(t) for t in limit.values])))
-        for f, _ in fns
-    ]
-    gaps = np.zeros((len(seq), len(fns)))
-    bounds = np.zeros_like(gaps)
-    for k, pt in enumerate(seq):
-        d1, _ = tlp_distance(pt, limit, 1.0)
-        for c, (f, L) in enumerate(fns):
-            val = float(np.sum(pt.measure.weights * np.asarray([f(t) for t in pt.values])))
-            gaps[k, c] = abs(val - lim_ints[c])
-            bounds[k, c] = L * d1
-    within = bool(np.all(gaps <= bounds + 1e-9))
-    decreasing = bool(np.all(gaps[-1] <= gaps[0] + 1e-12)) if len(seq) > 1 else True
-    return PushforwardReport(gaps=gaps, bounds=bounds, within_bounds=within, decreasing=decreasing)
-
-
 # ---------------------------------------------------------------------------
 # serialization used by the CLI
 

@@ -102,6 +102,15 @@ class TestProx:
         with pytest.raises(IntervalError):
             prox(neg, 2.5, 0.0)  # 2.5 >= 1/|lam| = 2
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [quadratic_functional, abs_functional])
+    def test_non_finite_gamma_is_interval_error(self, gamma, make):
+        # no NaN answer and no limit point: a non-finite step is outside the interval
+        with pytest.raises(IntervalError):
+            prox(make(), gamma, [1.0])
+        with pytest.raises(IntervalError):
+            envelope_functional(make(), gamma)
+
     def test_generic_solver_matches_closed_forms(self, rng):
         q = quadratic_functional(lam=1.0)
         bare_q = ProperFunctional(dim=1, value=q.value, lam=1.0, weights=q.weights,
@@ -137,11 +146,14 @@ class TestProx:
             quadratic_map_energy(w),
             envelope_functional(abs_functional(dim=2), 0.5),
             GraphEnergy(adjacency=A, node_weights=w, loss_kind="squared").to_functional(),
-            GraphEnergy(adjacency=A, node_weights=w, loss_kind="absolute").to_functional(),
         ]
         for phi in built:
             assert phi.prox_closed_form is not None or phi.gradient is not None, phi.name
             assert np.all(np.isfinite(prox(phi, 0.5, np.linspace(-1.0, 1.0, phi.dim))))
+        # graph total variation has no certified prox, and says so
+        tv = GraphEnergy(adjacency=A, node_weights=w, loss_kind="absolute").to_functional()
+        with pytest.raises(PreconditionError, match="prox_closed_form or gradient"):
+            prox(tv, 0.5, np.linspace(-1.0, 1.0, 3))
         # the evaluation-only counterexample has no prox, and says so unevaluated
         bare = counterexample_functional(1.0)
         calls = []

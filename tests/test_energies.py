@@ -1,6 +1,5 @@
 """Graph energies, the smooth-truncation test family, and exchange checks."""
 
-import time
 from dataclasses import astuple
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfstack import energies
-from gfstack.convex import PROX_RESIDUAL_TOL, check_lambda_convexity, default_triple_sampler
+from gfstack.convex import PROX_RESIDUAL_TOL, check_lambda_convexity, default_triple_sampler, prox
 from gfstack.energies import (
     GraphEnergy,
     adaptive_simpson,
@@ -23,7 +22,7 @@ from gfstack.energies import (
     quadratic_map_energy,
     weighted_lr_norm,
 )
-from gfstack.errors import ConstructionError, PreconditionError, SolverDiagnosticError
+from gfstack.errors import ConstructionError, PreconditionError
 from gfstack.flow import gradient_flow
 
 from oracles import grid_prox_2d
@@ -284,15 +283,16 @@ class TestGraphEnergy:
         h = rng.normal(size=3)
         assert np.allclose(graph_prox(ge, 0.7, h), h)
         ge_abs = GraphEnergy(adjacency=np.zeros((3, 3)), loss_kind="absolute")
-        assert np.allclose(graph_prox(ge_abs, 0.7, h), h)
+        with pytest.raises(PreconditionError, match="no certified solver"):
+            graph_prox(ge_abs, 0.7, h)
 
     def test_constant_vector_fixed_point(self, rng):
         A = rng.random((4, 4))
         A[np.diag_indices(4)] = 0.0
-        for kind in ("squared", "absolute"):
-            ge = GraphEnergy(adjacency=A, loss_kind=kind)
-            h = np.full(4, 1.7)
-            assert np.allclose(graph_prox(ge, 0.5, h), h, atol=1e-9)
+        h = np.full(4, 1.7)
+        assert np.allclose(graph_prox(GraphEnergy(adjacency=A), 0.5, h), h, atol=1e-9)
+        with pytest.raises(PreconditionError, match="no certified solver"):
+            graph_prox(GraphEnergy(adjacency=A, loss_kind="absolute"), 0.5, h)
 
     def test_squared_prox_matches_grid(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -303,35 +303,6 @@ class TestGraphEnergy:
         y, _ = grid_prox_2d(vec, gamma, h, (-2.0, -2.0), (2.0, 2.0), n=2001,
                             weights=ge.node_weights)
         assert np.allclose(got, y, atol=3e-3)
-
-    def test_absolute_prox_matches_grid(self):
-        ge = GraphEnergy(adjacency=np.array([[0.0, 2.0], [0.0, 0.0]]), loss_kind="absolute")
-        h = np.array([1.0, -1.0])
-        gamma = 0.15
-        got = graph_prox(ge, gamma, h)
-        vec = lambda pts: 2.0 * np.abs(pts[0] - pts[1])
-        y, _ = grid_prox_2d(vec, gamma, h, (-2.0, -2.0), (2.0, 2.0), n=2001,
-                            weights=ge.node_weights)
-        assert np.allclose(got, y, atol=3e-3)
-
-    def test_absolute_prox_three_nodes_vs_grid(self):
-        # coarse 3-D grid plus objective comparison at the reported point
-        ge = GraphEnergy(adjacency=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0],
-                                             [0.5, 0.0, 0.0]]), loss_kind="absolute")
-        h = np.array([1.0, -0.5, 0.25])
-        gamma = 0.3
-        u = graph_prox(ge, gamma, h)
-        w = ge.node_weights
-        grid = np.linspace(-1.2, 1.2, 61)
-        G = np.stack(np.meshgrid(grid, grid, grid, indexing="ij")).reshape(3, -1)
-        A = ge.adjacency
-        energy = sum(
-            A[i, j] * np.abs(G[i] - G[j]) for i in range(3) for j in range(3) if A[i, j]
-        )
-        quad = sum(w[i] * (G[i] - h[i]) ** 2 for i in range(3)) / (2 * gamma)
-        best = float(np.min(energy + quad))
-        obj_u = ge.value(u) + float(np.sum(w * (u - h) ** 2)) / (2 * gamma)
-        assert obj_u <= best + 1e-9
 
     def test_spectral_power_matches_repeated_solves(self, rng):
         A = rng.random((6, 6))
@@ -391,17 +362,28 @@ class TestGraphEnergy:
         with pytest.raises(PreconditionError):
             ge.spectral_factors()
 
-    def test_edge_splitting_cap_raises_in_bounded_time(self, monkeypatch, rng):
-        monkeypatch.setattr(energies, "SPLIT_MAX_ITER", 3)
+    def test_absolute_loss_has_no_prox(self, monkeypatch, rng):
+        # graph total variation has no certified prox: graph_prox and the
+        # functional's prox refuse before any factorization or evaluation
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda B: calls.append("eigh") or eigh(B))
+        value = GraphEnergy.value
+        monkeypatch.setattr(GraphEnergy, "value", lambda ge, u: calls.append("value") or value(ge, u))
         A = rng.random((5, 5))
         A[np.diag_indices(5)] = 0.0
         ge = GraphEnergy(adjacency=A, loss_kind="absolute")
-        start = time.perf_counter()
-        with pytest.raises(SolverDiagnosticError) as info:
-            graph_prox(ge, 0.5, rng.normal(size=5))
-        assert time.perf_counter() - start < 2.0
-        assert np.isfinite(info.value.residual) and info.value.residual > energies.SPLIT_TOL
-        assert len(info.value.last_iterate) == 5
+        phi = ge.to_functional()
+        assert phi.prox_closed_form is None and phi.prox_iterated is None
+        h = rng.normal(size=5)
+        with pytest.raises(PreconditionError, match="no certified solver"):
+            graph_prox(ge, 0.5, h)
+        with pytest.raises(PreconditionError, match="prox_closed_form or gradient"):
+            prox(phi, 0.5, h)
+        assert calls == []
+        # its value and edge list stay: the exchange checks read them
+        iu, ju, c = ge._edges
+        assert ge.value(h) == float(np.sum(c * np.abs(h[iu] - h[ju])))
 
     def test_probability_weights_required_for_functional(self):
         ge = GraphEnergy(adjacency=np.zeros((2, 2)), node_weights=np.array([1.0, 1.0]))

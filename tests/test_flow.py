@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gfstack.convex import abs_functional, kappa, moreau_envelope, quadratic_functional
+from gfstack.convex import abs_functional, kappa, moreau_envelope, prox, quadratic_functional
 from gfstack.energies import GraphEnergy, graph_prox
 from gfstack.errors import IntervalError, PreconditionError
 from gfstack.flow import (
@@ -184,14 +184,16 @@ class TestEviResidual:
         assert rep.ok and abs(rep.max_residual) < 1e-12
 
     def test_graph_tv_flow_fine_grid(self):
-        # absolute-loss graph flow via a fine implicit-Euler trajectory
-        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        ge = GraphEnergy(adjacency=A, loss_kind="absolute")
-        phi = ge.to_functional()
+        # a nonsmooth flow via a fine implicit-Euler trajectory: the weighted L1
+        # norm, whose prox is certified soft thresholding (graph total variation
+        # has no certified prox, so it stands in for the graph-TV flow)
+        phi = abs_functional(dim=3)
         times = np.linspace(0.0, 0.5, 26)
         states = [np.array([1.0, 0.0, -1.0])]
         for dt in np.diff(times):
-            states.append(graph_prox(ge, float(dt), states[-1]))
+            states.append(prox(phi, float(dt), states[-1]))
+        # the outer nodes slide to 0 at unit speed; the middle one stays put
+        assert np.allclose(states[-1], [0.5, 0.0, -0.5], atol=1e-12)
         traj = Trajectory(times=times, states=np.asarray(states),
                           error_bounds=np.full(len(times), 1e-9))
         flow = FlowResult(x0=states[0], trajectory=traj,
@@ -365,12 +367,12 @@ class TestNonFiniteTime:
 
     @staticmethod
     def _flow_at(t):
-        # a flow record whose second sample time is t; Trajectory does not reject it
+        # a flow record whose second sample time is t; Trajectory rejects a
+        # non-finite time when it is built, so the time is written afterwards
         q = quadratic_functional(lam=1.0)
         flow = gradient_flow(q, 1.0, [0.5, 1.0])
-        traj = Trajectory(times=[0.5, t], states=flow.trajectory.states)
-        return q, FlowResult(x0=flow.x0, trajectory=traj, energies=flow.energies,
-                             certificates=flow.certificates)
+        flow.trajectory.times = np.array([0.5, t])
+        return q, flow
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_energy_bound_check(self, t):

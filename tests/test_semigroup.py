@@ -11,6 +11,7 @@ from gfstack.errors import IntervalError, PreconditionError, SolverDiagnosticErr
 from gfstack.flow import gradient_flow
 from gfstack.semigroup import (
     ResolventOperator,
+    Trajectory,
     check_accretive,
     crandall_liggett,
     eps_approximate_solution,
@@ -50,6 +51,14 @@ class TestResolventIterate:
         with pytest.raises(IntervalError):
             resolvent_iterate(R, 10.0, 4, 1.0)  # step 2.5 >= 1/omega = 0.5
         resolvent_iterate(R, 1.0, 4, 1.0)  # step 0.25 admissible
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_step_is_interval_error(self, quad_resolvent, zero_resolvent, t):
+        # at omega <= 0 the interval is (0, inf), which holds neither NaN nor inf
+        for R in (quad_resolvent, zero_resolvent):
+            assert not R.step_ok(t)
+            with pytest.raises(IntervalError):
+                resolvent_iterate(R, t, 4, np.ones(R.dim))
 
     def test_closed_form_power_matches_explicit(self, quad_resolvent):
         q = quadratic_functional(lam=1.0)
@@ -189,6 +198,12 @@ class TestCheckAccretive:
         with pytest.raises(IntervalError):
             check_accretive([], omega=2.0, lambdas=[1.0])
 
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_is_interval_error(self, omega, lam):
+        with pytest.raises(IntervalError):
+            check_accretive([], omega=omega, lambdas=[0.25, lam])
+
 
 class TestEpsApproximateSolution:
     def test_quadratic_uniform_partition(self, quad_resolvent):
@@ -206,6 +221,31 @@ class TestEpsApproximateSolution:
     def test_partition_must_start_at_zero(self, quad_resolvent):
         with pytest.raises(PreconditionError):
             eps_approximate_solution(quad_resolvent, [0.1, 0.4], 1.0)
+
+    @pytest.mark.parametrize("partition", [[0.0, np.nan], [0.0, 0.5, np.inf], [0.0, np.inf],
+                                           [0.0, np.nan, 1.0]],
+                             ids=["nan-end", "inf-end", "inf-only", "nan-inside"])
+    def test_non_finite_partition_is_precondition_error(self, partition):
+        # refused before any resolvent step
+        calls = []
+        R = ResolventOperator(dim=1, omega=0.0, resolve=lambda lam, x: calls.append(lam) or x)
+        with pytest.raises(PreconditionError, match="finite"):
+            eps_approximate_solution(R, partition, 1.0)
+        assert calls == []
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0],
+                                       [np.nan, np.nan]],
+                             ids=["nan-end", "inf-end", "minus-inf-start", "all-nan"])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(PreconditionError, match="finite"):
+            Trajectory(times=times, states=[[1.0], [1.0]])
+
+    def test_times_must_increase(self):
+        with pytest.raises(PreconditionError):
+            Trajectory(times=[0.0, 0.0], states=[[1.0], [1.0]])
+        Trajectory(times=[0.0, 0.5], states=[[1.0], [1.0]])
 
 
 class TestSemigroupStructure:

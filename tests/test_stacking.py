@@ -384,7 +384,7 @@ class TestEquicoercivity:
 
     def test_stacking_audit_loads_no_scipy(self):
         # the library is numpy only at run time: a fresh interpreter that runs
-        # every experiment kind and an absolute-loss prox must end scipy-free
+        # every experiment kind and a graph prox must end scipy-free
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from gfstack import ExperimentConfig, run_experiment\n"
@@ -393,7 +393,7 @@ class TestEquicoercivity:
                 "for kind in KINDS:\n"
                 "    run_experiment(ExperimentConfig(kind=kind, sizes=(8, 16)))\n"
                 "A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])\n"
-                "graph_prox(GraphEnergy(adjacency=A, loss_kind='absolute'), 0.5, [1.0, -1.0, 0.5])\n"
+                "graph_prox(GraphEnergy(adjacency=A), 0.5, [1.0, -1.0, 0.5])\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         src = str(Path(gfstack.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

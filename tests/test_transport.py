@@ -20,7 +20,6 @@ from gfstack.transport import (
     dump_tlp_point,
     interpolation_bound_check,
     load_tlp_point,
-    pushforward_weak_check,
     solve_transport,
     tlp_distance,
     tlp_distances,
@@ -315,35 +314,6 @@ class TestInterpolationBound:
             interpolation_bound_check(a, a, p=1.0, q=4.0, r=2.0, C=1.0)
         with pytest.raises(PreconditionError):
             interpolation_bound_check(a, a, p=2.0, q=2.0, r=2.0, C=10.0)
-
-
-class TestPushforward:
-    def test_constant_sequence_zero_gaps(self, rng):
-        a = _pt(rng.normal(size=4), rng.normal(size=4))
-        rep = pushforward_weak_check([a, a, a], a, [(np.tanh, 1.0)])
-        assert rep.within_bounds and np.all(rep.gaps == 0.0)
-
-    def test_shifted_values_exact_gap(self):
-        mu_atoms = [0.0, 0.5, 1.0]
-        base = np.array([0.0, 1.0, 2.0])
-        limit = _pt(mu_atoms, base)
-        seq = [_pt(mu_atoms, base + 1.0 / n) for n in (1, 2, 4, 8)]
-        clip = lambda x: float(np.clip(x, -10, 10))
-        rep = pushforward_weak_check(seq, limit, [(clip, 1.0)])
-        assert np.allclose(rep.gaps[:, 0], [1.0, 0.5, 0.25, 0.125])
-        assert rep.within_bounds and rep.decreasing
-
-    def test_barycentric_recovery_gaps_decrease(self, rng):
-        fine = uniform_measure(((np.arange(64) + 0.5) / 64)[:, None])
-        vals = np.cos(np.pi * fine.atoms[:, 0])
-        limit = TLpPoint(fine, vals)
-        seq = []
-        for n in (4, 8, 16, 32):
-            mu = uniform_measure(((np.arange(n) + 0.5) / n)[:, None])
-            _, plan = wasserstein(mu, fine, 1.0)
-            seq.append(TLpPoint(mu, barycentric_map(plan, vals)))
-        rep = pushforward_weak_check(seq, limit, [(np.sin, 1.0), (np.tanh, 1.0)])
-        assert rep.within_bounds and rep.decreasing
 
 
 class TestValidationAndSerialization:

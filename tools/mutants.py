@@ -216,10 +216,29 @@ MUTANTS = [
            "2.0 * coef, measure.weights", "coef, measure.weights",
            (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_fine_grid_equals_dense_build[64]",
             f"{T_ACCEPTANCE}::test_criterion_12_discrete_to_continuum")),
-    Mutant("scipy-in-absolute-prox", ENERGIES,
-           "    # absolute loss: minimize",
-           "    import scipy.linalg  # noqa: F401\n    # absolute loss: minimize",
-           (f"{T_STACKING}::TestEquicoercivity::test_stacking_audit_loads_no_scipy",)),
+    # certified or refused: the absolute loss has no prox, and no step or time is non-finite
+    Mutant("absolute-prox-returns-h", ENERGIES,
+           '    if ge.loss_kind != "squared":\n        raise PreconditionError(',
+           '    if ge.loss_kind != "squared":\n        return as_point(h, ge.n_nodes)\n'
+           '        raise PreconditionError(',
+           (f"{T_ENERGIES}::TestGraphEnergy::test_absolute_loss_has_no_prox",
+            f"{T_ENERGIES}::TestGraphEnergy::test_zero_adjacency_identity",
+            f"{T_ENERGIES}::TestGraphEnergy::test_constant_vector_fixed_point")),
+    Mutant("non-finite-step-admitted", CONVEX,
+           "if not 0.0 < step < math.inf:", "if step <= 0.0:",
+           (f"{T_CONVEX}::TestProx::test_non_finite_gamma_is_interval_error[quadratic_functional-nan]",
+            f"{T_CONVEX}::TestProx::test_non_finite_gamma_is_interval_error[abs_functional-inf]",
+            f"{T_SEMIGROUP}::TestResolventIterate::test_non_finite_step_is_interval_error[nan]",
+            f"{T_SEMIGROUP}::TestCheckAccretive::test_non_finite_lambda_is_interval_error[nan-0.0]")),
+    Mutant("trajectory-non-finite-time-accepted", SEMIGROUP,
+           "if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):",
+           "if not np.all(np.diff(self.times) > 0):",
+           (f"{T_SEMIGROUP}::TestTrajectory::test_non_finite_times_rejected[inf-end]",
+            f"{T_SEMIGROUP}::TestTrajectory::test_non_finite_times_rejected[minus-inf-start]")),
+    Mutant("partition-non-finite-accepted", SEMIGROUP,
+           "times[0] == 0.0 and np.all(np.isfinite(times)) and ", "times[0] == 0.0 and ",
+           (f"{T_SEMIGROUP}::TestEpsApproximateSolution::test_non_finite_partition_is_precondition_error"
+            "[inf-end]",)),
     # the P0 family's ramp table
     Mutant("smoothstep-integral-quartic", ENERGIES,
            "S[k] * (0.5 * t4 - t3 + t)", "S[k] * (0.25 * t4 - t3 + t)",
