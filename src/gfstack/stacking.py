@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import ProperFunctional, as_point, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError
-from .transport import EmpiricalMeasure, TLpPoint, tlp_distance, wasserstein, barycentric_map
+from .transport import EmpiricalMeasure, TLpPoint, tlp_distances, wasserstein, barycentric_map
 
 LIMIT = "inf"  # conventional limit-index key
 
@@ -147,7 +147,8 @@ class TLpStacking(Stacking):
     Each distinct transport problem is solved once per instance.  distance
     keeps the float it returns, keyed by p and the exact bytes of both
     points (atoms, weights and values; the atoms' shape fixes the rest),
-    so a changed p or a replaced measure is a new key, never a stale hit.
+    so a changed p or a replaced measure is a new key, never a stale hit;
+    it needs no plan, so it solves through tlp_distances.
     The spatial plan behind an approximating point is kept only as that
     point (n floats) and its stagnation cost, per (p, source, target,
     limit values); its W_p distance is kept as the distance between the
@@ -183,8 +184,8 @@ class TLpStacking(Stacking):
                self._measure_key(e2.measure), e2.values.tobytes())
         d = self._distances.get(key)
         if d is None:
-            d, _ = tlp_distance(e1, e2, self.p)
-            self._distances[key] = d
+            d, = tlp_distances(e1.measure, e2.measure, e1.values[None], e2.values[None], self.p)
+            d = self._distances[key] = float(d)
         return d
 
     def _recovery(self, idx, limit_idx, x_limit):

@@ -11,16 +11,22 @@ given ones up to floating-point rounding.  The northwest-corner start is
 built with array operations from the merged cumulative sums of the
 marginals, and the spanning tree is built only when the start's reduced
 costs show it is not optimal; on sorted 1-D atoms under a convex cost of
-x - y it is optimal already, and the solve runs no Python-level loop.
+x - y it is optimal already, and the solve runs no Python-level loop.  A
+reduced cost counts as negative below -max(_RC_TOL, 4 eps max|C|), so the
+simplex never pivots on the rounding of the costs.
 
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
-stagnation cost, the certificate of measure convergence.  A solve allocates
-three m x n arrays: the spatial part, the cost and the plan.  The reduced
-costs are tested in blocks of rows, and the plan's dense checks sum without
-forming products.  tlp_distances compares the rows of two trajectories on
-one measure pair: the spatial part, the start and its plan are built, and
-the plan's marginals checked, once for all rows.
+stagnation cost, the certificate of measure convergence.  tlp_distance
+allocates three m x n arrays: the spatial part, the cost and the plan.  The
+reduced costs are tested in blocks of rows, and the plan's dense checks sum
+without forming products.  tlp_distances compares the rows of two
+trajectories on one measure pair, with the start and its plan built, and the
+plan's marginals checked, once for all rows.  At p = 2 it forms no cost or
+spatial matrix: the costs are formed on the staircase cells only, and the
+m x n reduced costs of a row are the product of an m x (d+3) and a
+(d+3) x n matrix, formed in row blocks and tested against an error bound;
+a row the bound cannot certify is solved alone (_tl2_distances).
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .convex import weighted_lr_norm
 from .errors import ConstructionError, PreconditionError, SolverDiagnosticError
 
 MARGINAL_TOL = 1e-9
-_RC_TOL = 1e-12
+_RC_TOL = 1e-12  # the reduced-cost tolerance while 4 eps max|C| is below it (max|C| <= 1125)
+_EPS = np.finfo(float).eps
 _MAX_PIVOTS = 200_000
 _RC_BLOCK = 1 << 14  # cells per block of the reduced-cost test
 
@@ -237,13 +244,12 @@ def _northwest_corner(a, b):
     return i, j, np.diff(pos), np.diff(eps)
 
 
-def _staircase_potentials(C, i, j):
-    """Potentials u_0 = 0, u_i + v_j = C_ij on the staircase cells.
+def _staircase_potentials(c, i):
+    """Potentials u_0 = 0, u_i + v_j = c_k on the staircase cells (i_k, j_k).
 
     Consecutive cells share a source or a sink, so a step down adds the cost
     difference to u and a step right adds it to v.
     """
-    c = C[i, j]
     dc = np.diff(c)
     down = np.diff(i) > 0
     u = np.concatenate([[0.0], np.cumsum(dc[down])])
@@ -251,15 +257,25 @@ def _staircase_potentials(C, i, j):
     return u, v
 
 
-def _pivot_to_optimum(tree: _SpanningTree, C):
-    """Network-simplex pivots from a feasible tree until no reduced cost is negative."""
+def _rc_tol(scale) -> float:
+    """The reduced-cost tolerance for costs of magnitude up to scale.
+
+    4 eps * scale, a bound on the rounding of a reduced cost, when that is
+    above _RC_TOL; _RC_TOL when it is below or scale is not finite.
+    """
+    tol = 4.0 * _EPS * scale
+    return float(tol) if _RC_TOL < tol < np.inf else _RC_TOL
+
+
+def _pivot_to_optimum(tree: _SpanningTree, C, tol):
+    """Network-simplex pivots from a feasible tree until no reduced cost is below -tol."""
     m, n = C.shape
     for _ in range(_MAX_PIVOTS):
         u, v = tree.potentials(C)
         rc = C - u[:, None]
         rc -= v
         # Dantzig: the most negative of the eligible reduced costs enters
-        eligible = np.where(rc < -_RC_TOL, rc, 0.0)
+        eligible = np.where(rc < -tol, rc, 0.0)
         enter = int(np.argmin(eligible))
         if eligible.flat[enter] == 0.0:
             return
@@ -294,8 +310,8 @@ def _rc_scratch(m: int, n: int) -> np.ndarray:
     return np.empty((max(1, min(m, _RC_BLOCK // n)), n))
 
 
-def _any_reduced_cost_below(C, u, v, scratch) -> bool:
-    """Whether any reduced cost C_ij - u_i - v_j is below -_RC_TOL.
+def _any_reduced_cost_below(C, u, v, scratch, tol) -> bool:
+    """Whether any reduced cost C_ij - u_i - v_j is below -tol.
 
     Every cell is tested, block by block of scratch's row count, so the m x n
     reduced costs are never formed at once; a NaN fails the comparison, as
@@ -306,7 +322,7 @@ def _any_reduced_cost_below(C, u, v, scratch) -> bool:
         block = C[r:r + rows]
         rc = np.subtract(block, u[r:r + rows, None], out=scratch[: block.shape[0]])
         rc -= v
-        if np.any(rc < -_RC_TOL):
+        if np.any(rc < -tol):
             return True
     return False
 
@@ -327,17 +343,21 @@ def _solve(C, start, scratch):
     plan.  The cost is summed over the plan's basis cells.
     """
     i, j, flow, flow_eps, P = start
-    u, v = _staircase_potentials(C, i, j)
-    if _any_reduced_cost_below(C, u, v, scratch):
+    c = C[i, j]
+    u, v = _staircase_potentials(c, i)
+    # max|C| in two reductions, with no m x n temporary
+    tol = _rc_tol(max(np.fmax.reduce(C, axis=None), -np.fmin.reduce(C, axis=None)))
+    if _any_reduced_cost_below(C, u, v, scratch, tol):
         tree = _SpanningTree(*C.shape)
         for cell in zip(i.tolist(), j.tolist(), zip(flow.tolist(), flow_eps.tolist())):
             tree.add(*cell)
-        _pivot_to_optimum(tree, C)
+        _pivot_to_optimum(tree, C, tol)
         i, j = np.transpose(list(tree.flows))
         flow = np.array([f for f, _ in tree.flows.values()])
         P = np.zeros(C.shape)
         P[i, j] = flow
-    return P, float(np.sum(flow * C[i, j]))
+        c = C[i, j]
+    return P, float(np.sum(flow * c))
 
 
 def solve_transport(a, b, C):
@@ -352,11 +372,12 @@ def solve_transport(a, b, C):
     (f0, f1) >= theta = (t0, t1) has f0 >= t0, so f0 - t0 >= 0 in IEEE
     arithmetic.  The staircase start and its potentials are arrays, and
     all m x n of its reduced costs are tested in row blocks; the spanning
-    tree is built, and pivoted, only when one of them is below -_RC_TOL.
+    tree is built, and pivoted, only when one of them is below
+    -max(_RC_TOL, 4 eps max|C|).
 
     A public entry point for callers with their own cost matrix, and the one
     the linprog oracle tests solve through.  No runner path calls it: the
-    TL^p distances go through _tlp_plans, which shares _solve.
+    TL^p plans go through _tlp_plans, which shares _solve.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -369,24 +390,34 @@ def solve_transport(a, b, C):
     return _solve(C, _staircase(a, b), _rc_scratch(m, n))
 
 
+def _squared_distances(x, y, subtract):
+    """Sum over the coordinates k of subtract(x[:, k], y[:, k]) ** 2.
+
+    The squares are summed in place, in the order np.sum takes for d < 8,
+    into the first coordinate's square.  subtract is np.subtract.outer for
+    all pairs of atoms, or np.subtract for paired rows of x and y; a pair
+    gets the same bits either way.
+    """
+    sq = subtract(x[:, 0], y[:, 0])
+    sq *= sq
+    dk = None
+    for k in range(1, x.shape[1]):
+        dk = subtract(x[:, k], y[:, k], out=dk)
+        dk *= dk
+        sq += dk
+    return sq
+
+
 def _spatial_cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
     """|x_i - y_j|^p for every pair of atoms.
 
-    The squared differences are summed in place over the coordinates, in
-    the order np.sum takes for d < 8, into the first coordinate's square;
-    at p = 2 that sum is the cost, with no sqrt and no power, and other p
-    take _pow_p of its square root.
+    At p = 2 the squared distances are the cost, with no sqrt and no power;
+    other p take _pow_p of their square root.
     """
     x, y = mu.atoms, nu.atoms
     if x.shape[1] == 0:  # the atoms of R^0 all coincide
         return np.zeros((x.shape[0], y.shape[0]))
-    sq = np.subtract.outer(x[:, 0], y[:, 0])
-    sq *= sq
-    dk = None
-    for k in range(1, x.shape[1]):
-        dk = np.subtract.outer(x[:, k], y[:, k], out=dk)
-        dk *= dk
-        sq += dk
+    sq = _squared_distances(x, y, np.subtract.outer)
     if p == 2:
         return sq
     return _pow_p(np.sqrt(sq, out=sq), p)
@@ -401,6 +432,20 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
     return tlp_distance(TLpPoint(mu, np.zeros(mu.n_atoms)), TLpPoint(nu, np.zeros(nu.n_atoms)), p)
 
 
+def _checked_staircase(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+    """The _staircase start of (mu, nu) in one dimension, its plan's marginals checked.
+
+    The marginals do not depend on the values: checked once per measure
+    pair, the plan's cost once per row.
+    """
+    if mu.dim != nu.dim:
+        raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    start = _staircase(mu.weights, nu.weights)
+    TransportPlan(pi=start[-1], source=mu, target=nu, cost=np.nan, stagnation_cost=np.nan,
+                  cost_matrix=None).check_marginals()
+    return start
+
+
 def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
     """Checked optimal plans for the TL^p costs of the row pairs (U[k], V[k]).
 
@@ -413,16 +458,11 @@ def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
     the dense cost check; a row whose staircase is not optimal is pivoted
     into a fresh plan, whose marginals are checked as well.
     """
-    if mu.dim != nu.dim:
-        raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    start = _checked_staircase(mu, nu)
+    staircase = start[-1]
     if not 1 <= p < np.inf:
         raise PreconditionError("p must be finite and >= 1")
     spatial = _spatial_cost_matrix(mu, nu, p)
-    start = _staircase(mu.weights, nu.weights)
-    staircase = start[-1]
-    # its marginals do not depend on the row: checked once, its cost per row
-    TransportPlan(pi=staircase, source=mu, target=nu, cost=np.nan, stagnation_cost=np.nan,
-                  cost_matrix=spatial).check_marginals()
     C = np.empty_like(spatial)
     scratch = _rc_scratch(*C.shape)
     for u, v in zip(U, V):
@@ -452,13 +492,104 @@ def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
     return float(max(plan.cost, 0.0) ** (1.0 / p)), plan
 
 
+def _products_at_least(A, B, floor, scratch) -> bool:
+    """Whether every entry of A @ B is at least floor (a NaN entry is skipped).
+
+    The product is formed in row blocks of scratch's row count, so its
+    m x n entries are never held at once.
+    """
+    rows = scratch.shape[0]
+    for r in range(0, A.shape[0], rows):
+        a = A[r:r + rows]
+        if not np.fmin.reduce(np.matmul(a, B, out=scratch[: a.shape[0]]), axis=None) >= floor:
+            return False
+    return True
+
+
+def _tl2_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> np.ndarray:
+    """TL^2 distances of the row pairs (U[k], V[k]), with no m x n cost matrix.
+
+    Write f, g for a row's values, u, v for its staircase potentials.  The
+    costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the staircase
+    cells only, by the operations _tlp_plans applies to every cell, so c,
+    u, v and the cost sum(flow * c) are bitwise those of the one-row solve.
+    The reduced costs of all cells are the product R of the rows
+    [alpha_i, 1, f_i, x_i] and the columns [1, beta_j, -2 g_j, -2 y_j]:
+
+        C_ij - u_i - v_j = alpha_i + beta_j - 2 (f_i g_j + <x_i, y_j>),
+        alpha_i = f_i^2 + |x_i|^2 - u_i,  beta_j = g_j^2 + |y_j|^2 - v_j.
+
+    Error bound.  Let a_i = f_i^2 + |x_i|^2 + |u_i|, b_j = g_j^2 + |y_j|^2
+    + |v_j|, S = max a + max b.  As 2|f_i g_j| <= f_i^2 + g_j^2,
+    2|<x_i, y_j>| <= |x_i|^2 + |y_j|^2 and C_ij <= 2 (a_i + b_j), no term
+    of either form exceeds 2 (a_i + b_j).  To first order, in units of
+    (eps/2)(a_i + b_j): alpha_i and beta_j, sums of d + 2 terms, are off by
+    at most d + 2; an entry of R, d + 3 terms summed in any order, with or
+    without fused multiply-adds, by at most 2 (d + 3); the direct
+    fl(fl(C_ij - u_i) - v_j) of _any_reduced_cost_below, C_ij rounded d + 3
+    times, by at most 2 (d + 3) + 6.  So the two forms differ by at most
+    (5d + 20)(eps/2) S.  With KAPPA = 8 (d + 4) and tol = _RC_TOL, a row is
+    certified when 4 S is finite, which rules out an overflow in R, and
+
+        min R >= KAPPA (eps/2) (S + tol) - tol,
+
+    the other 3d + 12 units covering the second-order terms and the
+    rounding of S and of this threshold.  No direct reduced cost of a
+    certified row is then below -tol, nor below the one-row solve's
+    -_rc_tol(max|C|), so that solve keeps the staircase and this cost.
+    Every other row is solved by the one-row _tlp_plans, pivots included.
+    A staircase cell's reduced cost is 0, so a certified row has
+    (5d + 24)(eps/2) S < tol, S < 311 at d = 1: a scaled tol, at most
+    4 eps max c <= 8 eps S, could certify no row.
+
+    A certified row's cost is checked against sum_ij P_ij C_ij over every
+    cell of the staircase plan P, recomputed as r.(f^2 + |x|^2) +
+    s.(g^2 + |y|^2) - 2 (f.Pg + sum(x * Py)) with r, s the row and column
+    sums of P, at MARGINAL_TOL as TransportPlan.check_cost does.
+    """
+    x, y = mu.atoms, nu.atoms
+    i, j, flow, _, P = _checked_staircase(mu, nu)
+    (m, d), n = x.shape, len(y)
+    spatial = _squared_distances(x[i], y[j], np.subtract) if d else np.zeros(len(i))  # on the cells
+    xsq, ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
+    r, s = P.sum(axis=1), P.sum(axis=0)
+    dense_spatial = r @ xsq + s @ ysq - 2.0 * np.einsum("ik,ik->", x, P @ y)
+    A = np.empty((m, d + 3))  # rows [alpha_i, 1, f_i, x_i]
+    A[:, 1], A[:, 3:] = 1.0, x
+    B = np.empty((d + 3, n))  # columns [1, beta_j, -2 g_j, -2 y_j]
+    B[0], B[3:] = 1.0, -2.0 * y.T
+    scratch = _rc_scratch(m, n)
+    kappa_u = 8 * (d + 4) * _EPS / 2
+    out = np.empty(len(U))
+    for k, (f, g) in enumerate(zip(U, V)):
+        c = _pow_p(f[i] - g[j], 2.0)
+        c += spatial
+        u, v = _staircase_potentials(c, i)
+        fsq, gsq = f * f, g * g
+        A[:, 0], A[:, 2] = fsq + xsq - u, f
+        B[1], B[2] = gsq + ysq - v, -2.0 * g
+        S = np.max(fsq + xsq + np.abs(u)) + np.max(gsq + ysq + np.abs(v))
+        floor = kappa_u * (S + _RC_TOL) - _RC_TOL
+        if np.isfinite(4.0 * S) and _products_at_least(A, B, floor, scratch):
+            cost = float(np.sum(flow * c))
+            dense = r @ fsq + s @ gsq - 2.0 * (f @ (P @ g)) + dense_spatial
+            if abs(dense - cost) > MARGINAL_TOL:
+                raise PreconditionError("stored cost disagrees with the dense recomputation")
+        else:
+            (plan, _), = _tlp_plans(mu, nu, f[None], g[None], 2.0)
+            cost = plan.cost
+        out[k] = max(cost, 0.0) ** 0.5
+    return out
+
+
 def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2.0) -> np.ndarray:
     """TL^p distances between (U[k], mu) and (V[k], nu) for every row k.
 
     For trajectories sampled on one pair of measures, such as a graph flow
     and its limit at common times.  Each distance is bitwise the one
     tlp_distance returns for the row pair, with the same checks; only the
-    work that does not depend on the values is shared.
+    work that does not depend on the values is shared.  At p = 2 the rows
+    go through _tl2_distances, which forms no cost matrix.
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -468,6 +599,8 @@ def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2
             f"need (k, {mu.n_atoms}) and (k, {nu.n_atoms}) value rows, got {U.shape} and {V.shape}")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise ConstructionError("values must be finite")
+    if p == 2:
+        return _tl2_distances(mu, nu, U, V)
     return np.array([max(plan.cost, 0.0) ** (1.0 / p) for plan, _ in _tlp_plans(mu, nu, U, V, p)])
 
 

@@ -92,17 +92,29 @@ class TestTLpMemo:
 
     @staticmethod
     def count_solves(monkeypatch):
+        """Record each problem handed to _tlp_plans or, at p = 2, to _tl2_distances.
+
+        A row that _tl2_distances passes on to _tlp_plans is counted once.
+        """
         import gfstack.transport as transport
 
-        calls = []
-        plans = transport._tlp_plans
+        calls, inside = [], []
 
-        def counted(mu, nu, U, V, p):
-            arrays = (mu.atoms, mu.weights, nu.atoms, nu.weights, np.asarray(U), np.asarray(V))
-            calls.append((p,) + tuple((a.shape, a.tobytes()) for a in arrays))
-            return plans(mu, nu, U, V, p)
+        def counting(solve, p=None):
+            def counted(mu, nu, U, V, *rest):
+                if not inside:
+                    arrays = (mu.atoms, mu.weights, nu.atoms, nu.weights, np.asarray(U), np.asarray(V))
+                    calls.append((p or rest[0],) + tuple((a.shape, a.tobytes()) for a in arrays))
+                inside.append(solve)
+                try:
+                    return solve(mu, nu, U, V, *rest)
+                finally:
+                    inside.pop()
 
-        monkeypatch.setattr(transport, "_tlp_plans", counted)
+            return counted
+
+        monkeypatch.setattr(transport, "_tlp_plans", counting(transport._tlp_plans))
+        monkeypatch.setattr(transport, "_tl2_distances", counting(transport._tl2_distances, 2.0))
         return calls
 
     def test_recovery_points_match_direct_plans(self):

@@ -194,6 +194,28 @@ MUTANTS = [
            "np.multiply(plan.pi, plan.cost_matrix, out=spatial)",
            (f"{T_TRANSPORT}::TestPlanCheck::test_cell_sums_match_dense_sums",
             f"{T_TRANSPORT}::TestTlpDistance::test_zero_dimensional_atoms")),
+    # TL^2 rows certified by the product form of their reduced costs; the scaled tolerance
+    Mutant("tl2-margin-dropped", TRANSPORT,
+           "floor = kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
+           (f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol",)),
+    Mutant("tl2-fallback-never-taken", TRANSPORT,
+           "if np.isfinite(4.0 * S) and _products_at_least(A, B, floor, scratch):", "if True:",
+           (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
+            f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol")),
+    Mutant("tl2-cross-term-sign", TRANSPORT,
+           "B[1], B[2] = gsq + ysq - v, -2.0 * g", "B[1], B[2] = gsq + ysq - v, 2.0 * g",
+           (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
+            f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
+    Mutant("tl2-dense-check-removed", TRANSPORT,
+           "            if abs(dense - cost) > MARGINAL_TOL:\n"
+           '                raise PreconditionError("stored cost disagrees with the dense recomputation")\n',
+           "",
+           (f"{T_TRANSPORT}::TestTlpDistances::test_corrupted_row_cost_trips_the_cost_check",)),
+    Mutant("rc-tol-absolute", TRANSPORT,
+           "return float(tol) if _RC_TOL < tol < np.inf else _RC_TOL", "return _RC_TOL",
+           (f"{T_TRANSPORT}::test_reduced_costs_tested_at_the_rounding_of_the_costs[100.0]",
+            f"{T_TRANSPORT}::test_reduced_costs_tested_at_the_rounding_of_the_costs[1000.0]",
+            f"{T_TRANSPORT}::test_rc_tol_floor_and_scale")),
     # graph energies
     Mutant("dct-basis-no-constant-column", ENERGIES,
            "    Q[:, 0] = np.sqrt(1.0 / n)\n", "",
