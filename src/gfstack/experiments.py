@@ -57,13 +57,12 @@ from .stacking import (
 from .transport import (
     EmpiricalMeasure,
     TLpPoint,
-    barycentric_map,
+    _spatial_recovery,
     interpolation_bound_check,
     load_tlp_point,
     tlp_distance,
     tlp_distances,
     uniform_measure,
-    wasserstein,
 )
 
 KINDS = ("bound_suite", "d2c_heat", "resolvent_convergence", "tlp_table", "stacking_audit", "p0_audit")
@@ -284,8 +283,7 @@ def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     for n in cfg.sizes:
         measure = line_measure(n, rng=rng, sampling=cfg.sampling)
         phi = neighborhood_graph_energy(measure, bandwidth(n)).to_functional()
-        _, plan = wasserstein(measure, fine_measure, 2.0)
-        x_n = barycentric_map(plan, x_inf)
+        _, x_n, _ = _spatial_recovery(measure, fine_measure, x_inf, 2.0)
         instances.append(HeatInstance(n=n, measure=measure, functional=phi, initial=x_n))
     return instances, fine
 

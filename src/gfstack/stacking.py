@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import ProperFunctional, as_point, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError
-from .transport import EmpiricalMeasure, TLpPoint, tlp_distances, wasserstein, barycentric_map
+from .transport import EmpiricalMeasure, TLpPoint, _spatial_recovery, tlp_distances
 
 LIMIT = "inf"  # conventional limit-index key
 
@@ -149,10 +149,12 @@ class TLpStacking(Stacking):
     points (atoms, weights and values; the atoms' shape fixes the rest),
     so a changed p or a replaced measure is a new key, never a stale hit;
     it needs no plan, so it solves through tlp_distances.
-    The spatial plan behind an approximating point is kept only as that
-    point (n floats) and its stagnation cost, per (p, source, target,
-    limit values); its W_p distance is kept as the distance between the
-    zero functions.  No m x n array outlives a call.
+    An approximating point comes from _spatial_recovery, which at p = 2
+    reads it off the certified staircase plan with no cost or spatial
+    matrix.  The plan is kept only as that point (n floats) and its
+    stagnation cost, per (p, source, target, limit values); its W_p
+    distance is kept as the distance between the zero functions.  No
+    m x n array outlives a call.
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
@@ -196,10 +198,10 @@ class TLpStacking(Stacking):
         key = (self.p, mk, nk, x_limit.tobytes())
         hit = self._recoveries.get(key)
         if hit is None:
-            d, plan = wasserstein(mu, nu, self.p)
-            hit = self._recoveries[key] = (barycentric_map(plan, x_limit), plan.stagnation_cost)
+            d, point, stagnation = _spatial_recovery(mu, nu, x_limit, self.p)
+            hit = self._recoveries[key] = (point, stagnation)
             zero = (self.p, mk, np.zeros(mu.n_atoms).tobytes(), nk, np.zeros(nu.n_atoms).tobytes())
-            self._distances[zero] = d  # wasserstein is the distance of the zero functions
+            self._distances[zero] = d  # W_p is the distance of the zero functions
         return hit[0].copy(), hit[1]
 
     def approximating_point(self, idx, limit_idx, x_limit):

@@ -17,16 +17,21 @@ simplex never pivots on the rounding of the costs.
 
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
-stagnation cost, the certificate of measure convergence.  tlp_distance
-allocates three m x n arrays: the spatial part, the cost and the plan.  The
-reduced costs are tested in blocks of rows, and the plan's dense checks sum
-without forming products.  tlp_distances compares the rows of two
+stagnation cost, the certificate of measure convergence.  tlp_distance and
+wasserstein allocate three m x n arrays: the spatial part, the cost and the
+plan.  The reduced costs are tested in blocks of rows, and the plan's dense
+checks sum without forming products.  tlp_distances compares the rows of two
 trajectories on one measure pair, with the start and its plan built, and the
-plan's marginals checked, once for all rows.  At p = 2 it forms no cost or
-spatial matrix: the costs are formed on the staircase cells only, and the
-m x n reduced costs of a row are the product of an m x (d+3) and a
-(d+3) x n matrix, formed in row blocks and tested against an error bound;
-a row the bound cannot certify is solved alone (_tl2_distances).
+plan's marginals checked, once for all rows.
+
+Two p = 2 paths form no cost or spatial matrix, only the staircase plan: the
+rows of tlp_distances (_tl2_distances) and the W_2 recoveries of the TL^p
+stacking and the heat instances (_spatial_recovery), which read the
+barycentric point and the stagnation cost off that plan.  Both form the
+costs on the staircase cells only, and certify the staircase with the
+m x n reduced costs as the product of an m x (d+3) and a (d+3) x n matrix,
+formed in row blocks and tested against an error bound (_TL2Staircase); a
+row or pair the bound cannot certify is solved through the dense path.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class TransportPlan:
     def check_cost(self, tol: float = MARGINAL_TOL):
         """Recompute sum(pi * C) over every cell, with no m x n product formed."""
         recomputed = float(np.einsum("ij,ij->", self.pi, self.cost_matrix))
-        if abs(recomputed - self.cost) > tol:
+        if abs(recomputed - self.cost) > _cost_tol(recomputed, self.cost, tol):
             raise PreconditionError("stored cost disagrees with the cost matrix")
 
     def check(self, tol: float = MARGINAL_TOL):
@@ -255,6 +260,20 @@ def _staircase_potentials(c, i):
     u = np.concatenate([[0.0], np.cumsum(dc[down])])
     v = c[0] + np.concatenate([[0.0], np.cumsum(dc[~down])])
     return u, v
+
+
+def _cost_tol(recomputed, cost, tol=MARGINAL_TOL) -> float:
+    """The tolerance of a cost check: recomputed against the stored cost.
+
+    16 eps max(|recomputed|, |cost|) when that is above tol and finite, tol
+    otherwise.  The two sums add the plan's cost terms in different orders,
+    so they differ by rounding relative to the cost: on 10 x 11 1-D
+    problems with N(0, s^2) values, s = 1e3 to 1e6, by at most 2.2 eps
+    cost, while an absolute tol of 1e-9 is a few ulps of a cost near 1e6.
+    Below a cost of about 2.8e5 the tolerance is tol.
+    """
+    scaled = 16.0 * _EPS * max(abs(recomputed), abs(cost))
+    return float(scaled) if tol < scaled < np.inf else tol
 
 
 def _rc_tol(scale) -> float:
@@ -506,8 +525,8 @@ def _products_at_least(A, B, floor, scratch) -> bool:
     return True
 
 
-def _tl2_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> np.ndarray:
-    """TL^2 distances of the row pairs (U[k], V[k]), with no m x n cost matrix.
+class _TL2Staircase:
+    """The checked staircase of (mu, nu), certified row by row at p = 2.
 
     Write f, g for a row's values, u, v for its staircase potentials.  The
     costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the staircase
@@ -537,7 +556,6 @@ def _tl2_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> np.ndarr
     rounding of S and of this threshold.  No direct reduced cost of a
     certified row is then below -tol, nor below the one-row solve's
     -_rc_tol(max|C|), so that solve keeps the staircase and this cost.
-    Every other row is solved by the one-row _tlp_plans, pivots included.
     A staircase cell's reduced cost is 0, so a certified row has
     (5d + 24)(eps/2) S < tol, S < 311 at d = 1: a scaled tol, at most
     4 eps max c <= 8 eps S, could certify no row.
@@ -545,37 +563,58 @@ def _tl2_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> np.ndarr
     A certified row's cost is checked against sum_ij P_ij C_ij over every
     cell of the staircase plan P, recomputed as r.(f^2 + |x|^2) +
     s.(g^2 + |y|^2) - 2 (f.Pg + sum(x * Py)) with r, s the row and column
-    sums of P, at MARGINAL_TOL as TransportPlan.check_cost does.
+    sums of P, as TransportPlan.check_cost checks its cost.
     """
-    x, y = mu.atoms, nu.atoms
-    i, j, flow, _, P = _checked_staircase(mu, nu)
-    (m, d), n = x.shape, len(y)
-    spatial = _squared_distances(x[i], y[j], np.subtract) if d else np.zeros(len(i))  # on the cells
-    xsq, ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
-    r, s = P.sum(axis=1), P.sum(axis=0)
-    dense_spatial = r @ xsq + s @ ysq - 2.0 * np.einsum("ik,ik->", x, P @ y)
-    A = np.empty((m, d + 3))  # rows [alpha_i, 1, f_i, x_i]
-    A[:, 1], A[:, 3:] = 1.0, x
-    B = np.empty((d + 3, n))  # columns [1, beta_j, -2 g_j, -2 y_j]
-    B[0], B[3:] = 1.0, -2.0 * y.T
-    scratch = _rc_scratch(m, n)
-    kappa_u = 8 * (d + 4) * _EPS / 2
+
+    def __init__(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+        x, y = mu.atoms, nu.atoms
+        i, j, self.flow, _, P = _checked_staircase(mu, nu)
+        self.i, self.j, self.P = i, j, P
+        (m, d), n = x.shape, len(y)
+        # |x_i - y_j|^2 on the cells
+        self.spatial = _squared_distances(x[i], y[j], np.subtract) if d else np.zeros(len(i))
+        self.xsq, self.ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
+        self.r, self.s = P.sum(axis=1), P.sum(axis=0)
+        self.dense_spatial = (self.r @ self.xsq + self.s @ self.ysq
+                              - 2.0 * np.einsum("ik,ik->", x, P @ y))
+        self.A = np.empty((m, d + 3))  # rows [alpha_i, 1, f_i, x_i]
+        self.A[:, 1], self.A[:, 3:] = 1.0, x
+        self.B = np.empty((d + 3, n))  # columns [1, beta_j, -2 g_j, -2 y_j]
+        self.B[0], self.B[3:] = 1.0, -2.0 * y.T
+        self.scratch = _rc_scratch(m, n)
+        self.kappa_u = 8 * (d + 4) * _EPS / 2
+
+    def cost(self, f, g):
+        """The staircase's cost for the row (f, g), checked densely; None when not certified."""
+        A, B = self.A, self.B
+        c = _pow_p(f[self.i] - g[self.j], 2.0)
+        c += self.spatial
+        u, v = _staircase_potentials(c, self.i)
+        fsq, gsq = f * f, g * g
+        A[:, 0], A[:, 2] = fsq + self.xsq - u, f
+        B[1], B[2] = gsq + self.ysq - v, -2.0 * g
+        S = np.max(fsq + self.xsq + np.abs(u)) + np.max(gsq + self.ysq + np.abs(v))
+        floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL
+        if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, self.scratch)):
+            return None
+        cost = float(np.sum(self.flow * c))
+        dense = self.r @ fsq + self.s @ gsq - 2.0 * (f @ (self.P @ g)) + self.dense_spatial
+        if abs(dense - cost) > _cost_tol(dense, cost):
+            raise PreconditionError("stored cost disagrees with the dense recomputation")
+        return cost
+
+
+def _tl2_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> np.ndarray:
+    """TL^2 distances of the row pairs (U[k], V[k]), with no m x n cost matrix.
+
+    Each row is certified on the shared _TL2Staircase; a row it cannot
+    certify is solved by the one-row _tlp_plans, pivots included.
+    """
+    staircase = _TL2Staircase(mu, nu)
     out = np.empty(len(U))
     for k, (f, g) in enumerate(zip(U, V)):
-        c = _pow_p(f[i] - g[j], 2.0)
-        c += spatial
-        u, v = _staircase_potentials(c, i)
-        fsq, gsq = f * f, g * g
-        A[:, 0], A[:, 2] = fsq + xsq - u, f
-        B[1], B[2] = gsq + ysq - v, -2.0 * g
-        S = np.max(fsq + xsq + np.abs(u)) + np.max(gsq + ysq + np.abs(v))
-        floor = kappa_u * (S + _RC_TOL) - _RC_TOL
-        if np.isfinite(4.0 * S) and _products_at_least(A, B, floor, scratch):
-            cost = float(np.sum(flow * c))
-            dense = r @ fsq + s @ gsq - 2.0 * (f @ (P @ g)) + dense_spatial
-            if abs(dense - cost) > MARGINAL_TOL:
-                raise PreconditionError("stored cost disagrees with the dense recomputation")
-        else:
+        cost = staircase.cost(f, g)
+        if cost is None:
             (plan, _), = _tlp_plans(mu, nu, f[None], g[None], 2.0)
             cost = plan.cost
         out[k] = max(cost, 0.0) ** 0.5
@@ -604,19 +643,46 @@ def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2
     return np.array([max(plan.cost, 0.0) ** (1.0 / p) for plan, _ in _tlp_plans(mu, nu, U, V, p)])
 
 
+def _conditional_averages(pi, rows, target_values) -> np.ndarray:
+    """pi @ v / rows, with rows the row sums of pi, after barycentric_map's checks."""
+    v = np.asarray(target_values, dtype=float).reshape(-1)
+    if v.size != pi.shape[1]:
+        raise PreconditionError("one target value per target atom required")
+    if np.any(rows <= 0):
+        raise PreconditionError("every source atom needs positive plan mass")
+    return pi @ v / rows
+
+
 def barycentric_map(plan: TransportPlan, target_values) -> np.ndarray:
     """Conditional averages of target values under the plan's disintegration.
 
     u(x_i) = sum_j pi_ij v_j / sum_j pi_ij: the recovery construction that
     turns a limit function into approximations on the source atoms.
     """
-    v = np.asarray(target_values, dtype=float).reshape(-1)
-    if v.size != plan.pi.shape[1]:
-        raise PreconditionError("one target value per target atom required")
-    rows = plan.pi.sum(axis=1)
-    if np.any(rows <= 0):
-        raise PreconditionError("every source atom needs positive plan mass")
-    return plan.pi @ v / rows
+    return _conditional_averages(plan.pi, plan.pi.sum(axis=1), target_values)
+
+
+def _spatial_recovery(mu: EmpiricalMeasure, nu: EmpiricalMeasure, target_values, p: float):
+    """W_p(mu, nu), the barycentric map of target_values and the stagnation cost.
+
+    Bitwise what wasserstein, barycentric_map and plan.stagnation_cost give.
+    At p = 2 a _TL2Staircase certifies the staircase for the zero functions,
+    and the three are read off its plan P: the conditional averages over
+    P's row sums, and the stagnation cost as the sum of P with the spatial
+    costs multiplied into its cells, the array np.multiply(pi, spatial)
+    sums.  No m x n cost or spatial matrix is formed.  Any other p, and a
+    pair the staircase cannot be certified for, goes through wasserstein.
+    """
+    if p == 2:
+        staircase = _TL2Staircase(mu, nu)
+        cost = staircase.cost(np.zeros(mu.n_atoms), np.zeros(nu.n_atoms))
+        if cost is not None:
+            P = staircase.P
+            point = _conditional_averages(P, staircase.r, target_values)
+            P[staircase.i, staircase.j] *= staircase.spatial
+            return max(cost, 0.0) ** 0.5, point, float(P.sum())
+    d, plan = wasserstein(mu, nu, p)
+    return d, barycentric_map(plan, target_values), plan.stagnation_cost
 
 
 @dataclass

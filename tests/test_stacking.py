@@ -92,29 +92,39 @@ class TestTLpMemo:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each problem handed to _tlp_plans or, at p = 2, to _tl2_distances.
+        """Record each problem handed to _tlp_plans, to _tl2_distances (p = 2) or
+        to the recoveries' _spatial_recovery, the last as the TL^p problem of
+        the zero functions, the W_p problem it solves.
 
-        A row that _tl2_distances passes on to _tlp_plans is counted once.
+        A problem that one of them passes on to another is counted once.
         """
+        import gfstack.stacking as stacking
         import gfstack.transport as transport
 
         calls, inside = [], []
 
-        def counting(solve, p=None):
-            def counted(mu, nu, U, V, *rest):
+        def rows(mu, nu, U, V, p=2.0):
+            arrays = (mu.atoms, mu.weights, nu.atoms, nu.weights, np.asarray(U), np.asarray(V))
+            return (p,) + tuple((a.shape, a.tobytes()) for a in arrays)
+
+        def spatial(mu, nu, target_values, p):
+            return rows(mu, nu, np.zeros((1, mu.n_atoms)), np.zeros((1, nu.n_atoms)), p)
+
+        def counting(solve, problem):
+            def counted(*args):
                 if not inside:
-                    arrays = (mu.atoms, mu.weights, nu.atoms, nu.weights, np.asarray(U), np.asarray(V))
-                    calls.append((p or rest[0],) + tuple((a.shape, a.tobytes()) for a in arrays))
+                    calls.append(problem(*args))
                 inside.append(solve)
                 try:
-                    return solve(mu, nu, U, V, *rest)
+                    return solve(*args)
                 finally:
                     inside.pop()
 
             return counted
 
-        monkeypatch.setattr(transport, "_tlp_plans", counting(transport._tlp_plans))
-        monkeypatch.setattr(transport, "_tl2_distances", counting(transport._tl2_distances, 2.0))
+        monkeypatch.setattr(transport, "_tlp_plans", counting(transport._tlp_plans, rows))
+        monkeypatch.setattr(transport, "_tl2_distances", counting(transport._tl2_distances, rows))
+        monkeypatch.setattr(stacking, "_spatial_recovery", counting(transport._spatial_recovery, spatial))
         return calls
 
     def test_recovery_points_match_direct_plans(self):

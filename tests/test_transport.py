@@ -114,6 +114,17 @@ class TestPlanCheck:
         with pytest.raises(PreconditionError, match="stored cost"):
             replace(plan, cost=plan.cost + 1e-6).check()
 
+    def test_stored_cost_off_by_1e12_relative_raises_at_large_costs(self, rng):
+        # near a cost of 1e8 the tolerance is 16 eps cost, about 4e-7: the
+        # cost's own rounding passes, a relative error of 1e-12 does not
+        a = _pt(rng.random(5), 1e4 * rng.normal(size=5))
+        b = _pt(rng.random(7), 1e4 * rng.normal(size=7))
+        _, plan = tlp_distance(a, b, 2.0)
+        assert plan.cost > 1e7
+        replace(plan, cost=plan.cost * (1.0 + 4 * np.finfo(float).eps)).check()
+        with pytest.raises(PreconditionError, match="stored cost"):
+            replace(plan, cost=plan.cost * (1.0 + 1e-12)).check()
+
     def test_row_marginal_off_by_1e8_raises(self, rng):
         plan = self._plan(rng)
         pi = plan.pi.copy()
@@ -482,6 +493,30 @@ def test_rc_tol_floor_and_scale():
         assert transport._rc_tol(scale) == transport._RC_TOL
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6])
+def test_large_costs_pass_the_cost_check(scale):
+    # correct plans whose two cost sums differ by rounding, at most a few
+    # eps cost: an absolute MARGINAL_TOL raised on about half of these
+    # problems from scale 1e4, where the cost is near 1e8
+    for seed in range(50):
+        r = np.random.default_rng(seed)
+        x, y = r.random(10), r.random(11)
+        f, g = scale * r.normal(size=10), scale * r.normal(size=11)
+        d, plan = tlp_distance(_pt(x, f), _pt(y, g))
+        C = np.subtract.outer(f, g) ** 2 + np.subtract.outer(x, y) ** 2
+        ref = _linprog_cost(plan.source.weights, plan.target.weights, C)
+        assert abs(d**2 - ref) <= 1e-13 * ref
+
+
+def test_cost_tol_floor_and_scale():
+    eps, tol = np.finfo(float).eps, transport.MARGINAL_TOL
+    assert transport._cost_tol(0.0, 0.0) == transport._cost_tol(2.5e5, -2.5e5) == tol
+    assert transport._cost_tol(1e6, -1e7) == 16 * eps * 1e7
+    assert transport._cost_tol(1e6, 1e6, 1e-3) == 1e-3
+    for scale in (np.inf, np.nan):
+        assert transport._cost_tol(scale, 1.0) == tol
+
+
 class _NoTree:
     def __init__(self, *args):
         raise AssertionError("an optimal staircase needs no spanning tree")
@@ -795,6 +830,122 @@ class TestTl2Certificate:
                 assert tlp_distances(mu, nu, U, V).tolist() == single
 
 
+def _direct_recovery(mu, nu, v, p=2.0):
+    d, plan = wasserstein(mu, nu, p)
+    return d, barycentric_map(plan, v), plan.stagnation_cost
+
+
+def _recovery_bits(recover, *args):
+    d, point, stagnation = recover(*args)
+    return d, point.tobytes(), stagnation
+
+
+class TestSpatialRecovery:
+    """W_p distance, barycentric point and stagnation cost read off one certified staircase."""
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from([1, 2]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([1.0, 20.0, 1e3]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_plan_path(self, m, n, d, p, sort, uniform, scale, seed):
+        # sorted atoms keep the staircase optimal; at scale 20 and above it
+        # cannot be certified, and unsorted 2-D atoms need pivots: both
+        # fall back to wasserstein, as does every p other than 2
+        r = np.random.default_rng(seed)
+        x, y = scale * r.random((m, d)), scale * r.random((n, d))
+        if sort:
+            x, y = np.sort(x, axis=0), np.sort(y, axis=0)
+        a, b = (np.ones(m), np.ones(n)) if uniform else (r.random(m) + 0.05, r.random(n) + 0.05)
+        mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
+        nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
+        v = r.normal(size=n)
+        recovery = _outcome(lambda: _recovery_bits(transport._spatial_recovery, mu, nu, v, p))
+        assert recovery == _outcome(lambda: _recovery_bits(_direct_recovery, mu, nu, v, p))
+
+    def test_bitwise_at_heat_sizes(self, monkeypatch):
+        # uniformly sampled atoms against the 1024-atom fine grid: the sums
+        # of the plan's rows and of its stagnation array round differently
+        # from those of the weights and of the cells alone
+        fallbacks = _Spy(monkeypatch, "wasserstein")
+        y = (np.arange(1024) + 0.5) / 1024
+        nu, v = uniform_measure(y), np.cos(np.pi * y)
+        for seed in range(6):
+            r = np.random.default_rng(seed)
+            for m in (16, 128):
+                w = r.random(m) + 0.5 if seed % 2 else np.ones(m)
+                mu = EmpiricalMeasure(atoms=np.sort(r.random(m))[:, None], weights=w / w.sum())
+                recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
+                assert fallbacks.calls == 0
+                assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
+
+    def test_atoms_at_scale_20_fall_back(self, monkeypatch):
+        fallbacks = _Spy(monkeypatch, "wasserstein")
+        x, y = (np.arange(16) + 0.5) / 16, (np.arange(1024) + 0.5) / 1024
+        for scale, expected in [(1.0, 0), (20.0, 1)]:
+            mu, nu = uniform_measure(scale * x), uniform_measure(scale * y)
+            v = np.cos(np.pi * y)
+            fallbacks.calls = 0
+            recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
+            assert fallbacks.calls == expected
+            assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
+
+    def test_certified_recoveries_have_no_reduced_cost_below_tol(self, monkeypatch):
+        # TestTl2Certificate's near ties with the values as the atoms: at
+        # offsets 300-600 the product form may hide a reduced cost of -1e-11
+        # that the direct test sees, and the margin keeps such a staircase
+        # from being certified
+        fallbacks = _Spy(monkeypatch, "wasserstein")
+        trees = _Spy(monkeypatch, "_SpanningTree")
+        certified = pivoted = 0
+        for seed in range(120):
+            r = np.random.default_rng(seed)
+            offset = (1.0 if seed % 3 == 0 else 300.0) * (1.0 + r.random())
+            tie, _, f, g = TestTl2Certificate._near_tie(r, offset, 1.0 if seed % 2 else -1.0)
+            mu = EmpiricalMeasure(atoms=f[:, None], weights=tie.weights)
+            nu = uniform_measure(g)
+            v = np.array([1.0, -2.0])
+            fallbacks.calls = 0
+            recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
+            was_certified = fallbacks.calls == 0
+            trees.calls = 0
+            assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
+            assert not (was_certified and trees.calls)
+            certified += was_certified
+            pivoted += trees.calls > 0
+        assert certified >= 10 and pivoted >= 50
+
+    def test_heat_round_recoveries_are_certified(self, monkeypatch):
+        # a heat-1d round recovers 15 initial and approximating points, all
+        # on sorted 1-D atoms in [0, 1]: none needs wasserstein
+        from gfstack import experiments, stacking
+
+        recover, recovered = transport._spatial_recovery, []
+
+        def counted(*args):
+            recovered.append(args)
+            return recover(*args)
+
+        monkeypatch.setattr(transport, "wasserstein", _no_fallback)
+        for module in (experiments, stacking):
+            monkeypatch.setattr(module, "_spatial_recovery", counted)
+        sizes = (16, 32, 64, 128)
+        for seed in (0, 7):
+            recovered.clear()
+            for kind, fields in [("d2c_heat", {"sampling": "equispaced"}),
+                                 ("d2c_heat", {"sampling": "uniform"}),
+                                 ("resolvent_convergence", {}), ("stacking_audit", {})]:
+                experiments.run_experiment(
+                    experiments.ExperimentConfig(kind=kind, seed=seed, sizes=sizes, **fields))
+            assert len(recovered) == 15
+
+
 def _peak_mib(fn):
     tracemalloc.start()
     try:
@@ -821,3 +972,15 @@ def test_tlp_allocates_three_cost_sized_arrays():
             rows.append(_peak_mib(lambda: tlp_distances(a.measure, b.measure, U, V, p)))
         assert rows[0] < bound
         assert rows[1] - rows[0] < 0.01  # the row buffers are reused, never stacked
+
+
+def test_certified_recovery_forms_only_the_plan(monkeypatch):
+    # the staircase plan is 1 MiB at 128 x 1024; the product test's block
+    # adds 1/8 MiB and the cells' vectors a few KiB, below a second m x n
+    # array.  The plan path forms the spatial part and the cost as well
+    monkeypatch.setattr(transport, "wasserstein", _no_fallback)
+    x, y = (np.arange(128) + 0.5) / 128, (np.arange(1024) + 0.5) / 1024
+    mu, nu = uniform_measure(x), uniform_measure(y)
+    v = np.cos(np.pi * y)
+    transport._spatial_recovery(mu, nu, v, 2.0)
+    assert _peak_mib(lambda: transport._spatial_recovery(mu, nu, v, 2.0)) < 1.5

@@ -196,19 +196,20 @@ MUTANTS = [
             f"{T_TRANSPORT}::TestTlpDistance::test_zero_dimensional_atoms")),
     # TL^2 rows certified by the product form of their reduced costs; the scaled tolerance
     Mutant("tl2-margin-dropped", TRANSPORT,
-           "floor = kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
+           "floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol",)),
     Mutant("tl2-fallback-never-taken", TRANSPORT,
-           "if np.isfinite(4.0 * S) and _products_at_least(A, B, floor, scratch):", "if True:",
+           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, self.scratch)):",
+           "if False:",
            (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol")),
     Mutant("tl2-cross-term-sign", TRANSPORT,
-           "B[1], B[2] = gsq + ysq - v, -2.0 * g", "B[1], B[2] = gsq + ysq - v, 2.0 * g",
+           "B[1], B[2] = gsq + self.ysq - v, -2.0 * g", "B[1], B[2] = gsq + self.ysq - v, 2.0 * g",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
     Mutant("tl2-dense-check-removed", TRANSPORT,
-           "            if abs(dense - cost) > MARGINAL_TOL:\n"
-           '                raise PreconditionError("stored cost disagrees with the dense recomputation")\n',
+           "        if abs(dense - cost) > _cost_tol(dense, cost):\n"
+           '            raise PreconditionError("stored cost disagrees with the dense recomputation")\n',
            "",
            (f"{T_TRANSPORT}::TestTlpDistances::test_corrupted_row_cost_trips_the_cost_check",)),
     Mutant("rc-tol-absolute", TRANSPORT,
@@ -216,6 +217,30 @@ MUTANTS = [
            (f"{T_TRANSPORT}::test_reduced_costs_tested_at_the_rounding_of_the_costs[100.0]",
             f"{T_TRANSPORT}::test_reduced_costs_tested_at_the_rounding_of_the_costs[1000.0]",
             f"{T_TRANSPORT}::test_rc_tol_floor_and_scale")),
+    # the W_2 recoveries read off the certified staircase; the relative cost tolerance.  The
+    # margin and the fallback are the TL^2 certificate's own, here reached through a recovery
+    Mutant("recovery-margin-dropped", TRANSPORT,
+           "floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
+           (f"{T_TRANSPORT}::TestSpatialRecovery::test_certified_recoveries_have_no_reduced_cost"
+            "_below_tol",)),
+    Mutant("recovery-fallback-never-taken", TRANSPORT,
+           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, self.scratch)):",
+           "if False:",
+           (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
+            f"{T_TRANSPORT}::TestSpatialRecovery::test_atoms_at_scale_20_fall_back")),
+    Mutant("recovery-stagnation-over-cells", TRANSPORT,
+           "return max(cost, 0.0) ** 0.5, point, float(P.sum())",
+           "return max(cost, 0.0) ** 0.5, point, float(np.sum(P[staircase.i, staircase.j]))",
+           (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_at_heat_sizes",)),
+    Mutant("recovery-rows-from-weights", TRANSPORT,
+           "point = _conditional_averages(P, staircase.r, target_values)",
+           "point = _conditional_averages(P, mu.weights, target_values)",
+           (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
+            f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_at_heat_sizes")),
+    Mutant("cost-tol-factor-1e6", TRANSPORT,
+           "scaled = 16.0 * _EPS * max(", "scaled = 1e6 * _EPS * max(",
+           (f"{T_TRANSPORT}::TestPlanCheck::test_stored_cost_off_by_1e12_relative_raises_at_large_costs",
+            f"{T_TRANSPORT}::test_cost_tol_floor_and_scale")),
     # graph energies
     Mutant("dct-basis-no-constant-column", ENERGIES,
            "    Q[:, 0] = np.sqrt(1.0 / n)\n", "",
@@ -296,8 +321,8 @@ MUTANTS = [
            "            self._distances[zero] = d", "            pass",
            (f"{T_STACKING}::TestTLpMemo::test_zero_gap_reads_the_spatial_solve",)),
     Mutant("memo-keeps-plan", STACKING,
-           "(barycentric_map(plan, x_limit), plan.stagnation_cost)",
-           "(barycentric_map(plan, x_limit), plan.stagnation_cost, plan)",
+           "hit = self._recoveries[key] = (point, stagnation)",
+           "hit = self._recoveries[key] = (point, stagnation, np.zeros((mu.n_atoms, nu.n_atoms)))",
            (f"{T_STACKING}::TestTLpMemo::test_memo_holds_no_dense_plan",)),
     Mutant("memo-index-key", STACKING,
            "mk, nk = self._measure_key(mu), self._measure_key(nu)", "mk, nk = idx, limit_idx",
