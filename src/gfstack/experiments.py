@@ -57,11 +57,10 @@ from .stacking import (
 from .transport import (
     EmpiricalMeasure,
     TLpPoint,
-    _spatial_recovery,
+    _TL2Staircase,
     interpolation_bound_check,
     load_tlp_point,
     tlp_distance,
-    tlp_distances,
     uniform_measure,
 )
 
@@ -268,6 +267,7 @@ class HeatInstance:
     measure: EmpiricalMeasure
     functional: ProperFunctional
     initial: np.ndarray
+    staircase: Optional[_TL2Staircase] = None  # of (measure, the fine measure); None on the fine one
 
 
 def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -283,8 +283,9 @@ def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     for n in cfg.sizes:
         measure = line_measure(n, rng=rng, sampling=cfg.sampling)
         phi = neighborhood_graph_energy(measure, bandwidth(n)).to_functional()
-        _, x_n, _ = _spatial_recovery(measure, fine_measure, x_inf, 2.0)
-        instances.append(HeatInstance(n=n, measure=measure, functional=phi, initial=x_n))
+        staircase = _TL2Staircase(measure, fine_measure)
+        _, x_n, _ = staircase.recovery(x_inf)
+        instances.append(HeatInstance(n, measure, phi, x_n, staircase))
     return instances, fine
 
 
@@ -477,8 +478,7 @@ def run_d2c_experiment(cfg: ExperimentConfig) -> List[Row]:
     sup_dists, max_gaps = [], []
     for inst in instances:
         flow = gradient_flow(inst.functional, inst.initial, times, tolflow)
-        dists = tlp_distances(inst.measure, fine.measure, flow.trajectory.states,
-                              fine_flow.trajectory.states, 2.0).tolist()
+        dists = inst.staircase.distances(flow.trajectory.states, fine_flow.trajectory.states).tolist()
         gaps = []
         for k, (t, d) in enumerate(zip(times, dists)):
             gap = abs(flow.energies[k] - fine_flow.energies[k])
@@ -587,7 +587,7 @@ def run_resolvent_convergence(cfg: ExperimentConfig) -> List[Row]:
         flow = gradient_flow(inst.functional, inst.initial, times, tol)
         # the prox row first, then the flow's rows at the common times
         graph_rows = np.vstack([rn, flow.trajectory.states])
-        d_res, *d_semi = tlp_distances(inst.measure, fine.measure, graph_rows, fine_rows, 2.0).tolist()
+        d_res, *d_semi = inst.staircase.distances(graph_rows, fine_rows).tolist()
         res_col.append(d_res)
         semi_col.append(max([0.0, *d_semi]))
     ns = [inst.n for inst in instances]

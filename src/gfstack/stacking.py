@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import ProperFunctional, as_point, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError
-from .transport import EmpiricalMeasure, TLpPoint, _spatial_recovery, tlp_distances
+from .transport import EmpiricalMeasure, TLpPoint, _spatial_recovery, _TL2Staircase, tlp_distances
 
 LIMIT = "inf"  # conventional limit-index key
 
@@ -153,8 +153,9 @@ class TLpStacking(Stacking):
     reads it off the certified staircase plan with no cost or spatial
     matrix.  The plan is kept only as that point (n floats) and its
     stagnation cost, per (p, source, target, limit values); its W_p
-    distance is kept as the distance between the zero functions.  No
-    m x n array outlives a call.
+    distance is kept as the distance between the zero functions.  At
+    p = 2 both go through one _TL2Staircase per (source, target) measure
+    pair, O(m + n) data; no m x n array outlives a call.
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
@@ -165,10 +166,18 @@ class TLpStacking(Stacking):
         self._measure_keys = {}  # content key -> itself, so memo keys share one copy
         self._distances = {}  # (p, measure key, values, measure key, values) -> TL^p distance
         self._recoveries = {}  # (p, measure key, measure key, values) -> (point, stagnation)
+        self._staircases = {}  # (measure key, measure key) -> their _TL2Staircase, for p = 2
 
     def _measure_key(self, mu: EmpiricalMeasure):
         key = (mu.atoms.shape, mu.atoms.tobytes(), mu.weights.tobytes())
         return self._measure_keys.setdefault(key, key)
+
+    def _staircase(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> _TL2Staircase:
+        key = (self._measure_key(mu), self._measure_key(nu))
+        staircase = self._staircases.get(key)
+        if staircase is None:
+            staircase = self._staircases[key] = _TL2Staircase(mu, nu)
+        return staircase
 
     def space_dim(self, idx):
         return self.measures[idx].n_atoms
@@ -186,7 +195,9 @@ class TLpStacking(Stacking):
                self._measure_key(e2.measure), e2.values.tobytes())
         d = self._distances.get(key)
         if d is None:
-            d, = tlp_distances(e1.measure, e2.measure, e1.values[None], e2.values[None], self.p)
+            u, v = e1.values[None], e2.values[None]
+            d, = (self._staircase(e1.measure, e2.measure).distances(u, v) if self.p == 2
+                  else tlp_distances(e1.measure, e2.measure, u, v, self.p))
             d = self._distances[key] = float(d)
         return d
 
@@ -198,7 +209,8 @@ class TLpStacking(Stacking):
         key = (self.p, mk, nk, x_limit.tobytes())
         hit = self._recoveries.get(key)
         if hit is None:
-            d, point, stagnation = _spatial_recovery(mu, nu, x_limit, self.p)
+            d, point, stagnation = (self._staircase(mu, nu).recovery(x_limit) if self.p == 2
+                                    else _spatial_recovery(mu, nu, x_limit, self.p))
             hit = self._recoveries[key] = (point, stagnation)
             zero = (self.p, mk, np.zeros(mu.n_atoms).tobytes(), nk, np.zeros(nu.n_atoms).tobytes())
             self._distances[zero] = d  # W_p is the distance of the zero functions

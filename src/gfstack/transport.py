@@ -24,14 +24,14 @@ checks sum without forming products.  tlp_distances compares the rows of two
 trajectories on one measure pair, with the start and its plan built, and the
 plan's marginals checked, once for all rows.
 
-Two p = 2 paths form no cost or spatial matrix, only the staircase plan: the
-rows of tlp_distances (_tl2_distances) and the W_2 recoveries of the TL^p
-stacking and the heat instances (_spatial_recovery), which read the
-barycentric point and the stagnation cost off that plan.  Both form the
-costs on the staircase cells only, and certify the staircase with the
+At p = 2 the rows of tlp_distances and the W_2 recoveries of the TL^p
+stacking and the heat instances go through a _TL2Staircase, one measure
+pair's staircase kept as its cells (O(m + n) data) for all of them.  It
+forms the costs on the cells only, and certifies the staircase with the
 m x n reduced costs as the product of an m x (d+3) and a (d+3) x n matrix,
-formed in row blocks and tested against an error bound (_TL2Staircase); a
-row or pair the bound cannot certify is solved through the dense path.
+formed in row blocks and tested against an error bound; a row or pair it
+cannot certify is solved through the dense path.  The only m x n array of
+these paths is a recovery's plan, formed for the call.
 """
 
 from __future__ import annotations
@@ -129,14 +129,10 @@ class TransportPlan:
     cost_matrix: np.ndarray
 
     def marginal_errors(self):
-        row = np.abs(self.pi.sum(axis=1) - self.source.weights).max()
-        col = np.abs(self.pi.sum(axis=0) - self.target.weights).max()
-        return float(row), float(col)
+        return _marginal_errors(self.pi.sum(axis=1), self.pi.sum(axis=0), self.source, self.target)
 
     def check_marginals(self, tol: float = MARGINAL_TOL):
-        row, col = self.marginal_errors()
-        if row > tol or col > tol:
-            raise PreconditionError(f"plan marginals off by ({row:.3e}, {col:.3e})")
+        _check_marginals(*self.marginal_errors(), tol)
 
     def check_cost(self, tol: float = MARGINAL_TOL):
         """Recompute sum(pi * C) over every cell, with no m x n product formed."""
@@ -147,6 +143,16 @@ class TransportPlan:
     def check(self, tol: float = MARGINAL_TOL):
         self.check_marginals(tol)
         self.check_cost(tol)
+
+
+def _marginal_errors(rows, cols, source: EmpiricalMeasure, target: EmpiricalMeasure):
+    """How far a plan's row and column sums are from the source and target weights."""
+    return float(np.abs(rows - source.weights).max()), float(np.abs(cols - target.weights).max())
+
+
+def _check_marginals(row, col, tol: float = MARGINAL_TOL):
+    if row > tol or col > tol:
+        raise PreconditionError(f"plan marginals off by ({row:.3e}, {col:.3e})")
 
 
 def _pow_p(vals: np.ndarray, p: float) -> np.ndarray:
@@ -346,10 +352,10 @@ def _any_reduced_cost_below(C, u, v, scratch, tol) -> bool:
     return False
 
 
-def _staircase(a, b):
-    """The northwest-corner start: its cells, (exact, eps) flows and dense plan."""
-    i, j, flow, flow_eps = _northwest_corner(a, b)
-    P = np.zeros((len(a), len(b)))
+def _staircase(cells, shape):
+    """A _northwest_corner start with its dense plan: cells, (exact, eps) flows and plan."""
+    i, j, flow, flow_eps = cells
+    P = np.zeros(shape)
     P[i, j] = flow
     return i, j, flow, flow_eps, P
 
@@ -406,7 +412,7 @@ def solve_transport(a, b, C):
         raise PreconditionError("marginal sizes must match the cost matrix")
     if abs(a.sum() - b.sum()) > 1e-9:
         raise PreconditionError("marginals must have equal total mass")
-    return _solve(C, _staircase(a, b), _rc_scratch(m, n))
+    return _solve(C, _staircase(_northwest_corner(a, b), C.shape), _rc_scratch(m, n))
 
 
 def _squared_distances(x, y, subtract):
@@ -452,17 +458,18 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
 
 
 def _checked_staircase(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """The _staircase start of (mu, nu) in one dimension, its plan's marginals checked.
+    """The _northwest_corner cells of (mu, nu) in one dimension, and its plan's row and column sums.
 
-    The marginals do not depend on the values: checked once per measure
-    pair, the plan's cost once per row.
+    The sums, bincounts over the cells, are checked against the weights once
+    per measure pair: they do not depend on the values.
     """
     if mu.dim != nu.dim:
         raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    start = _staircase(mu.weights, nu.weights)
-    TransportPlan(pi=start[-1], source=mu, target=nu, cost=np.nan, stagnation_cost=np.nan,
-                  cost_matrix=None).check_marginals()
-    return start
+    cells = _northwest_corner(mu.weights, nu.weights)
+    i, j, flow, _ = cells
+    r, s = np.bincount(i, flow, mu.n_atoms), np.bincount(j, flow, nu.n_atoms)
+    _check_marginals(*_marginal_errors(r, s, mu, nu))
+    return cells, r, s
 
 
 def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
@@ -470,17 +477,18 @@ def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
 
     Yields (plan, spatial) for each row; plan.stagnation_cost is left nan.
     The spatial matrix, the staircase start and its dense plan are built
-    once, and that plan's marginals are checked once.  Each row's cost
+    once, and the staircase's marginals checked once.  Each row's cost
     |u_i - v_j|^p + spatial is formed in place in one buffer, the
     cost_matrix of every yielded plan, so a caller reads a plan before it
     asks for the next row.  Every row runs the full reduced-cost test and
     the dense cost check; a row whose staircase is not optimal is pivoted
     into a fresh plan, whose marginals are checked as well.
     """
-    start = _checked_staircase(mu, nu)
-    staircase = start[-1]
+    cells = _checked_staircase(mu, nu)[0]
     if not 1 <= p < np.inf:
         raise PreconditionError("p must be finite and >= 1")
+    start = _staircase(cells, (mu.n_atoms, nu.n_atoms))
+    staircase = start[-1]
     spatial = _spatial_cost_matrix(mu, nu, p)
     C = np.empty_like(spatial)
     scratch = _rc_scratch(*C.shape)
@@ -528,6 +536,9 @@ def _products_at_least(A, B, floor, scratch) -> bool:
 class _TL2Staircase:
     """The checked staircase of (mu, nu), certified row by row at p = 2.
 
+    Kept as its cells (i_k, j_k) and flows, O(m + n) data, for every
+    distances row and recovery a caller asks of the pair.
+
     Write f, g for a row's values, u, v for its staircase potentials.  The
     costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the staircase
     cells only, by the operations _tlp_plans applies to every cell, so c,
@@ -560,65 +571,91 @@ class _TL2Staircase:
     (5d + 24)(eps/2) S < tol, S < 311 at d = 1: a scaled tol, at most
     4 eps max c <= 8 eps S, could certify no row.
 
-    A certified row's cost is checked against sum_ij P_ij C_ij over every
-    cell of the staircase plan P, recomputed as r.(f^2 + |x|^2) +
-    s.(g^2 + |y|^2) - 2 (f.Pg + sum(x * Py)) with r, s the row and column
-    sums of P, as TransportPlan.check_cost checks its cost.
+    A certified row's cost is checked against sum_ij P_ij C_ij over the
+    staircase plan P, zero off the cells, so expanded over them as
+    r.(f^2 + |x|^2) + s.(g^2 + |y|^2) - 2 (f.Pg + sum(x * Py)) with r, s, Pg
+    and Py bincounts of the cells, as TransportPlan.check_cost checks its cost.
     """
 
     def __init__(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+        self.mu, self.nu = mu, nu
         x, y = mu.atoms, nu.atoms
-        i, j, self.flow, _, P = _checked_staircase(mu, nu)
-        self.i, self.j, self.P = i, j, P
+        (i, j, self.flow, _), self.r, self.s = _checked_staircase(mu, nu)
+        self.i, self.j = i, j
         (m, d), n = x.shape, len(y)
+        self.shape = m, n
         # |x_i - y_j|^2 on the cells
         self.spatial = _squared_distances(x[i], y[j], np.subtract) if d else np.zeros(len(i))
         self.xsq, self.ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
-        self.r, self.s = P.sum(axis=1), P.sum(axis=0)
+        Py = np.array([np.bincount(i, self.flow * yk, m) for yk in y[j].T]).reshape(d, m)
         self.dense_spatial = (self.r @ self.xsq + self.s @ self.ysq
-                              - 2.0 * np.einsum("ik,ik->", x, P @ y))
-        self.A = np.empty((m, d + 3))  # rows [alpha_i, 1, f_i, x_i]
-        self.A[:, 1], self.A[:, 3:] = 1.0, x
-        self.B = np.empty((d + 3, n))  # columns [1, beta_j, -2 g_j, -2 y_j]
-        self.B[0], self.B[3:] = 1.0, -2.0 * y.T
-        self.scratch = _rc_scratch(m, n)
+                              - 2.0 * np.einsum("ik,ki->", x, Py))
         self.kappa_u = 8 * (d + 4) * _EPS / 2
 
     def cost(self, f, g):
         """The staircase's cost for the row (f, g), checked densely; None when not certified."""
-        A, B = self.A, self.B
         c = _pow_p(f[self.i] - g[self.j], 2.0)
         c += self.spatial
         u, v = _staircase_potentials(c, self.i)
         fsq, gsq = f * f, g * g
-        A[:, 0], A[:, 2] = fsq + self.xsq - u, f
-        B[1], B[2] = gsq + self.ysq - v, -2.0 * g
+        # rows [alpha_i, 1, f_i, x_i] and columns [1, beta_j, -2 g_j, -2 y_j]
+        A = np.column_stack([fsq + self.xsq - u, np.ones(len(f)), f, self.mu.atoms])
+        B = np.vstack([np.ones(len(g)), gsq + self.ysq - v, -2.0 * g, -2.0 * self.nu.atoms.T])
         S = np.max(fsq + self.xsq + np.abs(u)) + np.max(gsq + self.ysq + np.abs(v))
         floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL
-        if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, self.scratch)):
+        if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape))):
             return None
         cost = float(np.sum(self.flow * c))
-        dense = self.r @ fsq + self.s @ gsq - 2.0 * (f @ (self.P @ g)) + self.dense_spatial
+        Pg = np.bincount(self.i, self.flow * g[self.j], len(f))
+        dense = self.r @ fsq + self.s @ gsq - 2.0 * (f @ Pg) + self.dense_spatial
         if abs(dense - cost) > _cost_tol(dense, cost):
             raise PreconditionError("stored cost disagrees with the dense recomputation")
         return cost
 
+    def distances(self, U, V) -> np.ndarray:
+        """TL^2 distances of the rows (U[k], V[k]); one not certified is solved by _tlp_plans."""
+        U, V = _checked_rows(self.mu, self.nu, U, V)
+        out = np.empty(len(U))
+        for k, (f, g) in enumerate(zip(U, V)):
+            cost = self.cost(f, g)
+            if cost is None:
+                (plan, _), = _tlp_plans(self.mu, self.nu, f[None], g[None], 2.0)
+                cost = plan.cost
+            out[k] = max(cost, 0.0) ** 0.5
+        return out
 
-def _tl2_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> np.ndarray:
-    """TL^2 distances of the row pairs (U[k], V[k]), with no m x n cost matrix.
+    def recovery(self, target_values):
+        """W_2(mu, nu), the barycentric map of target_values and the stagnation cost.
 
-    Each row is certified on the shared _TL2Staircase; a row it cannot
-    certify is solved by the one-row _tlp_plans, pivots included.
-    """
-    staircase = _TL2Staircase(mu, nu)
-    out = np.empty(len(U))
-    for k, (f, g) in enumerate(zip(U, V)):
-        cost = staircase.cost(f, g)
+        Bitwise what wasserstein, barycentric_map and plan.stagnation_cost
+        give.  Certified for the zero functions, the three are read off the
+        plan P, formed for this call alone: the conditional averages over
+        P's row sums, and the sum of P with the spatial costs multiplied into
+        its cells, the array np.multiply(pi, spatial) sums.  Otherwise they
+        come from wasserstein.
+        """
+        cost = self.cost(np.zeros(self.shape[0]), np.zeros(self.shape[1]))
         if cost is None:
-            (plan, _), = _tlp_plans(mu, nu, f[None], g[None], 2.0)
-            cost = plan.cost
-        out[k] = max(cost, 0.0) ** 0.5
-    return out
+            d, plan = wasserstein(self.mu, self.nu, 2.0)
+            return d, barycentric_map(plan, target_values), plan.stagnation_cost
+        P = np.zeros(self.shape)
+        P[self.i, self.j] = self.flow
+        point = _conditional_averages(P, P.sum(axis=1), target_values)
+        P[self.i, self.j] *= self.spatial
+        return max(cost, 0.0) ** 0.5, point, float(P.sum())
+
+
+def _checked_rows(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V):
+    """U and V as (k, m) and (k, n) float value rows on mu and nu, every value finite."""
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if (U.ndim != 2 or V.ndim != 2 or len(U) != len(V)
+            or U.shape[1] != mu.n_atoms or V.shape[1] != nu.n_atoms):
+        raise PreconditionError(
+            f"need (k, {mu.n_atoms}) and (k, {nu.n_atoms}) value rows, got {U.shape} and {V.shape}")
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        raise ConstructionError("values must be finite")
+    return U, V
 
 
 def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2.0) -> np.ndarray:
@@ -628,18 +665,11 @@ def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2
     and its limit at common times.  Each distance is bitwise the one
     tlp_distance returns for the row pair, with the same checks; only the
     work that does not depend on the values is shared.  At p = 2 the rows
-    go through _tl2_distances, which forms no cost matrix.
+    go through the pair's _TL2Staircase, which forms no cost matrix.
     """
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if (U.ndim != 2 or V.ndim != 2 or len(U) != len(V)
-            or U.shape[1] != mu.n_atoms or V.shape[1] != nu.n_atoms):
-        raise PreconditionError(
-            f"need (k, {mu.n_atoms}) and (k, {nu.n_atoms}) value rows, got {U.shape} and {V.shape}")
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise ConstructionError("values must be finite")
+    U, V = _checked_rows(mu, nu, U, V)
     if p == 2:
-        return _tl2_distances(mu, nu, U, V)
+        return _TL2Staircase(mu, nu).distances(U, V)
     return np.array([max(plan.cost, 0.0) ** (1.0 / p) for plan, _ in _tlp_plans(mu, nu, U, V, p)])
 
 
@@ -665,22 +695,12 @@ def barycentric_map(plan: TransportPlan, target_values) -> np.ndarray:
 def _spatial_recovery(mu: EmpiricalMeasure, nu: EmpiricalMeasure, target_values, p: float):
     """W_p(mu, nu), the barycentric map of target_values and the stagnation cost.
 
-    Bitwise what wasserstein, barycentric_map and plan.stagnation_cost give.
-    At p = 2 a _TL2Staircase certifies the staircase for the zero functions,
-    and the three are read off its plan P: the conditional averages over
-    P's row sums, and the stagnation cost as the sum of P with the spatial
-    costs multiplied into its cells, the array np.multiply(pi, spatial)
-    sums.  No m x n cost or spatial matrix is formed.  Any other p, and a
-    pair the staircase cannot be certified for, goes through wasserstein.
+    Bitwise what wasserstein, barycentric_map and plan.stagnation_cost give:
+    at p = 2 from the pair's _TL2Staircase (its recovery), at any other p
+    from wasserstein's plan.
     """
     if p == 2:
-        staircase = _TL2Staircase(mu, nu)
-        cost = staircase.cost(np.zeros(mu.n_atoms), np.zeros(nu.n_atoms))
-        if cost is not None:
-            P = staircase.P
-            point = _conditional_averages(P, staircase.r, target_values)
-            P[staircase.i, staircase.j] *= staircase.spatial
-            return max(cost, 0.0) ** 0.5, point, float(P.sum())
+        return _TL2Staircase(mu, nu).recovery(target_values)
     d, plan = wasserstein(mu, nu, p)
     return d, barycentric_map(plan, target_values), plan.stagnation_cost
 

@@ -92,9 +92,10 @@ class TestTLpMemo:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each problem handed to _tlp_plans, to _tl2_distances (p = 2) or
-        to the recoveries' _spatial_recovery, the last as the TL^p problem of
-        the zero functions, the W_p problem it solves.
+        """Record each problem handed to _tlp_plans, to a _TL2Staircase's
+        distances or recovery (p = 2) or to the recoveries' _spatial_recovery
+        (other p), a recovery as the TL^p problem of the zero functions, the
+        W_p problem it solves.
 
         A problem that one of them passes on to another is counted once.
         """
@@ -123,7 +124,11 @@ class TestTLpMemo:
             return counted
 
         monkeypatch.setattr(transport, "_tlp_plans", counting(transport._tlp_plans, rows))
-        monkeypatch.setattr(transport, "_tl2_distances", counting(transport._tl2_distances, rows))
+        staircase = transport._TL2Staircase
+        monkeypatch.setattr(staircase, "distances", counting(
+            staircase.distances, lambda st, U, V: rows(st.mu, st.nu, U, V)))
+        monkeypatch.setattr(staircase, "recovery", counting(
+            staircase.recovery, lambda st, v: spatial(st.mu, st.nu, v, 2.0)))
         monkeypatch.setattr(stacking, "_spatial_recovery", counting(transport._spatial_recovery, spatial))
         return calls
 

@@ -199,12 +199,13 @@ MUTANTS = [
            "floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol",)),
     Mutant("tl2-fallback-never-taken", TRANSPORT,
-           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, self.scratch)):",
+           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape))):",
            "if False:",
            (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol")),
     Mutant("tl2-cross-term-sign", TRANSPORT,
-           "B[1], B[2] = gsq + self.ysq - v, -2.0 * g", "B[1], B[2] = gsq + self.ysq - v, 2.0 * g",
+           "gsq + self.ysq - v, -2.0 * g, -2.0 * self.nu.atoms.T]",
+           "gsq + self.ysq - v, 2.0 * g, -2.0 * self.nu.atoms.T]",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
     Mutant("tl2-dense-check-removed", TRANSPORT,
@@ -224,19 +225,39 @@ MUTANTS = [
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_certified_recoveries_have_no_reduced_cost"
             "_below_tol",)),
     Mutant("recovery-fallback-never-taken", TRANSPORT,
-           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, self.scratch)):",
+           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape))):",
            "if False:",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
             f"{T_TRANSPORT}::TestSpatialRecovery::test_atoms_at_scale_20_fall_back")),
     Mutant("recovery-stagnation-over-cells", TRANSPORT,
            "return max(cost, 0.0) ** 0.5, point, float(P.sum())",
-           "return max(cost, 0.0) ** 0.5, point, float(np.sum(P[staircase.i, staircase.j]))",
+           "return max(cost, 0.0) ** 0.5, point, float(np.sum(P[self.i, self.j]))",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_at_heat_sizes",)),
     Mutant("recovery-rows-from-weights", TRANSPORT,
-           "point = _conditional_averages(P, staircase.r, target_values)",
-           "point = _conditional_averages(P, mu.weights, target_values)",
+           "point = _conditional_averages(P, P.sum(axis=1), target_values)",
+           "point = _conditional_averages(P, self.mu.weights, target_values)",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
             f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_at_heat_sizes")),
+    # one O(m + n) staircase per measure pair, shared by the distances and recoveries on it
+    Mutant("recovery-writes-shared-cells", TRANSPORT,
+           "P[self.i, self.j] *= self.spatial",
+           "P[self.i, self.j] = np.multiply(self.flow, self.spatial, out=self.flow)",
+           (f"{T_TRANSPORT}::TestSharedStaircase::test_shared_is_bitwise_fresh",)),
+    Mutant("cell-marginal-check-dropped", TRANSPORT,
+           "    _check_marginals(*_marginal_errors(r, s, mu, nu))\n", "",
+           (f"{T_TRANSPORT}::TestSharedStaircase::test_perturbed_flow_trips_the_marginal_check",)),
+    Mutant("stacking-staircase-rebuilt-per-call", STACKING,
+           "staircase = self._staircases[key] = _TL2Staircase(mu, nu)",
+           "staircase = _TL2Staircase(mu, nu)",
+           (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",)),
+    Mutant("heat-staircase-rebuilt-per-call", EXPERIMENTS,
+           "dists = inst.staircase.distances(",
+           "dists = _TL2Staircase(inst.measure, fine.measure).distances(",
+           (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",)),
+    Mutant("stacking-staircase-key-without-target", STACKING,
+           "key = (self._measure_key(mu), self._measure_key(nu))", "key = self._measure_key(mu)",
+           (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",
+            f"{T_STACKING}::TestTLpMemo::test_stacking_audit_solves_each_problem_once")),
     Mutant("cost-tol-factor-1e6", TRANSPORT,
            "scaled = 16.0 * _EPS * max(", "scaled = 1e6 * _EPS * max(",
            (f"{T_TRANSPORT}::TestPlanCheck::test_stored_cost_off_by_1e12_relative_raises_at_large_costs",
