@@ -153,11 +153,21 @@ class ProperFunctional:
 def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.ndarray:
     """Adaptive gradient descent on h(y) = F(y) + ||y - x||^2 / (2*gamma).
 
-    Steps follow Malitsky & Mishchenko, "Adaptive gradient descent without
-    descent" (ICML 2020), in the weighted inner product: no line search, no
-    objective values, and convergence for every convex h with a locally
-    Lipschitz gradient.  Barzilai-Borwein steps diverge on some nested Huber
-    envelopes, which are piecewise quadratic.
+    Steps follow Algorithm 1 of Malitsky & Mishchenko, "Adaptive proximal
+    gradient method for convex optimization" (NeurIPS 2024, arXiv:2308.02261),
+    in the weighted inner product.  From y_0 = x, lambda_0 = 1/mu, theta_0 = 1/3:
+
+        y_{k+1} = y_k - lambda_k grad h(y_k),   theta_k = lambda_k / lambda_{k-1},
+        lambda_k = min(sqrt(2/3 + theta_{k-1}) lambda_{k-1},
+                       lambda_{k-1} / sqrt([2 lambda_{k-1}^2 L_k^2 - 1]_+)),
+
+    with L_k^2 = <r, r>/<s, s>, s = y_k - y_{k-1}, r = grad h(y_k) - grad h(y_{k-1})
+    and 1/sqrt(0) = inf.  Their Theorem 1 proves convergence for every convex h
+    with a locally Lipschitz gradient, with no line search and no objective
+    values.  The modulus check below only ensures 2 lambda_0^2 L_1^2 >= 1/2, so
+    the finite theta_0, which caps lambda_1 at lambda_0, keeps the first step
+    finite.  Barzilai-Borwein steps diverge on some nested Huber envelopes,
+    which are piecewise quadratic.
 
     h is mu = 1/gamma + lam strongly convex, so ||grad h(y)|| <= eps * mu
     certifies that y lies within eps = PROX_RESIDUAL_TOL * (1 + ||x||) of the
@@ -177,7 +187,7 @@ def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.nda
         return as_point(gradient(y), dim) + (y - x) / gamma
 
     y, gy = x, grad_h(x)
-    step, theta = 1.0 / mu, math.inf
+    step, theta = 1.0 / mu, 1.0 / 3.0
     for _ in range(PROX_GRADIENT_MAX_ITER):
         res = math.sqrt(add(w * gy * gy)) / mu
         if res <= eps:
@@ -196,7 +206,9 @@ def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.nda
                 f"<s, r> = {sr:.3e} against mu <s, s> = {mu * ss:.3e}",
                 last_iterate=y, residual=phi.norm(gy) / mu,
             )
-        next_step = min(math.sqrt(1.0 + theta) * step, 0.5 * math.sqrt(ss / rr))
+        bracket = 2.0 * step * step * (rr / ss) - 1.0
+        cap = step / math.sqrt(bracket) if bracket > 0.0 else math.inf
+        next_step = min(math.sqrt(2.0 / 3.0 + theta) * step, cap)
         step, theta = next_step, next_step / step
     res = phi.norm(gy) / mu
     raise SolverDiagnosticError(

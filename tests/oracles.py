@@ -82,10 +82,21 @@ def backward_euler_flow(prox_fn, x0, t, n_steps):
     return y
 
 
-def gradient_prox_loop(phi, gamma, x, max_iter=1000, tol=1e-10):
-    """Reference for convex._gradient_prox: the same Malitsky-Mishchenko steps
-    written with phi.norm, phi.inner and np.sqrt; returns the certified point
-    or None when the reference loop would stop without one."""
+def _step_2024(step, theta, ss, rr):
+    """Malitsky & Mishchenko, "Adaptive proximal gradient method for convex
+    optimization" (NeurIPS 2024, arXiv:2308.02261), Algorithm 1."""
+    bracket = 2.0 * step * step * (rr / ss) - 1.0
+    cap = step / np.sqrt(bracket) if bracket > 0.0 else np.inf
+    return min(np.sqrt(2.0 / 3.0 + theta) * step, cap)
+
+
+def _step_2020(step, theta, ss, rr):
+    """Malitsky & Mishchenko, "Adaptive gradient descent without descent"
+    (ICML 2020), Algorithm 1."""
+    return min(np.sqrt(1.0 + theta) * step, 0.5 * np.sqrt(ss / rr))
+
+
+def _adaptive_gradient_loop(phi, gamma, x, max_iter, tol, theta, next_step):
     mu = 1.0 / gamma + phi.lam
     eps = tol * (1.0 + phi.norm(x))
 
@@ -93,7 +104,7 @@ def gradient_prox_loop(phi, gamma, x, max_iter=1000, tol=1e-10):
         return np.asarray(phi.gradient(y), dtype=float) + (y - x) / gamma
 
     y, gy = x, grad_h(x)
-    step, theta = 1.0 / mu, np.inf
+    step = 1.0 / mu
     for _ in range(max_iter):
         res = phi.norm(gy) / mu
         if res <= eps:
@@ -107,6 +118,21 @@ def gradient_prox_loop(phi, gamma, x, max_iter=1000, tol=1e-10):
         y, gy = y_next, g_next
         if not sr >= 0.5 * mu * ss > 0.0:
             return None
-        next_step = min(np.sqrt(1.0 + theta) * step, 0.5 * np.sqrt(ss / rr))
-        step, theta = next_step, next_step / step
+        new_step = next_step(step, theta, ss, rr)
+        step, theta = new_step, new_step / step
     return None
+
+
+def gradient_prox_loop(phi, gamma, x, max_iter=1000, tol=1e-10):
+    """Reference for convex._gradient_prox: the same 2024 Malitsky-Mishchenko
+    steps from theta_0 = 1/3, written with phi.norm, phi.inner and np.sqrt;
+    returns the certified point or None when the reference loop would stop
+    without one."""
+    return _adaptive_gradient_loop(phi, gamma, x, max_iter, tol, 1.0 / 3.0, _step_2024)
+
+
+def gradient_prox_loop_2020(phi, gamma, x, max_iter=1000, tol=1e-10):
+    """The same loop with the 2020 Malitsky-Mishchenko steps from theta_0 = inf,
+    which cap each step at 1/(2 L_k): a second certified solver to compare
+    prox points and envelope values with."""
+    return _adaptive_gradient_loop(phi, gamma, x, max_iter, tol, np.inf, _step_2020)

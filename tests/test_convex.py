@@ -32,7 +32,7 @@ from gfstack.errors import (
     SolverDiagnosticError,
 )
 
-from oracles import gradient_prox_loop, grid_prox_1d
+from oracles import gradient_prox_loop, gradient_prox_loop_2020, grid_prox_1d
 
 CLOSED_FORM_TOL = 1e-8
 ORACLE_TOL = 1e-6
@@ -290,6 +290,61 @@ class TestGradientProx:
         want = gradient_prox_loop(env, g2, x, PROX_GRADIENT_MAX_ITER, PROX_RESIDUAL_TOL)
         assert want is not None
         assert prox(env, g2, x).tobytes() == want.tobytes()
+
+    @given(st.booleans(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0),
+           st.floats(0.05, 1.0), st.floats(0.01, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_points_and_values_agree_with_the_2020_step_rule(self, graph, n, seed, g1, g2, scale):
+        # the 2020 rule caps each step at 1/(2 L_k): a second certified solver
+        r = np.random.default_rng(seed)
+        if graph:
+            A = r.random((n + 1, n + 1))
+            A[np.diag_indices(n + 1)] = 0.0
+            phi = GraphEnergy(adjacency=A).to_functional()
+        else:
+            phi = abs_functional(dim=n)  # its envelope is a Huber function
+        env = envelope_functional(phi, g1)
+        x = r.normal(size=env.dim) * scale
+        mu, eps = 1.0 / g2 + env.lam, PROX_RESIDUAL_TOL * (1.0 + env.norm(x))
+        new = prox(env, g2, x)
+        old = gradient_prox_loop_2020(env, g2, x, PROX_GRADIENT_MAX_ITER, PROX_RESIDUAL_TOL)
+        assert old is not None
+        values = []
+        for y in (new, old):
+            assert env.norm(env.gradient(y) + (y - x) / g2) / mu <= eps
+            d = y - x
+            values.append(env.evaluate(y) + float((env.weights * d * d).sum()) / (2.0 * g2))
+        assert env.norm(new - old) <= 2.0 * eps
+        # h(y) - min h <= ||grad h(y)||^2 / (2 mu) <= mu eps^2 / 2 at each certified y
+        assert abs(values[0] - values[1]) <= 1e-14 * max(map(abs, values)) + 0.5 * mu * eps * eps
+
+    @pytest.mark.parametrize("ratios", [(0.51,), (0.6,), (0.7,), (0.51, 0.6, 0.7)])
+    def test_overstated_modulus_takes_only_finite_steps(self, ratios):
+        # F(y) = sum_i w_i a_i y_i^2 / 2 declared 3-convex, so h has modulus
+        # ratio * mu along axis i for the declared mu = 4: the modulus check
+        # passes, and below 1/sqrt(2) the first step meets 2 lambda_0^2 L_1^2 < 1
+        gamma, lam = 1.0, 3.0
+        mu = 1.0 / gamma + lam
+        a = np.array(ratios) * mu - 1.0 / gamma
+        queried = []
+
+        def gradient(y):
+            queried.append(y.copy())
+            return a * y
+
+        liar = ProperFunctional(dim=a.size, value=lambda y: 0.5 * float(np.mean(a * y * y)),
+                                lam=lam, gradient=gradient)
+        x = np.full(a.size, 0.3)
+        t0 = time.perf_counter()
+        try:
+            y = prox(liar, gamma, x)
+        except SolverDiagnosticError as exc:
+            assert exc.residual is not None
+        else:
+            eps = PROX_RESIDUAL_TOL * (1.0 + liar.norm(x))
+            assert liar.norm(a * y + (y - x) / gamma) / mu <= eps
+        assert time.perf_counter() - t0 < 2.0
+        assert all(np.all(np.isfinite(q)) for q in queried)
 
     @given(zoo_draws, st.floats(0.05, 1.5), st.floats(0.01, 3.0))
     @settings(max_examples=60, deadline=None)

@@ -425,6 +425,30 @@ class TestExperimentBehaviour:
         assert len(calls) == 56 + 6
         assert len(set(calls)) == len(calls)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bound_suite_nested_graph_envelopes_take_few_gradients(self, monkeypatch, seed):
+        # the nested prox of each graph envelope runs the certified gradient
+        # method; the 2024 adaptive steps certify it in about 12 evaluations
+        counts = []
+        make = experiments.envelope_functional
+
+        def counted(phi, gamma):
+            env, k = make(phi, gamma), len(counts)
+            counts.append([env.name, 0])
+
+            def gradient(y):
+                counts[k][1] += 1
+                return env.gradient(y)
+
+            return replace(env, gradient=gradient)
+
+        monkeypatch.setattr(experiments, "envelope_functional", counted)
+        rows = run_experiment(ExperimentConfig(kind="bound_suite", seed=seed))
+        assert all(r.passed for r in rows)
+        graph = [n for name, n in counts if name.startswith("envelope(graph")]
+        assert len(graph) == 6
+        assert max(graph) <= 20
+
     def test_resolvent_columns_decrease(self):
         rows = run_experiment(ExperimentConfig(kind="resolvent_convergence", seed=0))
         for metric in ("matrix_resolvent_distance", "matrix_semigroup_distance",

@@ -157,6 +157,23 @@ MUTANTS = [
            (f"{T_CONVEX}::TestGradientProx::test_nested_graph_envelope_points_are_certified",
             f"{T_CONVEX}::TestGradientProx::test_nested_prox_bitwise_the_reference_loop",
             f"{T_EXPERIMENTS}::TestDeterminism::test_bound_suite_seed_12_completes")),
+    # the 2024 adaptive step rule of the gradient prox and its finite theta_0
+    Mutant("prox-growth-sqrt-one-plus-theta", CONVEX,
+           "math.sqrt(2.0 / 3.0 + theta) * step", "math.sqrt(1.0 + theta) * step",
+           (f"{T_CONVEX}::TestGradientProx::test_nested_prox_bitwise_the_reference_loop",)),
+    Mutant("prox-bracket-guard-dropped", CONVEX,
+           "step / math.sqrt(bracket) if bracket > 0.0 else math.inf", "step / math.sqrt(bracket)",
+           (f"{T_CONVEX}::TestGradientProx::test_nested_prox_bitwise_the_reference_loop",
+            f"{T_CONVEX}::TestGradientProx::test_overstated_modulus_takes_only_finite_steps[ratios1]")),
+    Mutant("prox-cap-doubled", CONVEX,
+           "cap = step / math.sqrt(bracket)", "cap = 2.0 * step / math.sqrt(bracket)",
+           (f"{T_CONVEX}::TestGradientProx::test_nested_prox_bitwise_the_reference_loop",)),
+    Mutant("prox-theta0-infinite", CONVEX,
+           "step, theta = 1.0 / mu, 1.0 / 3.0", "step, theta = 1.0 / mu, math.inf",
+           (f"{T_CONVEX}::TestGradientProx::test_overstated_modulus_takes_only_finite_steps[ratios0]",
+            f"{T_CONVEX}::TestGradientProx::test_overstated_modulus_takes_only_finite_steps[ratios1]",
+            f"{T_CONVEX}::TestGradientProx::test_overstated_modulus_takes_only_finite_steps[ratios2]",
+            f"{T_CONVEX}::TestGradientProx::test_overstated_modulus_takes_only_finite_steps[ratios3]")),
     Mutant("cl-non-finite-t-accepted", SEMIGROUP,
            "if not 0.0 < t < np.inf:", "if t < 0:",
            (f"{T_SEMIGROUP}::TestCrandallLiggett::test_non_finite_time_is_interval_error[nan]",
