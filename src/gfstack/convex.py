@@ -175,6 +175,11 @@ def _gradient_prox(phi: ProperFunctional, gamma: float, x: np.ndarray) -> np.nda
     carries the bound ||grad h(y)|| / mu as residual: at once when a secant
     curvature <s, r>/<s, s> falls below mu/2 (the declared modulus is false)
     or the gradient is not finite, and at the latest when the budget is spent.
+
+    The eps certificate holds for the declared modulus.  If lam overstates
+    the true one and h's true modulus lies in [mu/2, mu), the curvature check
+    can pass on every secant, and the returned y is proved only within
+    ||grad h(y)|| / mu_true <= 2 eps of the prox point.
     """
     mu = 1.0 / gamma + phi.lam
     eps = PROX_RESIDUAL_TOL * (1.0 + phi.norm(x))

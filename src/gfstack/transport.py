@@ -19,19 +19,21 @@ The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
 stagnation cost, the certificate of measure convergence.  tlp_distance and
 wasserstein allocate three m x n arrays: the spatial part, the cost and the
-plan.  The reduced costs are tested in blocks of rows, and the plan's dense
-checks sum without forming products.  tlp_distances compares the rows of two
+plan.  The reduced costs are tested in blocks of rows, except for a row
+whose cost is a Monge array (_monge_rows), and the plan's dense checks sum
+without forming products.  tlp_distances compares the rows of two
 trajectories on one measure pair, with the start and its plan built, and the
 plan's marginals checked, once for all rows.
 
 At p = 2 the rows of tlp_distances and the W_2 recoveries of the TL^p
 stacking and the heat instances go through a _TL2Staircase, one measure
 pair's staircase kept as its cells (O(m + n) data) for all of them.  It
-forms the costs on the cells only, and certifies the staircase with the
-m x n reduced costs as the product of an m x (d+3) and a (d+3) x n matrix,
-formed in row blocks and tested against an error bound; a row or pair it
-cannot certify is solved through the dense path.  The only m x n array of
-these paths is a recovery's plan, formed for the call.
+forms the costs on the cells only, and certifies the staircase by the
+Monge test or with the m x n reduced costs as the product of an m x (d+3)
+and a (d+3) x n matrix, formed in row blocks and tested against an error
+bound; a row or pair it cannot certify is solved through the dense path.
+The only m x n array of these paths is a recovery's plan, formed for the
+call.
 """
 
 from __future__ import annotations
@@ -360,15 +362,19 @@ def _staircase(cells, shape):
     return i, j, flow, flow_eps, P
 
 
-def _solve(C, start, scratch):
+def _solve(C, start, scratch, monge=False):
     """Optimal plan and cost on C from a _staircase start.
 
-    The start's own plan is returned when its reduced costs show it optimal;
-    otherwise the spanning tree is built from it and pivoted, into a fresh
-    plan.  The cost is summed over the plan's basis cells.
+    The start's own plan is returned when C is a Monge array (monge) and
+    its cost is finite, or when its reduced costs show it optimal; otherwise
+    the spanning tree is built from it and pivoted, into a fresh plan.  The
+    cost is summed over the plan's basis cells.
     """
     i, j, flow, flow_eps, P = start
     c = C[i, j]
+    cost = float(np.sum(flow * c))
+    if monge and np.isfinite(cost):
+        return P, cost
     u, v = _staircase_potentials(c, i)
     # max|C| in two reductions, with no m x n temporary
     tol = _rc_tol(max(np.fmax.reduce(C, axis=None), -np.fmin.reduce(C, axis=None)))
@@ -381,8 +387,8 @@ def _solve(C, start, scratch):
         flow = np.array([f for f, _ in tree.flows.values()])
         P = np.zeros(C.shape)
         P[i, j] = flow
-        c = C[i, j]
-    return P, float(np.sum(flow * c))
+        cost = float(np.sum(flow * C[i, j]))
+    return P, cost
 
 
 def solve_transport(a, b, C):
@@ -472,6 +478,38 @@ def _checked_staircase(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     return cells, r, s
 
 
+def _similarly_ordered(a, b) -> bool:
+    """Whether a and b are both nondecreasing or both nonincreasing.
+
+    Each sequence is compared with itself shifted by one, an exact test in
+    floating point, with no difference formed that could round or overflow.
+    """
+    rising = (a[1:] >= a[:-1]).all() and (b[1:] >= b[:-1]).all()
+    return bool(rising or ((a[1:] <= a[:-1]).all() and (b[1:] <= b[:-1]).all()))
+
+
+def _monge_rows(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
+    """The Monge test of the value rows on (mu, nu): a predicate of a row pair (f, g).
+
+    It holds when the atoms are 1-D and similarly ordered, and f and g are
+    similarly ordered.  Then for i < i' and j < j' both pairs of differences
+    have one sign, and at p = 2
+
+        c_ij + c_i'j' - c_ij' - c_i'j = -2 [(f_i' - f_i)(g_j' - g_j) + (x_i' - x_i)(y_j' - y_j)] <= 0
+
+    for c_ij = (f_i - g_j)^2 + (x_i - y_j)^2.  At any p >= 1, h(t) = |t|^p
+    is convex and h(a_i - b_j) is a Monge array for similarly ordered a and
+    b, so c_ij = h(f_i - g_j) + h(x_i - y_j) is one.  On a Monge array the
+    northwest-corner plan, the staircase, is optimal for any marginals
+    (Hoffman 1963, "On simple linear programming problems").  The test is
+    exact for the float inputs taken as reals, with no magnitude limit; the
+    part on the atoms is taken once per measure pair, and a row's part is
+    O(m + n).
+    """
+    ordered = mu.dim == 1 and _similarly_ordered(mu.atoms[:, 0], nu.atoms[:, 0])
+    return lambda f, g: ordered and _similarly_ordered(f, g)
+
+
 def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
     """Checked optimal plans for the TL^p costs of the row pairs (U[k], V[k]).
 
@@ -480,9 +518,12 @@ def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
     once, and the staircase's marginals checked once.  Each row's cost
     |u_i - v_j|^p + spatial is formed in place in one buffer, the
     cost_matrix of every yielded plan, so a caller reads a plan before it
-    asks for the next row.  Every row runs the full reduced-cost test and
-    the dense cost check; a row whose staircase is not optimal is pivoted
-    into a fresh plan, whose marginals are checked as well.
+    asks for the next row.  A row whose cost is a Monge array, similarly
+    ordered values on similarly ordered 1-D atoms at any p (_monge_rows;
+    Hoffman 1963), keeps the optimal staircase when its cost is finite;
+    every other row runs the full reduced-cost test, and a row whose
+    staircase is not optimal is pivoted into a fresh plan, whose marginals
+    are checked as well.  Every row runs the dense cost check.
     """
     cells = _checked_staircase(mu, nu)[0]
     if not 1 <= p < np.inf:
@@ -492,12 +533,13 @@ def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
     spatial = _spatial_cost_matrix(mu, nu, p)
     C = np.empty_like(spatial)
     scratch = _rc_scratch(*C.shape)
+    monge = _monge_rows(mu, nu)
     for u, v in zip(U, V):
         C[...] = u[:, None]  # u_i - v_j in place, without np.subtract.outer's iteration buffers
         C -= v
         _pow_p(C, p)
         C += spatial
-        P, cost = _solve(C, start, scratch)
+        P, cost = _solve(C, start, scratch, monge(u, v))
         plan = TransportPlan(pi=P, source=mu, target=nu, cost=cost, stagnation_cost=np.nan,
                              cost_matrix=C)
         if P is not staircase:
@@ -543,8 +585,22 @@ class _TL2Staircase:
     costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the staircase
     cells only, by the operations _tlp_plans applies to every cell, so c,
     u, v and the cost sum(flow * c) are bitwise those of the one-row solve.
-    The reduced costs of all cells are the product R of the rows
-    [alpha_i, 1, f_i, x_i] and the columns [1, beta_j, -2 g_j, -2 y_j]:
+    A row is certified by the first of three certificates that applies:
+
+    1. Monge.  On similarly ordered 1-D atoms with similarly ordered values
+       the costs form a Monge array, and the staircase is optimal for any
+       marginals (Hoffman 1963, "On simple linear programming problems";
+       _monge_rows).  The test is exact, O(m + n) and has no magnitude
+       limit.  Such a row is certified when 4 (max(f^2 + |x|^2) +
+       max(g^2 + |y|^2)) is finite, S below with u = v = 0, which rules
+       out an overflow in c and in the dense check.  _tlp_plans takes the
+       same test, so the one-row solve keeps the staircase and this cost.
+    2. The product test, for every other row, below.  Its absolute margin
+       certifies no row with S >= 311 (d = 1).
+    3. The dense path: a row neither certifies is solved by _tlp_plans.
+
+    The product test.  The reduced costs of all cells are the product R of
+    the rows [alpha_i, 1, f_i, x_i] and the columns [1, beta_j, -2 g_j, -2 y_j]:
 
         C_ij - u_i - v_j = alpha_i + beta_j - 2 (f_i g_j + <x_i, y_j>),
         alpha_i = f_i^2 + |x_i|^2 - u_i,  beta_j = g_j^2 + |y_j|^2 - v_j.
@@ -591,19 +647,29 @@ class _TL2Staircase:
         self.dense_spatial = (self.r @ self.xsq + self.s @ self.ysq
                               - 2.0 * np.einsum("ik,ki->", x, Py))
         self.kappa_u = 8 * (d + 4) * _EPS / 2
+        self.monge = _monge_rows(mu, nu)
+
+    def _certified(self, f, g, c, a, b) -> bool:
+        """Whether the staircase is optimal for the row (f, g): the Monge test, else the product test.
+
+        c are the row's cell costs, a = f^2 + |x|^2 and b = g^2 + |y|^2.
+        """
+        if self.monge(f, g):
+            return bool(np.isfinite(4.0 * (np.max(a) + np.max(b))))
+        u, v = _staircase_potentials(c, self.i)
+        # rows [alpha_i, 1, f_i, x_i] and columns [1, beta_j, -2 g_j, -2 y_j]
+        A = np.column_stack([a - u, np.ones(len(f)), f, self.mu.atoms])
+        B = np.vstack([np.ones(len(g)), b - v, -2.0 * g, -2.0 * self.nu.atoms.T])
+        S = np.max(a + np.abs(u)) + np.max(b + np.abs(v))
+        floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL
+        return bool(np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape)))
 
     def cost(self, f, g):
         """The staircase's cost for the row (f, g), checked densely; None when not certified."""
         c = _pow_p(f[self.i] - g[self.j], 2.0)
         c += self.spatial
-        u, v = _staircase_potentials(c, self.i)
         fsq, gsq = f * f, g * g
-        # rows [alpha_i, 1, f_i, x_i] and columns [1, beta_j, -2 g_j, -2 y_j]
-        A = np.column_stack([fsq + self.xsq - u, np.ones(len(f)), f, self.mu.atoms])
-        B = np.vstack([np.ones(len(g)), gsq + self.ysq - v, -2.0 * g, -2.0 * self.nu.atoms.T])
-        S = np.max(fsq + self.xsq + np.abs(u)) + np.max(gsq + self.ysq + np.abs(v))
-        floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL
-        if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape))):
+        if not self._certified(f, g, c, fsq + self.xsq, gsq + self.ysq):
             return None
         cost = float(np.sum(self.flow * c))
         Pg = np.bincount(self.i, self.flow * g[self.j], len(f))
@@ -665,7 +731,10 @@ def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2
     and its limit at common times.  Each distance is bitwise the one
     tlp_distance returns for the row pair, with the same checks; only the
     work that does not depend on the values is shared.  At p = 2 the rows
-    go through the pair's _TL2Staircase, which forms no cost matrix.
+    go through the pair's _TL2Staircase, which forms no cost matrix.  The
+    certificates, in order: the Monge test (_monge_rows; Hoffman 1963), at
+    any p and in both paths, so such a row is tlp_distance's bitwise by
+    construction; at p = 2 the product test (S < 311); the dense solve.
     """
     U, V = _checked_rows(mu, nu, U, V)
     if p == 2:

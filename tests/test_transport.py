@@ -742,27 +742,33 @@ class TestTlpDistances:
             tlp_distances(mu, nu, U, V, 0.5)
 
     def test_corrupted_row_cost_trips_the_cost_check(self, monkeypatch):
-        # the third row's staircase costs are raised by 1e-6 after its
-        # potentials are taken, so its reduced costs still certify it and only
-        # its cost, summed over the basis cells, is off: by 1e-6 at unit mass
-        potentials = transport._staircase_potentials
+        # the third row's cell costs are raised by 1e-6 once its certificate
+        # has passed, so only its cost, summed over the cells, is off: by
+        # 1e-6 at unit mass.  Rising rows pass the Monge test, sin(pi x)
+        # rows, which rise and fall, the product test
+        certified = transport._TL2Staircase._certified
         calls = []
 
-        def corrupt_third_row(c, i):
-            u, v = potentials(c, i)
-            calls.append(len(c))
+        def corrupt_third_row(staircase, f, g, c, a, b):
+            ok = certified(staircase, f, g, c, a, b)
+            calls.append(ok)
             if len(calls) == 3:
                 c += 1e-6
-            return u, v
+            return ok
 
-        monkeypatch.setattr(transport, "_staircase_potentials", corrupt_third_row)
+        monkeypatch.setattr(transport._TL2Staircase, "_certified", corrupt_third_row)
         monkeypatch.setattr(transport, "_tlp_plans", _no_fallback)
+        products = _Spy(monkeypatch, "_products_at_least")
         x = (np.arange(8) + 0.5) / 8
         mu = uniform_measure(x)
-        U = np.vstack([x * s for s in (1.0, 2.0, 3.0, 4.0)])
-        with pytest.raises(PreconditionError, match="stored cost"):
-            tlp_distances(mu, mu, U, U[::-1])
-        assert len(calls) == 3  # the check stops the batch at the corrupted row
+        for profile, product_tests in [(x, 0), (np.sin(np.pi * x), 3)]:
+            calls.clear()
+            products.calls = 0
+            U = np.vstack([profile * s for s in (0.25, 0.5, 0.75, 1.0)])
+            with pytest.raises(PreconditionError, match="stored cost"):
+                tlp_distances(mu, mu, U, 1.25 * U)
+            assert calls == [True] * 3  # the check stops the batch at the corrupted row
+            assert products.calls == product_tests
 
 
 class _Spy:
@@ -816,18 +822,127 @@ class TestTl2Certificate:
         assert certified >= 10 and pivoted >= 50
 
     def test_heat_rows_are_certified(self, monkeypatch):
-        # sorted atoms, equispaced or uniform, and smooth values of both
-        # signs: every row is certified, with no one-row solve
+        # sorted atoms, equispaced or uniform, and the stacking audit's
+        # sin(pi x) profiles, which rise and fall, so the Monge test passes
+        # none of them: the product test certifies every row, with no
+        # one-row solve.  Shifted to take both signs, where a wrong cross
+        # term in the product would fail the rows
         r = np.random.default_rng(3)
         for x, y in [((np.arange(16) + 0.5) / 16, (np.arange(1024) + 0.5) / 1024),
                      (np.sort(r.random(32)), np.sort(r.random(128)))]:
             mu, nu = uniform_measure(x), uniform_measure(y)
-            U = np.vstack([np.cos(np.pi * x) * np.exp(-t) for t in (0.0, 0.5, 2.0)])
-            V = np.vstack([np.cos(np.pi * y) * np.exp(-t) for t in (0.0, 0.5, 2.0)])
+            U = np.vstack([(np.sin(np.pi * x) - 0.5) * np.exp(-t) for t in (0.0, 0.5, 2.0)])
+            V = np.vstack([(np.sin(np.pi * y) - 0.5) * np.exp(-t) for t in (0.0, 0.5, 2.0)])
             single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v))[0] for u, v in zip(U, V)]
             with monkeypatch.context() as mp:
                 mp.setattr(transport, "_tlp_plans", _no_fallback)
+                products = _Spy(mp, "_products_at_least")
                 assert tlp_distances(mu, nu, U, V).tolist() == single
+                assert products.calls == 3
+
+
+def _bits(fn):
+    """_outcome of fn, a distance array read as its bytes, so NaN and inf rows compare."""
+    kind, value = _outcome(fn)
+    return kind, value.tobytes() if kind == "value" else value
+
+
+class TestMongeCertificate:
+    """Similarly ordered values on similarly ordered 1-D atoms: a Monge cost, no reduced costs."""
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from(["rising", "falling", "constant", "zero"]),
+        st.sampled_from(["ascending", "descending"]),
+        st.booleans(),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certified_rows_match_linprog(self, m, n, values, order, ties, p, seed):
+        # ties: atoms and values drawn from a few integers, so equal
+        # neighbours and zero differences are common
+        r = np.random.default_rng(seed)
+        draw = (lambda k: r.integers(0, 4, size=k).astype(float)) if ties else (lambda k: r.normal(size=k))
+        x, y = np.sort(draw(m)), np.sort(draw(n))
+        f, g = np.sort(draw(m)), np.sort(draw(n))
+        if order == "descending":
+            x, y = x[::-1], y[::-1]
+        if values == "falling":
+            f, g = f[::-1], g[::-1]
+        elif values == "constant":
+            f, g = np.full(m, r.normal()), np.full(n, r.normal())
+        elif values == "zero":
+            f, g = np.zeros(m), np.zeros(n)
+        a, b = r.random(m) + 0.05, r.random(n) + 0.05
+        mu = EmpiricalMeasure(atoms=x[:, None], weights=a / a.sum())
+        nu = EmpiricalMeasure(atoms=y[:, None], weights=b / b.sum())
+        with pytest.MonkeyPatch.context() as mp:
+            spies = [_Spy(mp, name) for name in
+                     ("_products_at_least", "_SpanningTree", "_any_reduced_cost_below")]
+            fallbacks = _Spy(mp, "_tlp_plans")
+            batch = tlp_distances(mu, nu, f[None], g[None], p)[0]
+            assert fallbacks.calls == (0 if p == 2 else 1)
+            single, plan = tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g), p)
+            assert [spy.calls for spy in spies] == [0, 0, 0]
+        assert batch == single
+        C = np.abs(np.subtract.outer(f, g)) ** p + np.abs(np.subtract.outer(x, y)) ** p
+        ref = _linprog_cost(mu.weights, nu.weights, C)
+        assert abs(plan.cost - ref) <= 1e-12 * ref
+        assert plan.pi[plan.pi > 0].size <= m + n - 1
+
+    @pytest.mark.parametrize("case", ["opposite", "unsorted", "2-D", "overflow"])
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+    def test_other_rows_take_the_earlier_paths(self, case, monkeypatch):
+        # rows the Monge certificate must not take: values in opposite
+        # orders, unsorted atoms, 2-D atoms sorted by their first coordinate
+        # only, and sorted values near 1e160, whose squares and cell costs
+        # overflow.  Each takes the product test or the one-row solve's
+        # reduced-cost test, with the outcome it has with no Monge test
+        r = np.random.default_rng(11)
+        x, y = np.sort(r.random((9, 1)), axis=0), np.sort(r.random((7, 1)), axis=0)
+        f, g = np.sort(r.normal(size=9)), np.sort(r.normal(size=7))
+        if case == "opposite":
+            g = g[::-1]
+        elif case == "unsorted":  # small values, so the atoms' order decides the plan
+            x, f, g = r.permutation(x), 0.1 * f, 0.1 * g
+        elif case == "2-D":
+            x, y = np.hstack([x, r.random((9, 1))]), np.hstack([y, r.random((7, 1))])
+        else:
+            f, g = 1e160 * f, 1e160 * g
+        a, b = r.random(9) + 0.05, r.random(7) + 0.05
+        mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
+        nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
+        tested = [_Spy(monkeypatch, name) for name in ("_products_at_least", "_tlp_plans")]
+        direct = _Spy(monkeypatch, "_any_reduced_cost_below")
+        trees = _Spy(monkeypatch, "_SpanningTree")
+        batch = lambda: _bits(lambda: tlp_distances(mu, nu, f[None], g[None]))
+        single = lambda: _bits(lambda: np.array(tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g))[0]))
+        got = batch()
+        assert sum(spy.calls for spy in tested) >= 1
+        direct.calls = 0
+        got = got, single()
+        assert direct.calls == 1
+        trees.calls = 0
+        monkeypatch.setattr(transport, "_monge_rows", lambda mu, nu: lambda f, g: False)
+        assert got == (batch(), single())
+        # the staircase of the first three is not optimal: a wrongly passed
+        # row would keep it, and its outcome would differ
+        assert (trees.calls > 0) == (case != "overflow")
+
+    def test_heat_round_product_tests(self, monkeypatch):
+        # every d2c and resolvent row and every W_2 recovery of a heat-1d
+        # round passes the Monge test; only the stacking audit's sin(pi x)
+        # rows take the product test, 26 of the round's 110 rows
+        products = _Spy(monkeypatch, "_products_at_least")
+        for seed in (0, 7):
+            per_call = []
+            for kind, fields in _HEAT_CALLS:
+                products.calls = 0
+                _heat_call(kind, seed, fields)
+                per_call.append(products.calls)
+            assert per_call == [0, 0, 0, 26]
 
 
 _HEAT_CALLS = [("d2c_heat", {"sampling": "equispaced"}), ("d2c_heat", {"sampling": "uniform"}),
@@ -898,15 +1013,25 @@ class TestSpatialRecovery:
                 assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
 
     def test_atoms_at_scale_20_fall_back(self, monkeypatch):
+        # sorted atoms with the zero functions pass the Monge test at any
+        # scale, so the recovery at scale 20 is certified too.  A sin(pi x)
+        # row, which rises and falls, takes the product test, whose absolute
+        # margin certifies no row with S >= 311: at scale 20 it falls back
         fallbacks = _Spy(monkeypatch, "wasserstein")
+        solves = _Spy(monkeypatch, "_tlp_plans")
         x, y = (np.arange(16) + 0.5) / 16, (np.arange(1024) + 0.5) / 1024
         for scale, expected in [(1.0, 0), (20.0, 1)]:
             mu, nu = uniform_measure(scale * x), uniform_measure(scale * y)
             v = np.cos(np.pi * y)
-            fallbacks.calls = 0
+            fallbacks.calls = solves.calls = 0
             recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
-            assert fallbacks.calls == expected
+            assert fallbacks.calls == 0
             assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
+            f, g = np.sin(np.pi * x), np.sin(np.pi * y)
+            solves.calls = 0
+            dist = tlp_distances(mu, nu, f[None], g[None])[0]
+            assert solves.calls == expected
+            assert dist == tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g))[0]
 
     def test_certified_recoveries_have_no_reduced_cost_below_tol(self, monkeypatch):
         # TestTl2Certificate's near ties with the values as the atoms: at

@@ -216,13 +216,11 @@ MUTANTS = [
            "floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol",)),
     Mutant("tl2-fallback-never-taken", TRANSPORT,
-           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape))):",
-           "if False:",
+           "if not self._certified(f, g, c, fsq + self.xsq, gsq + self.ysq):", "if False:",
            (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol")),
     Mutant("tl2-cross-term-sign", TRANSPORT,
-           "gsq + self.ysq - v, -2.0 * g, -2.0 * self.nu.atoms.T]",
-           "gsq + self.ysq - v, 2.0 * g, -2.0 * self.nu.atoms.T]",
+           "b - v, -2.0 * g, -2.0 * self.nu.atoms.T]", "b - v, 2.0 * g, -2.0 * self.nu.atoms.T]",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
     Mutant("tl2-dense-check-removed", TRANSPORT,
@@ -235,6 +233,32 @@ MUTANTS = [
            (f"{T_TRANSPORT}::test_reduced_costs_tested_at_the_rounding_of_the_costs[100.0]",
             f"{T_TRANSPORT}::test_reduced_costs_tested_at_the_rounding_of_the_costs[1000.0]",
             f"{T_TRANSPORT}::test_rc_tol_floor_and_scale")),
+    # the Monge certificate of rows with similarly ordered values on similarly ordered 1-D atoms
+    Mutant("monge-never-taken", TRANSPORT,
+           "ordered = mu.dim == 1 and _similarly_ordered(", "ordered = False and _similarly_ordered(",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_certified_rows_match_linprog",
+            f"{T_TRANSPORT}::TestMongeCertificate::test_heat_round_product_tests")),
+    Mutant("monge-value-order-dropped", TRANSPORT,
+           "return lambda f, g: ordered and _similarly_ordered(f, g)",
+           "return lambda f, g: ordered and _similarly_ordered(f, f)",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[opposite]",)),
+    Mutant("monge-opposite-orders-accepted", TRANSPORT,
+           "((a[1:] <= a[:-1]).all() and (b[1:] <= b[:-1]).all())",
+           "((a[1:] <= a[:-1]).all() or (b[1:] <= b[:-1]).all())",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[opposite]",)),
+    Mutant("monge-atom-order-dropped", TRANSPORT,
+           "ordered = mu.dim == 1 and _similarly_ordered(mu.atoms[:, 0], nu.atoms[:, 0])",
+           "ordered = mu.dim == 1",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[unsorted]",)),
+    Mutant("monge-2d-allowed", TRANSPORT,
+           "ordered = mu.dim == 1 and", "ordered = mu.dim >= 1 and",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[2-D]",)),
+    Mutant("monge-finite-guard-dropped", TRANSPORT,
+           "return bool(np.isfinite(4.0 * (np.max(a) + np.max(b))))", "return True",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[overflow]",)),
+    Mutant("monge-plans-finite-guard-dropped", TRANSPORT,
+           "if monge and np.isfinite(cost):", "if monge:",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[overflow]",)),
     # the W_2 recoveries read off the certified staircase; the relative cost tolerance.  The
     # margin and the fallback are the TL^2 certificate's own, here reached through a recovery
     Mutant("recovery-margin-dropped", TRANSPORT,
@@ -242,8 +266,7 @@ MUTANTS = [
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_certified_recoveries_have_no_reduced_cost"
             "_below_tol",)),
     Mutant("recovery-fallback-never-taken", TRANSPORT,
-           "if not (np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape))):",
-           "if False:",
+           "if not self._certified(f, g, c, fsq + self.xsq, gsq + self.ysq):", "if False:",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
             f"{T_TRANSPORT}::TestSpatialRecovery::test_atoms_at_scale_20_fall_back")),
     Mutant("recovery-stagnation-over-cells", TRANSPORT,
