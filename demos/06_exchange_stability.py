@@ -12,7 +12,7 @@ import numpy as np
 from gfstack import (
     GraphEnergy,
     counterexample_demo,
-    lr_contraction_check,
+    lr_contraction_checks,
     p0_convexity_check,
     p0_family,
 )
@@ -42,5 +42,5 @@ for lam in (0.0, 1.0, 4.0):
 print("\nexchange-stable flows contract every weighted L^r norm:")
 x, y = rng.normal(size=5), rng.normal(size=5)
 for r in (1.0, 2.0, 4.0, np.inf):
-    rep = lr_contraction_check(ge, x, y, 0.5, r)
+    rep = lr_contraction_checks(ge, x, y, 0.5, (r,))[0]
     print(f"  r={r}: |u_x - u_y|_r = {rep.lhs:.5f} <= {rep.rhs:.5f} = |x - y|_r")

@@ -22,7 +22,6 @@ from .energies import (
     counterexample_demo,
     counterexample_functional,
     graph_prox,
-    lr_contraction_check,
     lr_contraction_checks,
     p0_convexity_check,
     p0_family,

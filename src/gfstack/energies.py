@@ -29,37 +29,6 @@ from .flow import gradient_flow
 DCT_MIN_NODES = 64
 
 
-# ---------------------------------------------------------------------------
-# adaptive Simpson quadrature (the oracle behind P0TestFunction.exact_value)
-
-
-def _simpson(a, fa, b, fb, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 50) -> float:
-    """Recursive adaptive Simpson integral of f over [a, b]."""
-    if a == b:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fb, fm = f(a), f(b), f(m)
-    whole = _simpson(a, fa, b, fb, fm)
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(a, fa, m, fm, flm)
-        right = _simpson(m, fm, b, fb, frm)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + recurse(
-            m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
-        )
-
-    return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
-
-
 def _bump(s):
     """exp(-1 / (1 - s^2)) on (-1, 1) and 0 elsewhere, elementwise."""
     inside = np.abs(s) < 1.0
@@ -134,8 +103,8 @@ class P0TestFunction:
     equal.  Calling it integrates the derivative exactly where the derivative
     is the cubic Hermite ramp of the shared ramp table (built on its first use
     on a transition band), and uses closed forms on the dead zone, the flat
-    segment and the plateau; exact_value integrates the derivative by
-    adaptive Simpson instead, as the oracle.
+    segment and the plateau.  The tests' oracle integrates the derivative by
+    adaptive Simpson instead.
     """
 
     a: float
@@ -193,22 +162,6 @@ class P0TestFunction:
             return slope
         return slope * _smoothstep(1.0 - 2.0 * (x - flat_end) / w)
 
-    def exact_value(self, x: float) -> float:
-        """Quadrature of the derivative, for oracle-grade evaluations."""
-        x = float(x)
-        if x >= self.support_end:
-            return self.plateau
-        if self.one_sided and x <= self.a:
-            return 0.0
-        if not self.one_sided:
-            if abs(x) <= self.a:
-                return 0.0
-            if x <= -self.support_end:
-                return -self.plateau
-            if x < 0:
-                return -self.exact_value(-x)
-        return adaptive_simpson(self.derivative, self.a, x, 1e-13)
-
 
 def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.0,
               one_sided: bool = False) -> P0TestFunction:
@@ -240,28 +193,13 @@ def p0_family(a: float, w: float, cap: Optional[float] = None, slope: float = 1.
 # graph energies
 
 
-def _dct_basis(n: int) -> np.ndarray:
-    """The orthonormal DCT-II basis Q[i, k] = sqrt(2/n) cos(pi k (i + 1/2) / n), column 0 sqrt(1/n).
-
-    Each cosine is looked up at its exact integer phase, so the basis is
-    accurate to rounding.  Formed only on request (spectral_factors of a
-    path energy, and tests); the proxes apply it by FFT instead.
-    """
-    k = np.arange(n)  # the node index i and the frequency k share this range
-    # cos(pi m / 2n) looked up at the exact integer phase m = (2i + 1) k mod 4n
-    phase = np.outer(2 * k + 1, k)
-    phase %= 4 * n
-    Q = np.cos(np.pi * np.arange(4 * n) / (2 * n))[phase] * np.sqrt(2.0 / n)
-    Q[:, 0] = np.sqrt(1.0 / n)
-    return Q
-
-
 def _path_eigensystem(edges, w):
     """Closed-form (evals, twiddle) of W^{-1/2} K W^{-1/2} for a path with one coefficient.
 
     A path i - i+1 with one coefficient c and equal node weights w has
     W^{-1/2} K W^{-1/2} = (c/w) L for the path Laplacian L, whose eigenvectors
-    are the DCT-II basis _dct_basis(n) with eigenvalues 4 sin^2(pi k / 2n).
+    are the orthonormal DCT-II basis Q[i, k] = sqrt(2/n) cos(pi k (i + 1/2) / n),
+    column 0 sqrt(1/n), with eigenvalues 4 sin^2(pi k / 2n).
     The basis is not formed: _dct2 and _dct3 apply it in O(n log n) from the
     twiddle exp(-i pi k / 2n).  Returns None for any other graph.
     """
@@ -434,25 +372,6 @@ class GraphEnergy:
         """Symmetric quadratic-form matrix K with u' K u = sum_ij A_ij (u_i-u_j)^2."""
         A = self.adjacency
         return np.diag(A.sum(axis=1) + A.sum(axis=0)) - (A + A.T)
-
-    def spectral_factors(self):
-        """(evals, Q, s): W^{-1/2} K W^{-1/2} = Q diag(evals) Q' with s = W^{-1/2}.
-
-        Computed once, at construction, for the squared loss: by eigh in
-        general, and in closed form for a path of at least DCT_MIN_NODES
-        (64) nodes with one coefficient and equal node weights; the class
-        docstring gives the measurement behind that size.  Such a path keeps
-        no basis: Q, its DCT-II basis, is formed here on each read and not
-        kept, as an edge-built energy forms its adjacency.  The arrays are
-        read-only; evals and s are shared by every prox of this energy.
-        """
-        if self._factors is None:
-            raise PreconditionError("spectral factors exist for the squared loss only")
-        evals, basis, s = self._factors
-        if basis.ndim == 1:  # the DCT twiddle of a path
-            basis = _dct_basis(self.n_nodes)
-            basis.flags.writeable = False
-        return evals, basis, s
 
     def to_functional(self) -> ProperFunctional:
         """View as a convex functional on the weighted node space.
@@ -680,9 +599,3 @@ def lr_contraction_checks(ge: GraphEnergy, x, y, t: float, rs,
         reports.append(LrContractionReport(r=r, lhs=lhs, rhs=rhs, allowance=allowance,
                                            ok=lhs <= rhs + allowance))
     return reports
-
-
-def lr_contraction_check(ge: GraphEnergy, x, y, t: float, r: float,
-                         tol: float = 1e-6) -> LrContractionReport:
-    """lr_contraction_checks at the one exponent r."""
-    return lr_contraction_checks(ge, x, y, t, (r,), tol)[0]

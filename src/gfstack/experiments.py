@@ -57,7 +57,7 @@ from .stacking import (
 from .transport import (
     EmpiricalMeasure,
     TLpPoint,
-    _TL2Staircase,
+    _TLpPair,
     interpolation_bound_check,
     load_tlp_point,
     tlp_distance,
@@ -267,7 +267,7 @@ class HeatInstance:
     measure: EmpiricalMeasure
     functional: ProperFunctional
     initial: np.ndarray
-    staircase: Optional[_TL2Staircase] = None  # of (measure, the fine measure); None on the fine one
+    pair: Optional[_TLpPair] = None  # TL^2 pair (measure, the fine measure); None on the fine one
 
 
 def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -283,9 +283,9 @@ def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     for n in cfg.sizes:
         measure = line_measure(n, rng=rng, sampling=cfg.sampling)
         phi = neighborhood_graph_energy(measure, bandwidth(n)).to_functional()
-        staircase = _TL2Staircase(measure, fine_measure)
-        _, x_n, _ = staircase.recovery(x_inf)
-        instances.append(HeatInstance(n, measure, phi, x_n, staircase))
+        pair = _TLpPair(measure, fine_measure)
+        _, x_n, _ = pair.recovery(x_inf)
+        instances.append(HeatInstance(n, measure, phi, x_n, pair))
     return instances, fine
 
 
@@ -478,7 +478,7 @@ def run_d2c_experiment(cfg: ExperimentConfig) -> List[Row]:
     sup_dists, max_gaps = [], []
     for inst in instances:
         flow = gradient_flow(inst.functional, inst.initial, times, tolflow)
-        dists = inst.staircase.distances(flow.trajectory.states, fine_flow.trajectory.states).tolist()
+        dists = inst.pair.distances(flow.trajectory.states, fine_flow.trajectory.states).tolist()
         gaps = []
         for k, (t, d) in enumerate(zip(times, dists)):
             gap = abs(flow.energies[k] - fine_flow.energies[k])
@@ -587,7 +587,7 @@ def run_resolvent_convergence(cfg: ExperimentConfig) -> List[Row]:
         flow = gradient_flow(inst.functional, inst.initial, times, tol)
         # the prox row first, then the flow's rows at the common times
         graph_rows = np.vstack([rn, flow.trajectory.states])
-        d_res, *d_semi = inst.staircase.distances(graph_rows, fine_rows).tolist()
+        d_res, *d_semi = inst.pair.distances(graph_rows, fine_rows).tolist()
         res_col.append(d_res)
         semi_col.append(max([0.0, *d_semi]))
     ns = [inst.n for inst in instances]

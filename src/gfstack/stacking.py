@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import ProperFunctional, as_point, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError
-from .transport import EmpiricalMeasure, TLpPoint, _spatial_recovery, _TL2Staircase, tlp_distances
+from .transport import EmpiricalMeasure, TLpPoint, _TLpPair
 
 LIMIT = "inf"  # conventional limit-index key
 
@@ -144,18 +144,17 @@ class TLpStacking(Stacking):
     points for a limit function are its plan-conditional averages over an
     optimal spatial plan (the recovery construction).
 
-    Each distinct transport problem is solved once per instance.  distance
-    keeps the float it returns, keyed by p and the exact bytes of both
-    points (atoms, weights and values; the atoms' shape fixes the rest),
-    so a changed p or a replaced measure is a new key, never a stale hit;
-    it needs no plan, so it solves through tlp_distances.
-    An approximating point comes from _spatial_recovery, which at p = 2
-    reads it off the certified staircase plan with no cost or spatial
-    matrix.  The plan is kept only as that point (n floats) and its
-    stagnation cost, per (p, source, target, limit values); its W_p
-    distance is kept as the distance between the zero functions.  At
-    p = 2 both go through one _TL2Staircase per (source, target) measure
-    pair, O(m + n) data; no m x n array outlives a call.
+    Each distinct transport problem is solved once per instance, through
+    one _TLpPair per (p, source, target measure), O(m + n) data; no m x n
+    array outlives a call.  distance keeps the float it returns, keyed by p
+    and the exact bytes of both points (atoms, weights and values; the
+    atoms' shape fixes the rest), so a changed p or a replaced measure is
+    a new key, never a stale hit.  A recovery is kept only as its point
+    (n floats) and stagnation cost, per (p, source, target, limit values),
+    and its W_p distance as the distance between the zero functions.  At
+    p = 2 the pair certifies by the Monge test, then the product test, and
+    solves densely only what neither certifies; at any other p it solves
+    densely.
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
@@ -166,18 +165,18 @@ class TLpStacking(Stacking):
         self._measure_keys = {}  # content key -> itself, so memo keys share one copy
         self._distances = {}  # (p, measure key, values, measure key, values) -> TL^p distance
         self._recoveries = {}  # (p, measure key, measure key, values) -> (point, stagnation)
-        self._staircases = {}  # (measure key, measure key) -> their _TL2Staircase, for p = 2
+        self._pairs = {}  # (p, measure key, measure key) -> their _TLpPair
 
     def _measure_key(self, mu: EmpiricalMeasure):
         key = (mu.atoms.shape, mu.atoms.tobytes(), mu.weights.tobytes())
         return self._measure_keys.setdefault(key, key)
 
-    def _staircase(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> _TL2Staircase:
-        key = (self._measure_key(mu), self._measure_key(nu))
-        staircase = self._staircases.get(key)
-        if staircase is None:
-            staircase = self._staircases[key] = _TL2Staircase(mu, nu)
-        return staircase
+    def _pair(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> _TLpPair:
+        key = (self.p, self._measure_key(mu), self._measure_key(nu))
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = _TLpPair(mu, nu, self.p)
+        return pair
 
     def space_dim(self, idx):
         return self.measures[idx].n_atoms
@@ -195,9 +194,7 @@ class TLpStacking(Stacking):
                self._measure_key(e2.measure), e2.values.tobytes())
         d = self._distances.get(key)
         if d is None:
-            u, v = e1.values[None], e2.values[None]
-            d, = (self._staircase(e1.measure, e2.measure).distances(u, v) if self.p == 2
-                  else tlp_distances(e1.measure, e2.measure, u, v, self.p))
+            d, = self._pair(e1.measure, e2.measure).distances(e1.values[None], e2.values[None])
             d = self._distances[key] = float(d)
         return d
 
@@ -209,8 +206,7 @@ class TLpStacking(Stacking):
         key = (self.p, mk, nk, x_limit.tobytes())
         hit = self._recoveries.get(key)
         if hit is None:
-            d, point, stagnation = (self._staircase(mu, nu).recovery(x_limit) if self.p == 2
-                                    else _spatial_recovery(mu, nu, x_limit, self.p))
+            d, point, stagnation = self._pair(mu, nu).recovery(x_limit)
             hit = self._recoveries[key] = (point, stagnation)
             zero = (self.p, mk, np.zeros(mu.n_atoms).tobytes(), nk, np.zeros(nu.n_atoms).tobytes())
             self._distances[zero] = d  # W_p is the distance of the zero functions

@@ -25,15 +25,15 @@ without forming products.  tlp_distances compares the rows of two
 trajectories on one measure pair, with the start and its plan built, and the
 plan's marginals checked, once for all rows.
 
-At p = 2 the rows of tlp_distances and the W_2 recoveries of the TL^p
-stacking and the heat instances go through a _TL2Staircase, one measure
-pair's staircase kept as its cells (O(m + n) data) for all of them.  It
-forms the costs on the cells only, and certifies the staircase by the
-Monge test or with the m x n reduced costs as the product of an m x (d+3)
-and a (d+3) x n matrix, formed in row blocks and tested against an error
-bound; a row or pair it cannot certify is solved through the dense path.
-The only m x n array of these paths is a recovery's plan, formed for the
-call.
+A _TLpPair, one measure pair's staircase kept as its cells (O(m + n)
+data), answers every row of tlp_distances and every distance and recovery
+of the TL^p stacking and the heat instances, at any p.  At p = 2 it forms
+the costs on the cells only and certifies the staircase by the Monge test,
+else with the m x n reduced costs as the product of an m x (d+3) and a
+(d+3) x n matrix, formed in row blocks and tested against an error bound,
+else solves densely; its only m x n array is a recovery's plan, formed for
+the call.  At any other p it solves densely.  A cost that is not finite
+raises SolverDiagnosticError.
 """
 
 from __future__ import annotations
@@ -138,9 +138,7 @@ class TransportPlan:
 
     def check_cost(self, tol: float = MARGINAL_TOL):
         """Recompute sum(pi * C) over every cell, with no m x n product formed."""
-        recomputed = float(np.einsum("ij,ij->", self.pi, self.cost_matrix))
-        if abs(recomputed - self.cost) > _cost_tol(recomputed, self.cost, tol):
-            raise PreconditionError("stored cost disagrees with the cost matrix")
+        _check_cost(float(np.einsum("ij,ij->", self.pi, self.cost_matrix)), self.cost, tol)
 
     def check(self, tol: float = MARGINAL_TOL):
         self.check_marginals(tol)
@@ -282,6 +280,18 @@ def _cost_tol(recomputed, cost, tol=MARGINAL_TOL) -> float:
     """
     scaled = 16.0 * _EPS * max(abs(recomputed), abs(cost))
     return float(scaled) if tol < scaled < np.inf else tol
+
+
+def _check_cost(recomputed, cost, tol=MARGINAL_TOL):
+    """Raise unless a stored cost and its dense recomputation agree within _cost_tol.
+
+    A NaN difference (inf - inf, or 0 * inf) fails too: finite costs that
+    disagree raise PreconditionError, a non-finite one SolverDiagnosticError.
+    """
+    if not abs(recomputed - cost) <= _cost_tol(recomputed, cost, tol):
+        if np.isfinite(recomputed) and np.isfinite(cost):
+            raise PreconditionError("stored cost disagrees with its dense recomputation")
+        raise SolverDiagnosticError(f"transport cost {cost!r} (recomputed {recomputed!r}) is not finite")
 
 
 def _rc_tol(scale) -> float:
@@ -575,11 +585,13 @@ def _products_at_least(A, B, floor, scratch) -> bool:
     return True
 
 
-class _TL2Staircase:
-    """The checked staircase of (mu, nu), certified row by row at p = 2.
+class _TLpPair:
+    """The TL^p measure pair (mu, nu): its checked staircase, certified row by row at p = 2.
 
     Kept as its cells (i_k, j_k) and flows, O(m + n) data, for every
-    distances row and recovery a caller asks of the pair.
+    distances row and recovery a caller asks of the pair.  At p != 2 it
+    keeps only the measures: _tlp_plans solves the rows and a recovery
+    reads wasserstein's plan.
 
     Write f, g for a row's values, u, v for its staircase potentials.  The
     costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the staircase
@@ -633,13 +645,15 @@ class _TL2Staircase:
     and Py bincounts of the cells, as TransportPlan.check_cost checks its cost.
     """
 
-    def __init__(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-        self.mu, self.nu = mu, nu
+    def __init__(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
+        self.mu, self.nu, self.p = mu, nu, p
+        self.shape = mu.n_atoms, nu.n_atoms
+        if p != 2:  # the dense path alone, which needs nothing below
+            return
         x, y = mu.atoms, nu.atoms
         (i, j, self.flow, _), self.r, self.s = _checked_staircase(mu, nu)
         self.i, self.j = i, j
-        (m, d), n = x.shape, len(y)
-        self.shape = m, n
+        m, d = x.shape
         # |x_i - y_j|^2 on the cells
         self.spatial = _squared_distances(x[i], y[j], np.subtract) if d else np.zeros(len(i))
         self.xsq, self.ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
@@ -665,7 +679,9 @@ class _TL2Staircase:
         return bool(np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape)))
 
     def cost(self, f, g):
-        """The staircase's cost for the row (f, g), checked densely; None when not certified."""
+        """The staircase's TL^2 cost for the row (f, g), checked densely; None at p != 2 or uncertified."""
+        if self.p != 2:
+            return None
         c = _pow_p(f[self.i] - g[self.j], 2.0)
         c += self.spatial
         fsq, gsq = f * f, g * g
@@ -673,14 +689,16 @@ class _TL2Staircase:
             return None
         cost = float(np.sum(self.flow * c))
         Pg = np.bincount(self.i, self.flow * g[self.j], len(f))
-        dense = self.r @ fsq + self.s @ gsq - 2.0 * (f @ Pg) + self.dense_spatial
-        if abs(dense - cost) > _cost_tol(dense, cost):
-            raise PreconditionError("stored cost disagrees with the dense recomputation")
+        _check_cost(self.r @ fsq + self.s @ gsq - 2.0 * (f @ Pg) + self.dense_spatial, cost)
         return cost
 
     def distances(self, U, V) -> np.ndarray:
-        """TL^2 distances of the rows (U[k], V[k]); one not certified is solved by _tlp_plans."""
+        """TL^p distances of the rows (U[k], V[k]); one not certified is solved by _tlp_plans
+        (at p != 2 every row, in one call)."""
         U, V = _checked_rows(self.mu, self.nu, U, V)
+        if self.p != 2:
+            plans = _tlp_plans(self.mu, self.nu, U, V, self.p)
+            return np.array([max(plan.cost, 0.0) ** (1.0 / self.p) for plan, _ in plans])
         out = np.empty(len(U))
         for k, (f, g) in enumerate(zip(U, V)):
             cost = self.cost(f, g)
@@ -691,18 +709,18 @@ class _TL2Staircase:
         return out
 
     def recovery(self, target_values):
-        """W_2(mu, nu), the barycentric map of target_values and the stagnation cost.
+        """W_p(mu, nu), the barycentric map of target_values and the stagnation cost.
 
         Bitwise what wasserstein, barycentric_map and plan.stagnation_cost
-        give.  Certified for the zero functions, the three are read off the
-        plan P, formed for this call alone: the conditional averages over
-        P's row sums, and the sum of P with the spatial costs multiplied into
-        its cells, the array np.multiply(pi, spatial) sums.  Otherwise they
-        come from wasserstein.
+        give.  At p = 2, certified for the zero functions, the three are
+        read off the plan P, formed for this call alone: the conditional
+        averages over P's row sums, and the sum of P with the spatial costs
+        multiplied into its cells, the array np.multiply(pi, spatial) sums.
+        Otherwise they come from wasserstein.
         """
         cost = self.cost(np.zeros(self.shape[0]), np.zeros(self.shape[1]))
         if cost is None:
-            d, plan = wasserstein(self.mu, self.nu, 2.0)
+            d, plan = wasserstein(self.mu, self.nu, self.p)
             return d, barycentric_map(plan, target_values), plan.stagnation_cost
         P = np.zeros(self.shape)
         P[self.i, self.j] = self.flow
@@ -730,16 +748,14 @@ def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2
     For trajectories sampled on one pair of measures, such as a graph flow
     and its limit at common times.  Each distance is bitwise the one
     tlp_distance returns for the row pair, with the same checks; only the
-    work that does not depend on the values is shared.  At p = 2 the rows
-    go through the pair's _TL2Staircase, which forms no cost matrix.  The
+    work that does not depend on the values is shared: the rows go through
+    the pair's _TLpPair, which at p = 2 forms no cost matrix.  The
     certificates, in order: the Monge test (_monge_rows; Hoffman 1963), at
     any p and in both paths, so such a row is tlp_distance's bitwise by
     construction; at p = 2 the product test (S < 311); the dense solve.
     """
-    U, V = _checked_rows(mu, nu, U, V)
-    if p == 2:
-        return _TL2Staircase(mu, nu).distances(U, V)
-    return np.array([max(plan.cost, 0.0) ** (1.0 / p) for plan, _ in _tlp_plans(mu, nu, U, V, p)])
+    U, V = _checked_rows(mu, nu, U, V)  # before the pair, so a bad row is reported first
+    return _TLpPair(mu, nu, p).distances(U, V)
 
 
 def _conditional_averages(pi, rows, target_values) -> np.ndarray:
@@ -759,19 +775,6 @@ def barycentric_map(plan: TransportPlan, target_values) -> np.ndarray:
     turns a limit function into approximations on the source atoms.
     """
     return _conditional_averages(plan.pi, plan.pi.sum(axis=1), target_values)
-
-
-def _spatial_recovery(mu: EmpiricalMeasure, nu: EmpiricalMeasure, target_values, p: float):
-    """W_p(mu, nu), the barycentric map of target_values and the stagnation cost.
-
-    Bitwise what wasserstein, barycentric_map and plan.stagnation_cost give:
-    at p = 2 from the pair's _TL2Staircase (its recovery), at any other p
-    from wasserstein's plan.
-    """
-    if p == 2:
-        return _TL2Staircase(mu, nu).recovery(target_values)
-    d, plan = wasserstein(mu, nu, p)
-    return d, barycentric_map(plan, target_values), plan.stagnation_cost
 
 
 @dataclass

@@ -3,7 +3,9 @@
 The prox oracle minimizes over a uniform grid (>= 2001 points per axis, one
 or two axes); the transport oracle enumerates permutation couplings, which
 are the extreme points for uniform equal-size marginals; the staircase
-oracle walks the northwest-corner rule one cell at a time.
+oracle walks the northwest-corner rule one cell at a time.  The P0 family's
+values are checked against adaptive Simpson quadrature of the derivative,
+and a closed-form path energy's factors against its dense DCT-II basis.
 """
 
 import itertools
@@ -136,3 +138,75 @@ def gradient_prox_loop_2020(phi, gamma, x, max_iter=1000, tol=1e-10):
     which cap each step at 1/(2 L_k): a second certified solver to compare
     prox points and envelope values with."""
     return _adaptive_gradient_loop(phi, gamma, x, max_iter, tol, np.inf, _step_2020)
+
+
+def _simpson(a, fa, b, fb, fm):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 50) -> float:
+    """Recursive adaptive Simpson integral of f over [a, b]."""
+    if a == b:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fb, fm = f(a), f(b), f(m)
+    whole = _simpson(a, fa, b, fb, fm)
+
+    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = _simpson(a, fa, m, fm, flm)
+        right = _simpson(m, fm, b, fb, frm)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + recurse(
+            m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
+        )
+
+    return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
+
+
+def p0_exact_value(g, x: float) -> float:
+    """The P0 test function g at x by 1e-13 quadrature of its derivative."""
+    x = float(x)
+    if x >= g.support_end:
+        return g.plateau
+    if g.one_sided and x <= g.a:
+        return 0.0
+    if not g.one_sided:
+        if abs(x) <= g.a:
+            return 0.0
+        if x <= -g.support_end:
+            return -g.plateau
+        if x < 0:
+            return -p0_exact_value(g, -x)
+    return adaptive_simpson(g.derivative, g.a, x, 1e-13)
+
+
+def dct_basis(n: int) -> np.ndarray:
+    """The orthonormal DCT-II basis Q[i, k] = sqrt(2/n) cos(pi k (i + 1/2) / n), column 0 sqrt(1/n).
+
+    Each cosine is looked up at its exact integer phase, so the basis is
+    accurate to rounding.
+    """
+    k = np.arange(n)  # the node index i and the frequency k share this range
+    # cos(pi m / 2n) looked up at the exact integer phase m = (2i + 1) k mod 4n
+    phase = np.outer(2 * k + 1, k)
+    phase %= 4 * n
+    Q = np.cos(np.pi * np.arange(4 * n) / (2 * n))[phase] * np.sqrt(2.0 / n)
+    Q[:, 0] = np.sqrt(1.0 / n)
+    return Q
+
+
+def spectral_factors(ge):
+    """(evals, Q, s) of a squared-loss graph energy: W^{-1/2} K W^{-1/2} = Q diag(evals) Q', s = W^{-1/2}.
+
+    Read from the factors the energy stores; a path factored in closed form
+    stores its DCT twiddle in place of Q, and Q is then its DCT-II basis,
+    formed here.
+    """
+    evals, basis, s = ge._factors
+    if basis.ndim == 1:
+        basis = dct_basis(ge.n_nodes)
+    return evals, basis, s

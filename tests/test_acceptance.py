@@ -19,7 +19,7 @@ from gfstack.convex import (
     prox,
     quadratic_functional,
 )
-from gfstack.energies import GraphEnergy, counterexample_demo, lr_contraction_check
+from gfstack.energies import GraphEnergy, counterexample_demo, lr_contraction_checks
 from gfstack.experiments import ExperimentConfig, rows_to_csv, run_experiment
 from gfstack.flow import evi_residual, gradient_flow
 from gfstack.semigroup import crandall_liggett, resolvent_from_functional
@@ -271,7 +271,7 @@ def test_criterion_11_lr_contraction(rng):
             y = rng.normal(size=ge.n_nodes)
             t = float(rng.uniform(0.05, 1.0))
             for rexp in (1.0, 2.0, 3.0, 4.0, np.inf):
-                rep = lr_contraction_check(ge, x, y, t, rexp, tol=1e-6)
+                rep = lr_contraction_checks(ge, x, y, t, (rexp,), tol=1e-6)[0]
                 worst = max(worst, rep.lhs - rep.rhs - rep.allowance)
                 assert rep.ok
     _report(11, True, f"max contraction excess {worst:.2e} over 50 triples x 5 exponents "

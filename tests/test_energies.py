@@ -11,11 +11,9 @@ from gfstack import energies
 from gfstack.convex import PROX_RESIDUAL_TOL, check_lambda_convexity, default_triple_sampler, prox
 from gfstack.energies import (
     GraphEnergy,
-    adaptive_simpson,
     counterexample_demo,
     counterexample_functional,
     graph_prox,
-    lr_contraction_check,
     lr_contraction_checks,
     p0_convexity_check,
     p0_family,
@@ -25,7 +23,7 @@ from gfstack.energies import (
 from gfstack.errors import ConstructionError, PreconditionError
 from gfstack.flow import gradient_flow
 
-from oracles import grid_prox_2d
+from oracles import adaptive_simpson, dct_basis, grid_prox_2d, p0_exact_value, spectral_factors
 
 
 class TestAdaptiveSimpson:
@@ -69,7 +67,7 @@ class TestP0Family:
     def test_cached_matches_exact_quadrature(self):
         g = p0_family(a=0.25, w=0.5, cap=0.4)
         for x in (0.3, 0.55, 0.8, 1.1, 2.0, -0.6):
-            assert abs(g(x) - g.exact_value(x)) < 1e-10
+            assert abs(g(x) - p0_exact_value(g, x)) < 1e-10
 
     @pytest.mark.parametrize("kw", [
         dict(a=0.3, w=0.4),                             # p0_audit's g_sym
@@ -78,10 +76,10 @@ class TestP0Family:
     ])
     def test_evaluator_accuracy_on_runner_profiles(self, kw):
         # the evaluator integrates the Hermite ramp exactly; what is left is
-        # exact_value's own 1e-13 quadrature (measured maximum 2.3e-13, on g_sym)
+        # the oracle's own 1e-13 quadrature (measured maximum 2.3e-13, on g_sym)
         g = p0_family(**kw)
         xs = np.linspace(-3.0, 3.0, 601)  # p0_audit's sampling range, every support inside
-        err = max(abs(g(float(x)) - g.exact_value(float(x))) for x in xs)
+        err = max(abs(g(float(x)) - p0_exact_value(g, float(x))) for x in xs)
         assert err <= 5e-13
 
     def test_smoothstep_matches_bump_quadrature(self):
@@ -98,23 +96,14 @@ class TestP0Family:
             err = max(err, abs(energies._smoothstep(float(s)) - acc / mass))
         assert err <= 1e-14
 
-    def test_ramp_table_built_on_first_evaluator_use(self, monkeypatch):
-        bump_quadratures = []
-        simpson = energies.adaptive_simpson
-
-        def counting(f, *args):
-            bump_quadratures.append(f is energies._bump)
-            return simpson(f, *args)
-
-        monkeypatch.setattr(energies, "adaptive_simpson", counting)
+    def test_ramp_table_built_on_first_evaluator_use(self):
         energies._ramp_table.cache_clear()
         counterexample_demo(1.0)  # builds two families and reads only closed-form points
         g = p0_family(a=0.3, w=0.4)
-        g(0.1), g(-0.2), g(2.0), g.exact_value(0.2), g.exact_value(-5.0)  # dead zone and plateau
+        g(0.1), g(-0.2), g(2.0), g.derivative(0.2), g.derivative(-5.0)  # dead zone and plateau
         assert energies._ramp_table.cache_info().currsize == 0
-        g(0.5), g(-0.6), g.exact_value(0.9)
+        g(0.5), g(-0.6), g.derivative(0.9)
         assert energies._ramp_table.cache_info().currsize == 1
-        assert not any(bump_quadratures)
 
     def test_equal_parameters_compare_equal(self):
         # a value of its five parameters: no stored closure tells two builds apart
@@ -353,14 +342,13 @@ class TestGraphEnergy:
         h, x, y = rng.normal(size=(3, 5))
         graph_prox(ge, 0.3, h)
         phi.prox_iterated(0.3, 4, h)
-        lr_contraction_check(ge, x, y, 0.5, 2.0)
-        lr_contraction_check(ge, x, y, 0.5, np.inf)
+        lr_contraction_checks(ge, x, y, 0.5, (2.0,))
+        lr_contraction_checks(ge, x, y, 0.5, (np.inf,))
         assert calls == [(5, 5)]
 
     def test_spectral_factors_squared_only(self):
-        ge = GraphEnergy(adjacency=np.zeros((2, 2)), loss_kind="absolute")
-        with pytest.raises(PreconditionError):
-            ge.spectral_factors()
+        assert GraphEnergy(adjacency=np.zeros((2, 2)), loss_kind="absolute")._factors is None
+        assert GraphEnergy(adjacency=np.zeros((2, 2)))._factors is not None
 
     def test_absolute_loss_has_no_prox(self, monkeypatch, rng):
         # graph total variation has no certified prox: graph_prox and the
@@ -405,8 +393,8 @@ def _count_eigh(monkeypatch):
 
 
 def _dense_prox_power(ge, gamma, k, h):
-    """The k-fold squared-loss prox through the dense basis that spectral_factors forms."""
-    evals, Q, s = ge.spectral_factors()
+    """The k-fold squared-loss prox through the dense basis of the spectral_factors oracle."""
+    evals, Q, s = spectral_factors(ge)
     return s * (Q @ ((Q.T @ (h / s)) * np.exp(-k * np.log1p(2.0 * gamma * evals))))
 
 
@@ -415,7 +403,7 @@ class TestClosedFormPathFactors:
     is factored by the DCT-II basis; a shorter one by eigh.
 
     The energy keeps only (evals, twiddle, s) and applies the basis by FFT;
-    spectral_factors forms the basis Q on read, and these checks use that Q.
+    the spectral_factors oracle forms the basis Q, and these checks use that Q.
     """
 
     def test_factors_match_eigh(self, rng):
@@ -424,7 +412,7 @@ class TestClosedFormPathFactors:
             c, w = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.01, 2.0))
             ge = _path_energy(n, c, np.full(n, w))
             evals, twiddle = energies._path_eigensystem(ge._edges, ge.node_weights)
-            Q, s = energies._dct_basis(n), 1.0 / np.sqrt(ge.node_weights)
+            Q, s = dct_basis(n), 1.0 / np.sqrt(ge.node_weights)
             K = ge.pair_matrix()
             ref = np.linalg.eigvalsh((K * s[None, :]) * s[:, None])
             assert np.abs(evals - ref).max() <= 1e-12 * ref.max()
@@ -491,11 +479,9 @@ class TestClosedFormPathFactors:
         path = np.arange(n - 1)
         ge = GraphEnergy.from_edges(n, path, path + 1, np.full(n - 1, 0.5), np.full(n, 1.0 / n))
         assert all(arr.shape == (n,) for arr in ge._factors)  # evals, twiddle, s
-        evals, Q, s = ge.spectral_factors()
-        assert Q.shape == (n, n) and not Q.flags.writeable
+        assert all(not arr.flags.writeable for arr in ge._factors)
+        Q = dct_basis(n)  # the basis the twiddle stands for
         assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-13
-        assert ge.spectral_factors()[1] is not Q  # formed on each read, not kept
-        assert ge.spectral_factors()[0] is evals and ge.spectral_factors()[2] is s
         assert all(np.size(v) < n * n for v in vars(ge).values())
 
     def test_fine_grid_prox_allocates_no_basis(self):
@@ -594,7 +580,7 @@ class TestEdgeBuiltEnergy:
         assert "adjacency" not in vars(ge)  # no n x n array was built
         assert _same_arrays(ge._edges, dense._edges)
         assert _same_arrays(ge._factors, dense._factors)  # evals, twiddle, s: no basis kept
-        assert _same_arrays(ge.spectral_factors(), dense.spectral_factors())  # Q formed on read
+        assert _same_arrays(spectral_factors(ge), spectral_factors(dense))  # Q formed by the oracle
         assert _same_arrays((ge.node_weights,), (dense.node_weights,))
         phi, phi_dense = ge.to_functional(), dense.to_functional()
         for u in (np.cos(np.pi * line_measure(n).atoms[:, 0]), rng.normal(size=n)):
@@ -638,8 +624,7 @@ class TestEdgeBuiltEnergy:
         u = r.normal(size=n)
         assert ge.value(u) == dense.value(u)
         if loss == "squared":
-            evals, _, _ = ge.spectral_factors()
-            ref, _, _ = dense.spectral_factors()
+            evals, ref = ge._factors[0], dense._factors[0]
             assert np.abs(evals - ref).max() <= 1e-12 * max(ref.max(), 1.0)
             h = r.normal(size=n)
             assert np.allclose(graph_prox(ge, 0.3, h), graph_prox(dense, 0.3, h),
@@ -677,7 +662,7 @@ class TestLrContraction:
         batch = lr_contraction_checks(ge, x, y, 0.5, rs, tol=1e-6)
         assert [rep.r for rep in batch] == list(rs)
         for rep, r in zip(batch, rs):
-            one = lr_contraction_check(ge, x, y, 0.5, r, tol=1e-6)
+            one = lr_contraction_checks(ge, x, y, 0.5, (r,), tol=1e-6)[0]
             assert [float(v).hex() for v in astuple(rep)] == [float(v).hex() for v in astuple(one)]
 
     def test_lhs_is_the_distance_of_the_two_flows(self, rng):
@@ -693,32 +678,32 @@ class TestLrContraction:
 
     def test_zero_time_is_the_identity(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rep = lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], 0.0, 2.0)
+        rep = lr_contraction_checks(ge, [1.0, 0.0], [0.0, 0.0], 0.0, (2.0,))[0]
         assert rep.ok and rep.lhs == rep.rhs
 
     @pytest.mark.parametrize("t", [-3.0, -1e-300, np.nan, np.inf])
     def test_bad_time_rejected(self, t):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(PreconditionError):
-            lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], t, 2.0)
+            lr_contraction_checks(ge, [1.0, 0.0], [0.0, 0.0], t, (2.0,))
 
     @pytest.mark.parametrize("r", [0.0, 0.5, np.nan, -np.inf])
     def test_bad_exponent_rejected(self, r):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(PreconditionError):
-            lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], 0.5, r)
+            lr_contraction_checks(ge, [1.0, 0.0], [0.0, 0.0], 0.5, (r,))
         with pytest.raises(PreconditionError):  # one bad r among good ones
             lr_contraction_checks(ge, [1.0, 0.0], [0.0, 0.0], 0.5, (1.0, r, np.inf))
 
     def test_identical_states(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rep = lr_contraction_check(ge, [1.0, 0.0], [1.0, 0.0], 0.5, 2.0)
+        rep = lr_contraction_checks(ge, [1.0, 0.0], [1.0, 0.0], 0.5, (2.0,))[0]
         assert rep.ok and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_two_node_closed_form(self):
         ge = GraphEnergy(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]))
         for r in (1.0, 2.0, 4.0):
-            rep = lr_contraction_check(ge, [1.0, 0.0], [0.0, 0.0], 0.5, r)
+            rep = lr_contraction_checks(ge, [1.0, 0.0], [0.0, 0.0], 0.5, (r,))[0]
             assert rep.ok
 
     def test_five_node_random(self, rng):
@@ -726,14 +711,14 @@ class TestLrContraction:
         A[np.diag_indices(5)] = 0.0
         ge = GraphEnergy(adjacency=A)
         x, y = rng.normal(size=5), rng.normal(size=5)
-        rep = lr_contraction_check(ge, x, y, 0.5, 3.0, tol=1e-6)
+        rep = lr_contraction_checks(ge, x, y, 0.5, (3.0,), tol=1e-6)[0]
         assert rep.ok
 
     def test_infinity_norm_proxy(self, rng):
         A = rng.random((4, 4))
         A[np.diag_indices(4)] = 0.0
         ge = GraphEnergy(adjacency=A)
-        rep = lr_contraction_check(ge, rng.normal(size=4), rng.normal(size=4), 0.25, np.inf)
+        rep = lr_contraction_checks(ge, rng.normal(size=4), rng.normal(size=4), 0.25, (np.inf,))[0]
         assert rep.ok
 
     def test_prox_contracts_all_lr_norms(self, rng):

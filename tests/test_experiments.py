@@ -1,9 +1,12 @@
 """Experiment runner: config grammar, CSV contract, determinism, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import re
 import time
 from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +508,21 @@ class TestExperimentBehaviour:
         out = capsys.readouterr().out
         for token in ("config grammar", "kind", "sizes", CSV_HEADER):
             assert token in out
+
+
+def test_every_traced_name_resolves():
+    # bench/tracer.py wraps these (module, attribute) pairs when a run asks
+    # for --trace; a name the library no longer has would break every such
+    # run.  Resolved as Tracer._install does, with nothing installed
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("gfstack_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(mod, attr) for mod, attr, *_ in tracer.SPANS + tracer.COUNTERS]
+    assert targets
+    for mod, attr in targets:
+        owner = importlib.import_module(mod)
+        if "." in attr:  # a method: looked up on its class
+            cls_name, meth = attr.split(".")
+            owner, attr = getattr(owner, cls_name), meth
+        assert callable(getattr(owner, attr)), (mod, attr)

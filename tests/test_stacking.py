@@ -92,14 +92,12 @@ class TestTLpMemo:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each problem handed to _tlp_plans, to a _TL2Staircase's
-        distances or recovery (p = 2) or to the recoveries' _spatial_recovery
-        (other p), a recovery as the TL^p problem of the zero functions, the
-        W_p problem it solves.
+        """Record each problem handed to _tlp_plans or to a _TLpPair's
+        distances or recovery, a recovery as the TL^p problem of the zero
+        functions, the W_p problem it solves.
 
         A problem that one of them passes on to another is counted once.
         """
-        import gfstack.stacking as stacking
         import gfstack.transport as transport
 
         calls, inside = [], []
@@ -108,8 +106,9 @@ class TestTLpMemo:
             arrays = (mu.atoms, mu.weights, nu.atoms, nu.weights, np.asarray(U), np.asarray(V))
             return (p,) + tuple((a.shape, a.tobytes()) for a in arrays)
 
-        def spatial(mu, nu, target_values, p):
-            return rows(mu, nu, np.zeros((1, mu.n_atoms)), np.zeros((1, nu.n_atoms)), p)
+        def spatial(pair, target_values):
+            mu, nu = pair.mu, pair.nu
+            return rows(mu, nu, np.zeros((1, mu.n_atoms)), np.zeros((1, nu.n_atoms)), pair.p)
 
         def counting(solve, problem):
             def counted(*args):
@@ -124,12 +123,10 @@ class TestTLpMemo:
             return counted
 
         monkeypatch.setattr(transport, "_tlp_plans", counting(transport._tlp_plans, rows))
-        staircase = transport._TL2Staircase
-        monkeypatch.setattr(staircase, "distances", counting(
-            staircase.distances, lambda st, U, V: rows(st.mu, st.nu, U, V)))
-        monkeypatch.setattr(staircase, "recovery", counting(
-            staircase.recovery, lambda st, v: spatial(st.mu, st.nu, v, 2.0)))
-        monkeypatch.setattr(stacking, "_spatial_recovery", counting(transport._spatial_recovery, spatial))
+        pair = transport._TLpPair
+        monkeypatch.setattr(pair, "distances", counting(
+            pair.distances, lambda pr, U, V: rows(pr.mu, pr.nu, U, V, pr.p)))
+        monkeypatch.setattr(pair, "recovery", counting(pair.recovery, spatial))
         return calls
 
     def test_recovery_points_match_direct_plans(self):

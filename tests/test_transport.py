@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gfstack import transport
 from gfstack.errors import ConstructionError, PreconditionError, SolverDiagnosticError
+from gfstack.stacking import TLpStacking
 from gfstack.transport import (
     EmpiricalMeasure,
     TLpPoint,
@@ -124,6 +125,16 @@ class TestPlanCheck:
         replace(plan, cost=plan.cost * (1.0 + 4 * np.finfo(float).eps)).check()
         with pytest.raises(PreconditionError, match="stored cost"):
             replace(plan, cost=plan.cost * (1.0 + 1e-12)).check()
+
+    def test_non_finite_cost_or_recomputation_is_a_solver_diagnostic(self, rng):
+        # an inf or NaN difference passes no comparison: a NaN cost, and a
+        # NaN recomputation (0 * inf off the plan's support), raise as an inf cost does
+        plan = self._plan(rng)
+        C = plan.cost_matrix.copy()
+        C[plan.pi == 0] = np.inf
+        for bad in (replace(plan, cost=np.inf), replace(plan, cost=np.nan), replace(plan, cost_matrix=C)):
+            with pytest.raises(SolverDiagnosticError, match="not finite"):
+                bad.check()
 
     def test_row_marginal_off_by_1e8_raises(self, rng):
         plan = self._plan(rng)
@@ -746,7 +757,7 @@ class TestTlpDistances:
         # has passed, so only its cost, summed over the cells, is off: by
         # 1e-6 at unit mass.  Rising rows pass the Monge test, sin(pi x)
         # rows, which rise and fall, the product test
-        certified = transport._TL2Staircase._certified
+        certified = transport._TLpPair._certified
         calls = []
 
         def corrupt_third_row(staircase, f, g, c, a, b):
@@ -756,7 +767,7 @@ class TestTlpDistances:
                 c += 1e-6
             return ok
 
-        monkeypatch.setattr(transport._TL2Staircase, "_certified", corrupt_third_row)
+        monkeypatch.setattr(transport._TLpPair, "_certified", corrupt_third_row)
         monkeypatch.setattr(transport, "_tlp_plans", _no_fallback)
         products = _Spy(monkeypatch, "_products_at_least")
         x = (np.arange(8) + 0.5) / 8
@@ -899,7 +910,8 @@ class TestMongeCertificate:
         # orders, unsorted atoms, 2-D atoms sorted by their first coordinate
         # only, and sorted values near 1e160, whose squares and cell costs
         # overflow.  Each takes the product test or the one-row solve's
-        # reduced-cost test, with the outcome it has with no Monge test
+        # reduced-cost test, with the outcome it has with no Monge test: for
+        # the overflow, SolverDiagnosticError from the cost check
         r = np.random.default_rng(11)
         x, y = np.sort(r.random((9, 1)), axis=0), np.sort(r.random((7, 1)), axis=0)
         f, g = np.sort(r.normal(size=9)), np.sort(r.normal(size=7))
@@ -924,12 +936,29 @@ class TestMongeCertificate:
         direct.calls = 0
         got = got, single()
         assert direct.calls == 1
+        assert (got == (("raises", SolverDiagnosticError),) * 2) == (case == "overflow")
         trees.calls = 0
         monkeypatch.setattr(transport, "_monge_rows", lambda mu, nu: lambda f, g: False)
         assert got == (batch(), single())
         # the staircase of the first three is not optimal: a wrongly passed
         # row would keep it, and its outcome would differ
         assert (trees.calls > 0) == (case != "overflow")
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("opposite", [False, True])
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+    def test_overflowing_rows_raise(self, p, opposite):
+        # sorted values near 1e160, in the same order (a Monge row) or in
+        # opposite orders: their cell costs overflow, and no path returns inf
+        x = (np.arange(6) + 0.5) / 6
+        mu = uniform_measure(x)
+        f = 1e160 * np.linspace(-1.0, 1.0, 6)
+        g = -f if opposite else f + 1e159
+        for solve in (lambda: tlp_distances(mu, mu, f[None], g[None], p),
+                      lambda: tlp_distance(TLpPoint(mu, f), TLpPoint(mu, g), p),
+                      lambda: TLpStacking({0: mu, 1: mu}, p).distance(TLpPoint(mu, f), TLpPoint(mu, g))):
+            with pytest.raises(SolverDiagnosticError, match="not finite"):
+                solve()
 
     def test_heat_round_product_tests(self, monkeypatch):
         # every d2c and resolvent row and every W_2 recovery of a heat-1d
@@ -960,6 +989,11 @@ def _heat_call(kind, seed, fields):
 def _direct_recovery(mu, nu, v, p=2.0):
     d, plan = wasserstein(mu, nu, p)
     return d, barycentric_map(plan, v), plan.stagnation_cost
+
+
+def _pair_recovery(mu, nu, v, p):
+    """W_p, barycentric point and stagnation cost from a fresh measure pair."""
+    return transport._TLpPair(mu, nu, p).recovery(v)
 
 
 def _recovery_bits(recover, *args):
@@ -993,7 +1027,7 @@ class TestSpatialRecovery:
         mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
         nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
         v = r.normal(size=n)
-        recovery = _outcome(lambda: _recovery_bits(transport._spatial_recovery, mu, nu, v, p))
+        recovery = _outcome(lambda: _recovery_bits(_pair_recovery, mu, nu, v, p))
         assert recovery == _outcome(lambda: _recovery_bits(_direct_recovery, mu, nu, v, p))
 
     def test_bitwise_at_heat_sizes(self, monkeypatch):
@@ -1008,7 +1042,7 @@ class TestSpatialRecovery:
             for m in (16, 128):
                 w = r.random(m) + 0.5 if seed % 2 else np.ones(m)
                 mu = EmpiricalMeasure(atoms=np.sort(r.random(m))[:, None], weights=w / w.sum())
-                recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
+                recovery = _recovery_bits(_pair_recovery, mu, nu, v, 2.0)
                 assert fallbacks.calls == 0
                 assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
 
@@ -1024,7 +1058,7 @@ class TestSpatialRecovery:
             mu, nu = uniform_measure(scale * x), uniform_measure(scale * y)
             v = np.cos(np.pi * y)
             fallbacks.calls = solves.calls = 0
-            recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
+            recovery = _recovery_bits(_pair_recovery, mu, nu, v, 2.0)
             assert fallbacks.calls == 0
             assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
             f, g = np.sin(np.pi * x), np.sin(np.pi * y)
@@ -1049,7 +1083,7 @@ class TestSpatialRecovery:
             nu = uniform_measure(g)
             v = np.array([1.0, -2.0])
             fallbacks.calls = 0
-            recovery = _recovery_bits(transport._spatial_recovery, mu, nu, v, 2.0)
+            recovery = _recovery_bits(_pair_recovery, mu, nu, v, 2.0)
             was_certified = fallbacks.calls == 0
             trees.calls = 0
             assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
@@ -1062,14 +1096,14 @@ class TestSpatialRecovery:
         # a heat-1d round recovers 15 initial and approximating points, all
         # on sorted 1-D atoms in [0, 1], each through a kept staircase's
         # recovery: none needs wasserstein
-        recover, recovered = transport._TL2Staircase.recovery, []
+        recover, recovered = transport._TLpPair.recovery, []
 
         def counted(*args):
             recovered.append(args)
             return recover(*args)
 
         monkeypatch.setattr(transport, "wasserstein", _no_fallback)
-        monkeypatch.setattr(transport._TL2Staircase, "recovery", counted)
+        monkeypatch.setattr(transport._TLpPair, "recovery", counted)
         for seed in (0, 7):
             recovered.clear()
             for kind, fields in _HEAT_CALLS:
@@ -1084,13 +1118,13 @@ class TestSharedStaircase:
         # d2c keeps one staircase per size, for its recovery and its rows;
         # resolvent_convergence one for each of its 3 sizes; the stacking
         # audit one per (source, target) measure pair it compares: 14
-        build, built = transport._TL2Staircase.__init__, []
+        build, built = transport._TLpPair.__init__, []
 
-        def counted(staircase, mu, nu):
+        def counted(pair, mu, nu, p=2.0):
             built.append(tuple(a.tobytes() for a in (mu.atoms, mu.weights, nu.atoms, nu.weights)))
-            build(staircase, mu, nu)
+            build(pair, mu, nu, p)
 
-        monkeypatch.setattr(transport._TL2Staircase, "__init__", counted)
+        monkeypatch.setattr(transport._TLpPair, "__init__", counted)
         for seed in (0, 7):
             per_call = []
             for kind, fields in _HEAT_CALLS:
@@ -1121,16 +1155,16 @@ class TestSharedStaircase:
         a, b = r.random(m) + 0.05, r.random(n) + 0.05
         mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
         nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
-        shared = transport._TL2Staircase(mu, nu)
+        shared = transport._TLpPair(mu, nu)
         for call in calls:
             if call == "recovery":
                 v = r.normal(size=n)
-                fresh = transport._TL2Staircase(mu, nu)
+                fresh = transport._TLpPair(mu, nu)
                 got = _outcome(lambda: _recovery_bits(shared.recovery, v))
                 assert got == _outcome(lambda: _recovery_bits(fresh.recovery, v))
             else:
                 U, V = _value_rows(r, 2, m, call == "sorted rows"), _value_rows(r, 2, n, True)
-                fresh = transport._TL2Staircase(mu, nu)
+                fresh = transport._TLpPair(mu, nu)
                 got = _outcome(lambda: shared.distances(U, V).tolist())
                 assert got == _outcome(lambda: fresh.distances(U, V).tolist())
 
@@ -1143,7 +1177,7 @@ class TestSharedStaircase:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            staircase = transport._TL2Staircase(mu, nu)
+            staircase = transport._TLpPair(mu, nu)
             staircase.distances(np.cos(np.pi * x)[None], np.cos(np.pi * y)[None])
             staircase.recovery(np.cos(np.pi * y))
             held = tracemalloc.get_traced_memory()[0] - before
@@ -1163,7 +1197,7 @@ class TestSharedStaircase:
         x = (np.arange(16) + 0.5) / 16
         mu, nu = uniform_measure(x), uniform_measure(np.sort(np.random.default_rng(0).random(24)))
         f, g = np.cos(np.pi * x), np.zeros(24)
-        for solve in (lambda: transport._TL2Staircase(mu, nu),
+        for solve in (lambda: transport._TLpPair(mu, nu),
                       lambda: tlp_distances(mu, nu, f[None], g[None], 2.0),
                       lambda: tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g), 3.0)):
             with pytest.raises(PreconditionError, match="plan marginals off by"):
@@ -1206,5 +1240,5 @@ def test_certified_recovery_forms_only_the_plan(monkeypatch):
     x, y = (np.arange(128) + 0.5) / 128, (np.arange(1024) + 0.5) / 1024
     mu, nu = uniform_measure(x), uniform_measure(y)
     v = np.cos(np.pi * y)
-    transport._spatial_recovery(mu, nu, v, 2.0)
-    assert _peak_mib(lambda: transport._spatial_recovery(mu, nu, v, 2.0)) < 1.5
+    _pair_recovery(mu, nu, v, 2.0)
+    assert _peak_mib(lambda: _pair_recovery(mu, nu, v, 2.0)) < 1.5

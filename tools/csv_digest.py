@@ -19,6 +19,7 @@ The sweep:
 - bound_suite at seeds 0-24
 - p0_audit at seeds 0-11
 - stacking_audit at sizes 4-32, seeds 0-11
+- stacking_audit and tlp_table at p = 1 and p = 3, the TL^p paths off p = 2
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ def sweep():
     for seed in range(12):
         yield f"stacking_audit:sizes=4-32:seed={seed}", dict(
             kind="stacking_audit", seed=seed, sizes=(4, 8, 16, 32))
+    for kind in ("stacking_audit", "tlp_table"):
+        for p in (1.0, 3.0):
+            yield f"{kind}:p={p:g}", dict(kind=kind, p=p)
 
 
 def _reject_constant(token):

@@ -224,8 +224,7 @@ MUTANTS = [
            (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
     Mutant("tl2-dense-check-removed", TRANSPORT,
-           "        if abs(dense - cost) > _cost_tol(dense, cost):\n"
-           '            raise PreconditionError("stored cost disagrees with the dense recomputation")\n',
+           "        _check_cost(self.r @ fsq + self.s @ gsq - 2.0 * (f @ Pg) + self.dense_spatial, cost)\n",
            "",
            (f"{T_TRANSPORT}::TestTlpDistances::test_corrupted_row_cost_trips_the_cost_check",)),
     Mutant("rc-tol-absolute", TRANSPORT,
@@ -286,24 +285,48 @@ MUTANTS = [
     Mutant("cell-marginal-check-dropped", TRANSPORT,
            "    _check_marginals(*_marginal_errors(r, s, mu, nu))\n", "",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_perturbed_flow_trips_the_marginal_check",)),
-    Mutant("stacking-staircase-rebuilt-per-call", STACKING,
-           "staircase = self._staircases[key] = _TL2Staircase(mu, nu)",
-           "staircase = _TL2Staircase(mu, nu)",
+    Mutant("stacking-pair-rebuilt-per-call", STACKING,
+           "pair = self._pairs[key] = _TLpPair(mu, nu, self.p)",
+           "pair = _TLpPair(mu, nu, self.p)",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",)),
-    Mutant("heat-staircase-rebuilt-per-call", EXPERIMENTS,
-           "dists = inst.staircase.distances(",
-           "dists = _TL2Staircase(inst.measure, fine.measure).distances(",
+    Mutant("heat-pair-rebuilt-per-call", EXPERIMENTS,
+           "dists = inst.pair.distances(",
+           "dists = _TLpPair(inst.measure, fine.measure).distances(",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",)),
-    Mutant("stacking-staircase-key-without-target", STACKING,
-           "key = (self._measure_key(mu), self._measure_key(nu))", "key = self._measure_key(mu)",
+    Mutant("stacking-pair-key-without-target", STACKING,
+           "key = (self.p, self._measure_key(mu), self._measure_key(nu))",
+           "key = (self.p, self._measure_key(mu))",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",
             f"{T_STACKING}::TestTLpMemo::test_stacking_audit_solves_each_problem_once")),
+    # one measure-pair object at every p; a cost that is not finite raises
+    Mutant("stacking-pair-key-without-p", STACKING,
+           "key = (self.p, self._measure_key(mu), self._measure_key(nu))",
+           "key = (self._measure_key(mu), self._measure_key(nu))",
+           (f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh",)),
+    Mutant("pair-p3-rows-take-the-tl2-path", TRANSPORT,
+           "        if self.p != 2:\n            plans = _tlp_plans(",
+           "        if False:\n            plans = _tlp_plans(",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_certified_rows_match_linprog",
+            f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh")),
+    Mutant("pair-p3-recovery-reads-w2", TRANSPORT,
+           "d, plan = wasserstein(self.mu, self.nu, self.p)", "d, plan = wasserstein(self.mu, self.nu, 2.0)",
+           (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",)),
+    Mutant("pair-p3-builds-the-staircase", TRANSPORT,
+           "        if p != 2:  # the dense path alone, which needs nothing below\n            return\n", "",
+           (f"{T_TRANSPORT}::test_tlp_allocates_three_cost_sized_arrays",)),
+    Mutant("cost-check-nan-passes", TRANSPORT,
+           "if not abs(recomputed - cost) <= _cost_tol(recomputed, cost, tol):",
+           "if abs(recomputed - cost) > _cost_tol(recomputed, cost, tol):",
+           (f"{T_TRANSPORT}::TestPlanCheck::test_non_finite_cost_or_recomputation_is_a_solver_diagnostic",
+            f"{T_TRANSPORT}::TestMongeCertificate::test_overflowing_rows_raise[False-2.0]",
+            f"{T_TRANSPORT}::TestMongeCertificate::test_overflowing_rows_raise[True-3.0]",
+            f"{T_TRANSPORT}::TestMongeCertificate::test_other_rows_take_the_earlier_paths[overflow]")),
     Mutant("cost-tol-factor-1e6", TRANSPORT,
            "scaled = 16.0 * _EPS * max(", "scaled = 1e6 * _EPS * max(",
            (f"{T_TRANSPORT}::TestPlanCheck::test_stored_cost_off_by_1e12_relative_raises_at_large_costs",
             f"{T_TRANSPORT}::test_cost_tol_floor_and_scale")),
     # graph energies
-    Mutant("dct-basis-no-constant-column", ENERGIES,
+    Mutant("dct-basis-no-constant-column", "tests/oracles.py",
            "    Q[:, 0] = np.sqrt(1.0 / n)\n", "",
            (f"{T_ENERGIES}::TestClosedFormPathFactors::test_factors_match_eigh",
             f"{T_ENERGIES}::TestClosedFormPathFactors::test_path_keeps_no_basis")),
