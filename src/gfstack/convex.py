@@ -67,9 +67,11 @@ def omega_interval_contains(step: float, omega: float) -> bool:
     return True
 
 
-def omega_interval_sup(omega: float) -> float:
-    """Right endpoint of the admissible step interval (inf when omega <= 0)."""
-    return 1.0 / omega if omega > 0.0 else np.inf
+def check_admissible(step: float, omega: float, name: str = "step"):
+    """Raise IntervalError unless omega_interval_contains(step, omega)."""
+    if not omega_interval_contains(step, omega):
+        sup = 1.0 / omega if omega > 0.0 else np.inf
+        raise IntervalError(f"{name}={step} outside the admissible interval (0, {sup}) for omega={omega}")
 
 
 def kappa(t: float, lam: float) -> float:
@@ -116,7 +118,6 @@ class ProperFunctional:
     prox_iterated: Optional[Callable[[float, int, np.ndarray], np.ndarray]] = None
     slope_norm: Optional[Callable[[np.ndarray], float]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain_hint: Optional[tuple] = None
     name: str = ""
     value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -233,11 +234,7 @@ def prox(phi: ProperFunctional, gamma: float, x) -> np.ndarray:
     gradient method when phi.gradient is set.  A functional with neither
     raises PreconditionError before it is evaluated.
     """
-    if not omega_interval_contains(gamma, -phi.lam):
-        raise IntervalError(
-            f"gamma={gamma} outside the admissible interval (0, {omega_interval_sup(-phi.lam)}) "
-            f"for modulus lam={phi.lam}"
-        )
+    check_admissible(gamma, -phi.lam, "gamma")
     x = as_point(x, phi.dim)
     if phi.prox_closed_form is not None:
         return as_point(phi.prox_closed_form(gamma, x), phi.dim)
@@ -264,8 +261,7 @@ def envelope_functional(phi: ProperFunctional, gamma: float) -> ProperFunctional
     way realizes the semigroup identity in the gamma parameter.  The
     envelope is C^{1,1} with exact gradient (x - prox_gamma(x)) / gamma.
     """
-    if not omega_interval_contains(gamma, -phi.lam):
-        raise IntervalError(f"gamma={gamma} inadmissible for lam={phi.lam}")
+    check_admissible(gamma, -phi.lam, "gamma")
     lam_env = phi.lam / (1.0 + gamma * phi.lam)
     return ProperFunctional(
         dim=phi.dim,
@@ -273,7 +269,6 @@ def envelope_functional(phi: ProperFunctional, gamma: float) -> ProperFunctional
         lam=lam_env,
         weights=phi.weights,
         gradient=lambda y: (y - prox(phi, gamma, y)) / gamma,
-        domain_hint=phi.domain_hint,
         name=f"envelope({phi.name or 'phi'},{gamma:g})",
     )
 
@@ -293,17 +288,14 @@ class ConvexityReport:
 
 
 def default_triple_sampler(phi: ProperFunctional, rng: np.random.Generator, scale: float = 3.0):
-    """Returns draw(n): n (x, y, t) triples from domain_hint, or a centered box of the given scale.
+    """Returns draw(n): n (x, y, t) triples, x and y from the centered box of the given scale.
 
     draw(n) gives xs and ys of shape (n, dim) and ts of shape (n,) from one
     rng.uniform call over rows [x, y, t].  The generator's stream is consumed
     as by n successive draws of x, y and t, so the triples are bitwise those.
     """
-    if phi.domain_hint is not None:
-        lo, hi = (as_point(b, phi.dim) for b in phi.domain_hint)
-    else:
-        lo = -scale * np.ones(phi.dim)
-        hi = scale * np.ones(phi.dim)
+    lo = -scale * np.ones(phi.dim)
+    hi = scale * np.ones(phi.dim)
     low, high = np.concatenate([lo, lo, [0.0]]), np.concatenate([hi, hi, [1.0]])
 
     def draw(n):

@@ -237,7 +237,7 @@ def _dct3(X: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class GraphEnergy:
     """F(u) = sum_ij A_ij L(u_i - u_j) over weighted nodes.
 
@@ -522,7 +522,6 @@ def counterexample_functional(lam: float) -> ProperFunctional:
         value_rows=lambda U: val(U[:, 0], U[:, 1]),
         lam=lam,
         weights=w,
-        domain_hint=(np.array([-3.0, -3.0]), np.array([3.0, 3.0])),
         name=f"exchange-counterexample(lam={lam:g})",
     )
 

@@ -22,8 +22,8 @@ import numpy as np
 from .convex import (
     ProperFunctional,
     as_point,
+    check_admissible,
     omega_interval_contains,
-    omega_interval_sup,
     prox,
     weighted_norm,
 )
@@ -86,21 +86,13 @@ class Trajectory:
             raise PreconditionError("times must be finite and strictly increasing")
 
 
-def _check_step(R: ResolventOperator, step: float):
-    if not R.step_ok(step):
-        raise IntervalError(
-            f"step {step} outside the admissible interval (0, {omega_interval_sup(R.omega)}) "
-            f"for omega={R.omega}"
-        )
-
-
 def resolvent_iterate(R: ResolventOperator, t: float, n: int, x) -> np.ndarray:
     """Apply R_{t/n} n times to x (the discrete exponential-formula iterate)."""
     if t <= 0 or n < 1:
         raise IntervalError(f"need t > 0 and n >= 1, got t={t}, n={n}")
     x = as_point(x, R.dim)
     step = t / n
-    _check_step(R, step)
+    check_admissible(step, R.omega)
     if R.resolve_iterated is not None:
         return as_point(R.resolve_iterated(step, n, x), R.dim)
     y = x
@@ -203,8 +195,7 @@ def check_accretive(pairs, omega: float, lambdas, weights=None, tol: float = 1e-
     """
     report = AccretivityReport(omega=omega, n_checked=0)
     for lam in lambdas:
-        if not omega_interval_contains(lam, omega):
-            raise IntervalError(f"lambda={lam} outside the admissible interval for omega={omega}")
+        check_admissible(lam, omega, "lambda")
         for (x, y), (xh, yh) in pairs:
             x, y, xh, yh = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y, xh, yh))
             lhs = weighted_norm(x - xh + lam * (y - yh), weights)
@@ -228,7 +219,7 @@ def eps_approximate_solution(R: ResolventOperator, partition, x) -> Trajectory:
     x = as_point(x, R.dim)
     states = [x.copy()]
     for dt in np.diff(times):
-        _check_step(R, float(dt))
+        check_admissible(float(dt), R.omega)
         states.append(as_point(R.resolve(float(dt), states[-1]), R.dim))
     return Trajectory(times=times, states=np.asarray(states))
 

@@ -151,10 +151,8 @@ class TLpStacking(Stacking):
     atoms' shape fixes the rest), so a changed p or a replaced measure is
     a new key, never a stale hit.  A recovery is kept only as its point
     (n floats) and stagnation cost, per (p, source, target, limit values),
-    and its W_p distance as the distance between the zero functions.  At
-    p = 2 the pair certifies by the Monge test, then the product test, and
-    solves densely only what neither certifies; at any other p it solves
-    densely.
+    and its W_p distance as the distance between the zero functions.  The
+    pair's docstring gives its certificates and their order.
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):

@@ -17,29 +17,20 @@ simplex never pivots on the rounding of the costs.
 
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
-stagnation cost, the certificate of measure convergence.  tlp_distance and
-wasserstein allocate three m x n arrays: the spatial part, the cost and the
-plan.  The reduced costs are tested in blocks of rows, except for a row
-whose cost is a Monge array (_monge_rows), and the plan's dense checks sum
-without forming products.  tlp_distances compares the rows of two
-trajectories on one measure pair, with the start and its plan built, and the
-plan's marginals checked, once for all rows.
-
-A _TLpPair, one measure pair's staircase kept as its cells (O(m + n)
-data), answers every row of tlp_distances and every distance and recovery
-of the TL^p stacking and the heat instances, at any p.  At p = 2 it forms
-the costs on the cells only and certifies the staircase by the Monge test,
-else with the m x n reduced costs as the product of an m x (d+3) and a
-(d+3) x n matrix, formed in row blocks and tested against an error bound,
-else solves densely; its only m x n array is a recovery's plan, formed for
-the call.  At any other p it solves densely.  A cost that is not finite
-raises SolverDiagnosticError.
+stagnation cost, the certificate of measure convergence.  Every TL^p
+distance, plan and recovery (tlp_distance, wasserstein, tlp_distances, the
+TL^p stacking and the heat instances) is one call on a _TLpPair, the
+measure pair's checked staircase; its docstring gives the certificates and
+their order.  A dense solve allocates three m x n arrays: the spatial part,
+the cost and the plan.  A cost that is not finite raises
+SolverDiagnosticError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -364,23 +355,22 @@ def _any_reduced_cost_below(C, u, v, scratch, tol) -> bool:
     return False
 
 
-def _staircase(cells, shape):
-    """A _northwest_corner start with its dense plan: cells, (exact, eps) flows and plan."""
-    i, j, flow, flow_eps = cells
+def _dense_plan(i, j, flow, shape) -> np.ndarray:
+    """The plan of the given shape with the given flows on the cells (i, j), zero elsewhere."""
     P = np.zeros(shape)
     P[i, j] = flow
-    return i, j, flow, flow_eps, P
+    return P
 
 
-def _solve(C, start, scratch, monge=False):
-    """Optimal plan and cost on C from a _staircase start.
+def _solve(C, cells, P, scratch, monge=False):
+    """Optimal plan and cost on C from the _northwest_corner cells, whose dense plan is P.
 
-    The start's own plan is returned when C is a Monge array (monge) and
-    its cost is finite, or when its reduced costs show it optimal; otherwise
-    the spanning tree is built from it and pivoted, into a fresh plan.  The
-    cost is summed over the plan's basis cells.
+    P itself is returned when C is a Monge array (monge) and its cost is
+    finite, or when its reduced costs show it optimal; otherwise the
+    spanning tree is built from the cells and pivoted, into a fresh plan.
+    The cost is summed over the plan's basis cells.
     """
-    i, j, flow, flow_eps, P = start
+    i, j, flow, flow_eps = cells
     c = C[i, j]
     cost = float(np.sum(flow * c))
     if monge and np.isfinite(cost):
@@ -395,8 +385,7 @@ def _solve(C, start, scratch, monge=False):
         _pivot_to_optimum(tree, C, tol)
         i, j = np.transpose(list(tree.flows))
         flow = np.array([f for f, _ in tree.flows.values()])
-        P = np.zeros(C.shape)
-        P[i, j] = flow
+        P = _dense_plan(i, j, flow, C.shape)
         cost = float(np.sum(flow * C[i, j]))
     return P, cost
 
@@ -418,7 +407,7 @@ def solve_transport(a, b, C):
 
     A public entry point for callers with their own cost matrix, and the one
     the linprog oracle tests solve through.  No runner path calls it: the
-    TL^p plans go through _tlp_plans, which shares _solve.
+    TL^p plans go through _TLpPair.plans, which shares _solve.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -428,7 +417,8 @@ def solve_transport(a, b, C):
         raise PreconditionError("marginal sizes must match the cost matrix")
     if abs(a.sum() - b.sum()) > 1e-9:
         raise PreconditionError("marginals must have equal total mass")
-    return _solve(C, _staircase(_northwest_corner(a, b), C.shape), _rc_scratch(m, n))
+    cells = _northwest_corner(a, b)
+    return _solve(C, cells, _dense_plan(*cells[:3], C.shape), _rc_scratch(m, n))
 
 
 def _squared_distances(x, y, subtract):
@@ -473,21 +463,6 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
     return tlp_distance(TLpPoint(mu, np.zeros(mu.n_atoms)), TLpPoint(nu, np.zeros(nu.n_atoms)), p)
 
 
-def _checked_staircase(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """The _northwest_corner cells of (mu, nu) in one dimension, and its plan's row and column sums.
-
-    The sums, bincounts over the cells, are checked against the weights once
-    per measure pair: they do not depend on the values.
-    """
-    if mu.dim != nu.dim:
-        raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    cells = _northwest_corner(mu.weights, nu.weights)
-    i, j, flow, _ = cells
-    r, s = np.bincount(i, flow, mu.n_atoms), np.bincount(j, flow, nu.n_atoms)
-    _check_marginals(*_marginal_errors(r, s, mu, nu))
-    return cells, r, s
-
-
 def _similarly_ordered(a, b) -> bool:
     """Whether a and b are both nondecreasing or both nonincreasing.
 
@@ -520,57 +495,6 @@ def _monge_rows(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     return lambda f, g: ordered and _similarly_ordered(f, g)
 
 
-def _tlp_plans(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float):
-    """Checked optimal plans for the TL^p costs of the row pairs (U[k], V[k]).
-
-    Yields (plan, spatial) for each row; plan.stagnation_cost is left nan.
-    The spatial matrix, the staircase start and its dense plan are built
-    once, and the staircase's marginals checked once.  Each row's cost
-    |u_i - v_j|^p + spatial is formed in place in one buffer, the
-    cost_matrix of every yielded plan, so a caller reads a plan before it
-    asks for the next row.  A row whose cost is a Monge array, similarly
-    ordered values on similarly ordered 1-D atoms at any p (_monge_rows;
-    Hoffman 1963), keeps the optimal staircase when its cost is finite;
-    every other row runs the full reduced-cost test, and a row whose
-    staircase is not optimal is pivoted into a fresh plan, whose marginals
-    are checked as well.  Every row runs the dense cost check.
-    """
-    cells = _checked_staircase(mu, nu)[0]
-    if not 1 <= p < np.inf:
-        raise PreconditionError("p must be finite and >= 1")
-    start = _staircase(cells, (mu.n_atoms, nu.n_atoms))
-    staircase = start[-1]
-    spatial = _spatial_cost_matrix(mu, nu, p)
-    C = np.empty_like(spatial)
-    scratch = _rc_scratch(*C.shape)
-    monge = _monge_rows(mu, nu)
-    for u, v in zip(U, V):
-        C[...] = u[:, None]  # u_i - v_j in place, without np.subtract.outer's iteration buffers
-        C -= v
-        _pow_p(C, p)
-        C += spatial
-        P, cost = _solve(C, start, scratch, monge(u, v))
-        plan = TransportPlan(pi=P, source=mu, target=nu, cost=cost, stagnation_cost=np.nan,
-                             cost_matrix=C)
-        if P is not staircase:
-            plan.check_marginals()
-        plan.check_cost()
-        yield plan, spatial
-
-
-def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
-    """TL^p distance between (u, mu) and (v, nu) and an optimal plan.
-
-    The one-row case of tlp_distances.  The plan's cost is summed over its
-    basis cells; plan.check() recomputes it densely over every cell, a
-    check independent of that sum, with the marginals.  The stagnation
-    cost is summed last, with the product written over the spatial matrix.
-    """
-    (plan, spatial), = _tlp_plans(a.measure, b.measure, a.values[None], b.values[None], p)
-    plan.stagnation_cost = float(np.multiply(plan.pi, spatial, out=spatial).sum())
-    return float(max(plan.cost, 0.0) ** (1.0 / p)), plan
-
-
 def _products_at_least(A, B, floor, scratch) -> bool:
     """Whether every entry of A @ B is at least floor (a NaN entry is skipped).
 
@@ -586,30 +510,36 @@ def _products_at_least(A, B, floor, scratch) -> bool:
 
 
 class _TLpPair:
-    """The TL^p measure pair (mu, nu): its checked staircase, certified row by row at p = 2.
+    """The TL^p measure pair (mu, nu): the one solver of its TL^p distances, plans and recoveries.
 
-    Kept as its cells (i_k, j_k) and flows, O(m + n) data, for every
-    distances row and recovery a caller asks of the pair.  At p != 2 it
-    keeps only the measures: _tlp_plans solves the rows and a recovery
-    reads wasserstein's plan.
+    A pair builds the _northwest_corner staircase of the weights once, kept
+    as its cells (i_k, j_k) and flows, O(m + n) data, and checks the
+    staircase plan's row and column sums against the weights; then it
+    checks p.  Write f, g for a row's values, u, v for its staircase
+    potentials.  A row, or a recovery's zero functions, is answered by the
+    first of three certificates that applies:
 
-    Write f, g for a row's values, u, v for its staircase potentials.  The
-    costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the staircase
-    cells only, by the operations _tlp_plans applies to every cell, so c,
-    u, v and the cost sum(flow * c) are bitwise those of the one-row solve.
-    A row is certified by the first of three certificates that applies:
+    1. Monge, at any p.  On similarly ordered 1-D atoms with similarly
+       ordered values the costs form a Monge array and the staircase is
+       optimal (_monge_rows).  The test is exact, O(m + n) and has no
+       magnitude limit.  At p = 2 such a row is certified on the cells when
+       4 (max(f^2 + |x|^2) + max(g^2 + |y|^2)) is finite, S below with
+       u = v = 0, which rules out an overflow in c and in the dense check.
+    2. The product test, at p = 2, for every other row, below.  Its
+       absolute margin certifies no row with S >= 311 (d = 1).
+    3. The dense solve (plans), for every row at p != 2 and every row
+       neither certifies.  It keeps the staircase of a Monge row whose cost
+       is finite, runs the m x n reduced-cost test in row blocks on every
+       other row, and pivots a row whose staircase is not optimal into a
+       fresh plan, whose marginals are checked as well; every row runs the
+       dense cost check.
 
-    1. Monge.  On similarly ordered 1-D atoms with similarly ordered values
-       the costs form a Monge array, and the staircase is optimal for any
-       marginals (Hoffman 1963, "On simple linear programming problems";
-       _monge_rows).  The test is exact, O(m + n) and has no magnitude
-       limit.  Such a row is certified when 4 (max(f^2 + |x|^2) +
-       max(g^2 + |y|^2)) is finite, S below with u = v = 0, which rules
-       out an overflow in c and in the dense check.  _tlp_plans takes the
-       same test, so the one-row solve keeps the staircase and this cost.
-    2. The product test, for every other row, below.  Its absolute margin
-       certifies no row with S >= 311 (d = 1).
-    3. The dense path: a row neither certifies is solved by _tlp_plans.
+    At p = 2 the costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the
+    staircase cells only, by the operations plans applies to every cell, so
+    c, u, v and the cost sum(flow * c) are bitwise those of the dense solve,
+    which keeps the staircase and this cost on a certified row.  The O(m + n)
+    vectors this takes are built on the first cost call, so a pair that only
+    solves densely allocates nothing more than the dense solve.
 
     The product test.  The reduced costs of all cells are the product R of
     the rows [alpha_i, 1, f_i, x_i] and the columns [1, beta_j, -2 g_j, -2 y_j]:
@@ -633,7 +563,7 @@ class _TLpPair:
 
     the other 3d + 12 units covering the second-order terms and the
     rounding of S and of this threshold.  No direct reduced cost of a
-    certified row is then below -tol, nor below the one-row solve's
+    certified row is then below -tol, nor below the dense solve's
     -_rc_tol(max|C|), so that solve keeps the staircase and this cost.
     A staircase cell's reduced cost is 0, so a certified row has
     (5d + 24)(eps/2) S < tol, S < 311 at d = 1: a scaled tol, at most
@@ -646,22 +576,33 @@ class _TLpPair:
     """
 
     def __init__(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
-        self.mu, self.nu, self.p = mu, nu, p
-        self.shape = mu.n_atoms, nu.n_atoms
-        if p != 2:  # the dense path alone, which needs nothing below
-            return
-        x, y = mu.atoms, nu.atoms
-        (i, j, self.flow, _), self.r, self.s = _checked_staircase(mu, nu)
-        self.i, self.j = i, j
-        m, d = x.shape
-        # |x_i - y_j|^2 on the cells
-        self.spatial = _squared_distances(x[i], y[j], np.subtract) if d else np.zeros(len(i))
-        self.xsq, self.ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
-        Py = np.array([np.bincount(i, self.flow * yk, m) for yk in y[j].T]).reshape(d, m)
-        self.dense_spatial = (self.r @ self.xsq + self.s @ self.ysq
-                              - 2.0 * np.einsum("ik,ki->", x, Py))
-        self.kappa_u = 8 * (d + 4) * _EPS / 2
+        if mu.dim != nu.dim:
+            raise PreconditionError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+        self.mu, self.nu, self.shape = mu, nu, (mu.n_atoms, nu.n_atoms)
+        self.cells = self.i, self.j, self.flow, _ = _northwest_corner(mu.weights, nu.weights)
+        _check_marginals(*_marginal_errors(*self._sums(), mu, nu))
+        if not 1 <= p < np.inf:
+            raise PreconditionError("p must be finite and >= 1")
+        self.p = p
         self.monge = _monge_rows(mu, nu)
+
+    def _sums(self):
+        """The staircase plan's row and column sums r and s, bincounts over the cells."""
+        return np.bincount(self.i, self.flow, self.shape[0]), np.bincount(self.j, self.flow, self.shape[1])
+
+    @cached_property
+    def _tl2(self):
+        """The vectors cost reads, built on its first call, so a pair that only solves densely holds none.
+
+        r and s, the cells' |x_i - y_j|^2, |x|^2, |y|^2 and the staircase's sum_ij P_ij |x_i - y_j|^2.
+        """
+        x, y, i = self.mu.atoms, self.nu.atoms, self.i
+        m, d = x.shape
+        r, s = self._sums()
+        spatial = _squared_distances(x[i], y[self.j], np.subtract) if d else np.zeros(len(i))
+        xsq, ysq = np.einsum("ik,ik->i", x, x), np.einsum("jk,jk->j", y, y)
+        Py = np.array([np.bincount(i, self.flow * yk, m) for yk in y[self.j].T]).reshape(d, m)
+        return r, s, spatial, xsq, ysq, r @ xsq + s @ ysq - 2.0 * np.einsum("ik,ki->", x, Py)
 
     def _certified(self, f, g, c, a, b) -> bool:
         """Whether the staircase is optimal for the row (f, g): the Monge test, else the product test.
@@ -675,57 +616,91 @@ class _TLpPair:
         A = np.column_stack([a - u, np.ones(len(f)), f, self.mu.atoms])
         B = np.vstack([np.ones(len(g)), b - v, -2.0 * g, -2.0 * self.nu.atoms.T])
         S = np.max(a + np.abs(u)) + np.max(b + np.abs(v))
-        floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL
+        floor = 8 * (self.mu.dim + 4) * _EPS / 2 * (S + _RC_TOL) - _RC_TOL  # KAPPA (eps/2) (S + tol) - tol
         return bool(np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape)))
 
     def cost(self, f, g):
         """The staircase's TL^2 cost for the row (f, g), checked densely; None at p != 2 or uncertified."""
         if self.p != 2:
             return None
+        r, s, spatial, xsq, ysq, dense_spatial = self._tl2
         c = _pow_p(f[self.i] - g[self.j], 2.0)
-        c += self.spatial
+        c += spatial
         fsq, gsq = f * f, g * g
-        if not self._certified(f, g, c, fsq + self.xsq, gsq + self.ysq):
+        if not self._certified(f, g, c, fsq + xsq, gsq + ysq):
             return None
         cost = float(np.sum(self.flow * c))
         Pg = np.bincount(self.i, self.flow * g[self.j], len(f))
-        _check_cost(self.r @ fsq + self.s @ gsq - 2.0 * (f @ Pg) + self.dense_spatial, cost)
+        _check_cost(r @ fsq + s @ gsq - 2.0 * (f @ Pg) + dense_spatial, cost)
         return cost
 
+    def plans(self, U, V):
+        """Checked optimal plans for the TL^p costs of the rows (U[k], V[k]): the dense solve.
+
+        Yields (plan, spatial) for each row; plan.stagnation_cost is left
+        nan.  The spatial matrix and the staircase's dense plan are formed
+        once per call.  Each row's cost |u_i - v_j|^p + spatial is formed in
+        place in one buffer, the cost_matrix of every yielded plan, so a
+        caller reads a plan before it asks for the next row.
+        """
+        staircase = _dense_plan(self.i, self.j, self.flow, self.shape)
+        spatial = _spatial_cost_matrix(self.mu, self.nu, self.p)
+        C = np.empty_like(spatial)
+        scratch = _rc_scratch(*self.shape)
+        for u, v in zip(U, V):
+            C[...] = u[:, None]  # u_i - v_j in place, without np.subtract.outer's iteration buffers
+            C -= v
+            _pow_p(C, self.p)
+            C += spatial
+            P, cost = _solve(C, self.cells, staircase, scratch, self.monge(u, v))
+            plan = TransportPlan(pi=P, source=self.mu, target=self.nu, cost=cost, stagnation_cost=np.nan,
+                                 cost_matrix=C)
+            if P is not staircase:
+                plan.check_marginals()
+            plan.check_cost()
+            yield plan, spatial
+
+    def plan(self, f, g):
+        """TL^p distance of the row (f, g) and its optimal plan, by the dense solve.
+
+        The plan's cost is summed over its basis cells; plan.check()
+        recomputes it densely over every cell, a check independent of that
+        sum, with the marginals.  The stagnation cost is summed last, with
+        the product written over the spatial matrix.
+        """
+        (plan, spatial), = self.plans(f[None], g[None])
+        plan.stagnation_cost = float(np.multiply(plan.pi, spatial, out=spatial).sum())
+        return float(max(plan.cost, 0.0) ** (1.0 / self.p)), plan
+
     def distances(self, U, V) -> np.ndarray:
-        """TL^p distances of the rows (U[k], V[k]); one not certified is solved by _tlp_plans
-        (at p != 2 every row, in one call)."""
+        """TL^p distances of the rows (U[k], V[k]): each row's cost, else one dense solve of the rest."""
         U, V = _checked_rows(self.mu, self.nu, U, V)
-        if self.p != 2:
-            plans = _tlp_plans(self.mu, self.nu, U, V, self.p)
-            return np.array([max(plan.cost, 0.0) ** (1.0 / self.p) for plan, _ in plans])
-        out = np.empty(len(U))
-        for k, (f, g) in enumerate(zip(U, V)):
-            cost = self.cost(f, g)
-            if cost is None:
-                (plan, _), = _tlp_plans(self.mu, self.nu, f[None], g[None], 2.0)
-                cost = plan.cost
-            out[k] = max(cost, 0.0) ** 0.5
-        return out
+        costs = [self.cost(f, g) for f, g in zip(U, V)]
+        rest = [k for k, cost in enumerate(costs) if cost is None]
+        if rest:  # one dense solve of the rows left, passed as views, not copies
+            for k, (plan, _) in zip(rest, self.plans([U[k] for k in rest], [V[k] for k in rest])):
+                costs[k] = plan.cost
+        return np.array([max(cost, 0.0) ** (1.0 / self.p) for cost in costs])
 
     def recovery(self, target_values):
         """W_p(mu, nu), the barycentric map of target_values and the stagnation cost.
 
         Bitwise what wasserstein, barycentric_map and plan.stagnation_cost
-        give.  At p = 2, certified for the zero functions, the three are
-        read off the plan P, formed for this call alone: the conditional
-        averages over P's row sums, and the sum of P with the spatial costs
-        multiplied into its cells, the array np.multiply(pi, spatial) sums.
-        Otherwise they come from wasserstein.
+        give.  When cost certifies the zero functions, the three are read
+        off the staircase plan P, formed for this call alone: the
+        conditional averages over P's row sums, and the sum of P with the
+        spatial costs multiplied into its cells, the array
+        np.multiply(pi, spatial) sums.  Otherwise they come from plan, the
+        dense solve wasserstein runs.
         """
-        cost = self.cost(np.zeros(self.shape[0]), np.zeros(self.shape[1]))
+        zeros = np.zeros(self.shape[0]), np.zeros(self.shape[1])
+        cost = self.cost(*zeros)
         if cost is None:
-            d, plan = wasserstein(self.mu, self.nu, self.p)
+            d, plan = self.plan(*zeros)
             return d, barycentric_map(plan, target_values), plan.stagnation_cost
-        P = np.zeros(self.shape)
-        P[self.i, self.j] = self.flow
+        P = _dense_plan(self.i, self.j, self.flow, self.shape)
         point = _conditional_averages(P, P.sum(axis=1), target_values)
-        P[self.i, self.j] *= self.spatial
+        P[self.i, self.j] *= self._tl2[2]  # the cells' spatial costs
         return max(cost, 0.0) ** 0.5, point, float(P.sum())
 
 
@@ -742,17 +717,18 @@ def _checked_rows(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V):
     return U, V
 
 
+def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
+    """TL^p distance between (u, mu) and (v, nu) and an optimal plan (_TLpPair.plan)."""
+    return _TLpPair(a.measure, b.measure, p).plan(a.values, b.values)
+
+
 def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2.0) -> np.ndarray:
-    """TL^p distances between (U[k], mu) and (V[k], nu) for every row k.
+    """TL^p distances between (U[k], mu) and (V[k], nu) for every row k (_TLpPair.distances).
 
     For trajectories sampled on one pair of measures, such as a graph flow
     and its limit at common times.  Each distance is bitwise the one
     tlp_distance returns for the row pair, with the same checks; only the
-    work that does not depend on the values is shared: the rows go through
-    the pair's _TLpPair, which at p = 2 forms no cost matrix.  The
-    certificates, in order: the Monge test (_monge_rows; Hoffman 1963), at
-    any p and in both paths, so such a row is tlp_distance's bitwise by
-    construction; at p = 2 the product test (S < 311); the dense solve.
+    work that does not depend on the values is shared.
     """
     U, V = _checked_rows(mu, nu, U, V)  # before the pair, so a bad row is reported first
     return _TLpPair(mu, nu, p).distances(U, V)

@@ -384,10 +384,7 @@ def _repeat_sampler(x, y, t):
 
 def _per_triple_draws(phi, rng, scale, n):
     """Reference draws for default_triple_sampler: one triple at a time, x, then y, then t."""
-    if phi.domain_hint is not None:
-        lo, hi = (np.asarray(b, dtype=float).reshape(-1) for b in phi.domain_hint)
-    else:
-        lo, hi = -scale * np.ones(phi.dim), scale * np.ones(phi.dim)
+    lo, hi = -scale * np.ones(phi.dim), scale * np.ones(phi.dim)
     return [(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(0.0, 1.0)) for _ in range(n)]
 
 
@@ -416,14 +413,10 @@ def _bits(a) -> bytes:
 
 
 class TestTripleSampler:
-    @given(st.integers(1, 5), st.integers(1, 64), st.floats(0.01, 100.0), st.booleans(),
-           st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 5), st.integers(1, 64), st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_batch_is_bitwise_the_per_triple_draws(self, dim, n, scale, hinted, seed):
+    def test_batch_is_bitwise_the_per_triple_draws(self, dim, n, scale, seed):
         phi = quadratic_functional(lam=1.0, dim=dim)
-        if hinted:
-            lo = np.random.default_rng(seed).uniform(-5.0, 5.0, dim)
-            phi = replace(phi, domain_hint=(lo, lo + np.arange(1.0, dim + 1.0)))
         rng_batch, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         xs, ys, ts = default_triple_sampler(phi, rng_batch, scale=scale)(n)
         want = _per_triple_draws(phi, rng_oracle, scale, n)
@@ -624,7 +617,6 @@ class TestProperFunctionalValidation:
             value=lambda x: 0.0 if abs(x[0]) <= 1 else np.inf,
             weights=[1.0],
             prox_closed_form=lambda g, x: np.clip(x, -1, 1),
-            domain_hint=([-1.0], [1.0]),
         )
         assert box.evaluate(2.0) == np.inf
         # prox projects onto the box

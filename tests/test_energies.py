@@ -255,6 +255,16 @@ class TestGraphEnergy:
         u = np.array([0.4, -1.2])
         assert ge.value(u) == pytest.approx(u @ ge.pair_matrix() @ u)
 
+    def test_identity_equality_and_hash(self):
+        # a field-wise __eq__ would compare ndarrays and raise, and a frozen
+        # dataclass's field hash would hash them; identity serves both
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for build in (lambda: GraphEnergy(adjacency=A),
+                      lambda: GraphEnergy.from_edges(2, [0], [1], [2.0])):
+            ge, twin = build(), build()
+            assert ge == ge and ge != twin
+            assert {ge: 1}[ge] == 1 and twin not in {ge: 1}
+
     def test_adjacency_validation(self):
         with pytest.raises(ConstructionError):
             GraphEnergy(adjacency=np.array([[0.0, -1.0], [0.0, 0.0]]))

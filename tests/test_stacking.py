@@ -92,9 +92,9 @@ class TestTLpMemo:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each problem handed to _tlp_plans or to a _TLpPair's
-        distances or recovery, a recovery as the TL^p problem of the zero
-        functions, the W_p problem it solves.
+        """Record each problem handed to a _TLpPair's plans (the dense
+        solve), distances or recovery, a recovery as the TL^p problem of the
+        zero functions, the W_p problem it solves.
 
         A problem that one of them passes on to another is counted once.
         """
@@ -122,11 +122,10 @@ class TestTLpMemo:
 
             return counted
 
-        monkeypatch.setattr(transport, "_tlp_plans", counting(transport._tlp_plans, rows))
         pair = transport._TLpPair
-        monkeypatch.setattr(pair, "distances", counting(
-            pair.distances, lambda pr, U, V: rows(pr.mu, pr.nu, U, V, pr.p)))
-        monkeypatch.setattr(pair, "recovery", counting(pair.recovery, spatial))
+        pair_rows = lambda pr, U, V: rows(pr.mu, pr.nu, U, V, pr.p)  # noqa: E731
+        for name, problem in (("plans", pair_rows), ("distances", pair_rows), ("recovery", spatial)):
+            monkeypatch.setattr(pair, name, counting(getattr(pair, name), problem))
         return calls
 
     def test_recovery_points_match_direct_plans(self):

@@ -659,7 +659,7 @@ class TestBlockedReducedCostTest:
 
 
 def _no_fallback(*args):
-    raise AssertionError("a certified TL^2 row needs no one-row solve")
+    raise AssertionError("a certified TL^2 row needs no dense solve")
 
 
 def _outcome(fn):
@@ -768,7 +768,7 @@ class TestTlpDistances:
             return ok
 
         monkeypatch.setattr(transport._TLpPair, "_certified", corrupt_third_row)
-        monkeypatch.setattr(transport, "_tlp_plans", _no_fallback)
+        monkeypatch.setattr(transport._TLpPair, "plans", _no_fallback)
         products = _Spy(monkeypatch, "_products_at_least")
         x = (np.arange(8) + 0.5) / 8
         mu = uniform_measure(x)
@@ -783,16 +783,22 @@ class TestTlpDistances:
 
 
 class _Spy:
-    """Counts the calls of a transport function it stands in for."""
+    """Counts the calls of a transport function, or of a method of owner, it stands in for."""
 
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch, name, owner=transport):
         self.calls = 0
-        self.fn = getattr(transport, name)
-        monkeypatch.setattr(transport, name, self)
+        fn = getattr(owner, name)
 
-    def __call__(self, *args):
-        self.calls += 1
-        return self.fn(*args)
+        def counted(*args):
+            self.calls += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _dense_solves(monkeypatch):
+    """A _Spy on _TLpPair.plans, the dense solve of every path."""
+    return _Spy(monkeypatch, "plans", transport._TLpPair)
 
 
 class TestTl2Certificate:
@@ -813,7 +819,7 @@ class TestTl2Certificate:
         # at offsets 300-600 the product form may round by up to about 1e-9
         # and hide a reduced cost of -1e-11 that the direct test sees; the
         # margin keeps such rows from being certified
-        fallbacks = _Spy(monkeypatch, "_tlp_plans")
+        fallbacks = _dense_solves(monkeypatch)
         trees = _Spy(monkeypatch, "_SpanningTree")
         certified = pivoted = 0
         for seed in range(120):
@@ -846,7 +852,7 @@ class TestTl2Certificate:
             V = np.vstack([(np.sin(np.pi * y) - 0.5) * np.exp(-t) for t in (0.0, 0.5, 2.0)])
             single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v))[0] for u, v in zip(U, V)]
             with monkeypatch.context() as mp:
-                mp.setattr(transport, "_tlp_plans", _no_fallback)
+                mp.setattr(transport._TLpPair, "plans", _no_fallback)
                 products = _Spy(mp, "_products_at_least")
                 assert tlp_distances(mu, nu, U, V).tolist() == single
                 assert products.calls == 3
@@ -892,7 +898,7 @@ class TestMongeCertificate:
         with pytest.MonkeyPatch.context() as mp:
             spies = [_Spy(mp, name) for name in
                      ("_products_at_least", "_SpanningTree", "_any_reduced_cost_below")]
-            fallbacks = _Spy(mp, "_tlp_plans")
+            fallbacks = _dense_solves(mp)
             batch = tlp_distances(mu, nu, f[None], g[None], p)[0]
             assert fallbacks.calls == (0 if p == 2 else 1)
             single, plan = tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g), p)
@@ -926,7 +932,7 @@ class TestMongeCertificate:
         a, b = r.random(9) + 0.05, r.random(7) + 0.05
         mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
         nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
-        tested = [_Spy(monkeypatch, name) for name in ("_products_at_least", "_tlp_plans")]
+        tested = [_Spy(monkeypatch, "_products_at_least"), _dense_solves(monkeypatch)]
         direct = _Spy(monkeypatch, "_any_reduced_cost_below")
         trees = _Spy(monkeypatch, "_SpanningTree")
         batch = lambda: _bits(lambda: tlp_distances(mu, nu, f[None], g[None]))
@@ -1018,7 +1024,7 @@ class TestSpatialRecovery:
     def test_bitwise_equal_to_the_plan_path(self, m, n, d, p, sort, uniform, scale, seed):
         # sorted atoms keep the staircase optimal; at scale 20 and above it
         # cannot be certified, and unsorted 2-D atoms need pivots: both
-        # fall back to wasserstein, as does every p other than 2
+        # fall back to the dense solve, as does every p other than 2
         r = np.random.default_rng(seed)
         x, y = scale * r.random((m, d)), scale * r.random((n, d))
         if sort:
@@ -1034,7 +1040,7 @@ class TestSpatialRecovery:
         # uniformly sampled atoms against the 1024-atom fine grid: the sums
         # of the plan's rows and of its stagnation array round differently
         # from those of the weights and of the cells alone
-        fallbacks = _Spy(monkeypatch, "wasserstein")
+        fallbacks = _dense_solves(monkeypatch)
         y = (np.arange(1024) + 0.5) / 1024
         nu, v = uniform_measure(y), np.cos(np.pi * y)
         for seed in range(6):
@@ -1042,6 +1048,7 @@ class TestSpatialRecovery:
             for m in (16, 128):
                 w = r.random(m) + 0.5 if seed % 2 else np.ones(m)
                 mu = EmpiricalMeasure(atoms=np.sort(r.random(m))[:, None], weights=w / w.sum())
+                fallbacks.calls = 0
                 recovery = _recovery_bits(_pair_recovery, mu, nu, v, 2.0)
                 assert fallbacks.calls == 0
                 assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
@@ -1051,15 +1058,14 @@ class TestSpatialRecovery:
         # scale, so the recovery at scale 20 is certified too.  A sin(pi x)
         # row, which rises and falls, takes the product test, whose absolute
         # margin certifies no row with S >= 311: at scale 20 it falls back
-        fallbacks = _Spy(monkeypatch, "wasserstein")
-        solves = _Spy(monkeypatch, "_tlp_plans")
+        solves = _dense_solves(monkeypatch)
         x, y = (np.arange(16) + 0.5) / 16, (np.arange(1024) + 0.5) / 1024
         for scale, expected in [(1.0, 0), (20.0, 1)]:
             mu, nu = uniform_measure(scale * x), uniform_measure(scale * y)
             v = np.cos(np.pi * y)
-            fallbacks.calls = solves.calls = 0
+            solves.calls = 0
             recovery = _recovery_bits(_pair_recovery, mu, nu, v, 2.0)
-            assert fallbacks.calls == 0
+            assert solves.calls == 0
             assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
             f, g = np.sin(np.pi * x), np.sin(np.pi * y)
             solves.calls = 0
@@ -1072,7 +1078,7 @@ class TestSpatialRecovery:
         # offsets 300-600 the product form may hide a reduced cost of -1e-11
         # that the direct test sees, and the margin keeps such a staircase
         # from being certified
-        fallbacks = _Spy(monkeypatch, "wasserstein")
+        fallbacks = _dense_solves(monkeypatch)
         trees = _Spy(monkeypatch, "_SpanningTree")
         certified = pivoted = 0
         for seed in range(120):
@@ -1095,14 +1101,14 @@ class TestSpatialRecovery:
     def test_heat_round_recoveries_are_certified(self, monkeypatch):
         # a heat-1d round recovers 15 initial and approximating points, all
         # on sorted 1-D atoms in [0, 1], each through a kept staircase's
-        # recovery: none needs wasserstein
+        # recovery: none, and no distance row, needs the dense solve
         recover, recovered = transport._TLpPair.recovery, []
 
         def counted(*args):
             recovered.append(args)
             return recover(*args)
 
-        monkeypatch.setattr(transport, "wasserstein", _no_fallback)
+        monkeypatch.setattr(transport._TLpPair, "plans", _no_fallback)
         monkeypatch.setattr(transport._TLpPair, "recovery", counted)
         for seed in (0, 7):
             recovered.clear()
@@ -1185,6 +1191,43 @@ class TestSharedStaircase:
             tracemalloc.stop()
         assert held < 128 * 1024 * 8 / 4
 
+    @staticmethod
+    def _opposite_atoms():
+        """Ascending source and descending target atoms, where no row passes the Monge test.
+
+        The zero functions' staircase is not optimal, so a recovery falls
+        back to the dense solve at every p.  Of the four value rows the
+        first and third rise on both sides, which the product test
+        certifies at p = 2, and the other two, one side falling, fall back.
+        """
+        x, y = (np.arange(12) + 0.5) / 12, (np.arange(20)[::-1] + 0.5) / 20
+        f, g = 5.0 * np.linspace(0.0, 1.0, 12), 5.0 * np.linspace(0.0, 1.0, 20)
+        U, V = np.vstack([f, f, 0.5 * f, f]), np.vstack([g, g[::-1], 0.5 * g, -g])
+        return uniform_measure(x), uniform_measure(y), U, V
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_one_staircase_per_pair(self, p, monkeypatch):
+        # certified rows, rows left to the dense solve and a recovery that
+        # falls back all read the one staircase the pair built
+        mu, nu, U, V = self._opposite_atoms()
+        v = np.cos(np.pi * nu.atoms[:, 0])
+        single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, w), p)[0] for u, w in zip(U, V)]
+        direct = _recovery_bits(_direct_recovery, mu, nu, v, p)
+        corners, products = _Spy(monkeypatch, "_northwest_corner"), _Spy(monkeypatch, "_products_at_least")
+        solves = _dense_solves(monkeypatch)
+        pair = transport._TLpPair(mu, nu, p)
+        assert pair.distances(U, V).tolist() == single
+        assert _recovery_bits(pair.recovery, v) == direct
+        assert corners.calls == 1
+        assert (products.calls, solves.calls) == ((5, 2) if p == 2 else (0, 2))
+
+    def test_fallback_rows_share_one_spatial_matrix(self, monkeypatch):
+        # two p = 2 rows left to the dense solve: one call, one m x n spatial matrix
+        mu, nu, U, V = self._opposite_atoms()
+        solves, spatial = _dense_solves(monkeypatch), _Spy(monkeypatch, "_spatial_cost_matrix")
+        transport._TLpPair(mu, nu).distances(U, V)
+        assert (solves.calls, spatial.calls) == (1, 1)
+
     def test_perturbed_flow_trips_the_marginal_check(self, monkeypatch):
         corner = transport._northwest_corner
 
@@ -1235,8 +1278,8 @@ def test_tlp_allocates_three_cost_sized_arrays():
 def test_certified_recovery_forms_only_the_plan(monkeypatch):
     # the staircase plan is 1 MiB at 128 x 1024; the product test's block
     # adds 1/8 MiB and the cells' vectors a few KiB, below a second m x n
-    # array.  The plan path forms the spatial part and the cost as well
-    monkeypatch.setattr(transport, "wasserstein", _no_fallback)
+    # array.  The dense solve forms the spatial part and the cost as well
+    monkeypatch.setattr(transport._TLpPair, "plans", _no_fallback)
     x, y = (np.arange(128) + 0.5) / 128, (np.arange(1024) + 0.5) / 1024
     mu, nu = uniform_measure(x), uniform_measure(y)
     v = np.cos(np.pi * y)

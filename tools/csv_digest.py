@@ -20,6 +20,10 @@ The sweep:
 - p0_audit at seeds 0-11
 - stacking_audit at sizes 4-32, seeds 0-11
 - stacking_audit and tlp_table at p = 1 and p = 3, the TL^p paths off p = 2
+- tlp_table with a point pair (point_a, point_b) at p = 1, 2 and 3: two
+  fixed records on 2-D atoms, written to a temporary directory from a fixed
+  seed; their rows are the only ones that read tlp_distance's plan and
+  stagnation cost
 """
 
 from __future__ import annotations
@@ -27,10 +31,28 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 HEAT_SIZES = (16, 32, 64, 128)
+POINT_SEED = 2016
+
+
+def _point_records(directory: Path):
+    """Write the two point-pair records (7 and 9 atoms in R^2) and return their paths."""
+    rng = np.random.default_rng(POINT_SEED)
+    paths = []
+    for name, n in (("point_a", 7), ("point_b", 9)):
+        w = rng.random(n) + 0.2
+        record = {"dim": 2, "atoms": rng.uniform(-1.0, 1.0, size=(n, 2)).tolist(),
+                  "weights": (w / w.sum()).tolist(), "values": rng.normal(size=n).tolist()}
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(record))
+        paths.append(str(path))
+    return paths
 
 
 def sweep():
@@ -57,6 +79,11 @@ def sweep():
     for kind in ("stacking_audit", "tlp_table"):
         for p in (1.0, 3.0):
             yield f"{kind}:p={p:g}", dict(kind=kind, p=p)
+    with tempfile.TemporaryDirectory(prefix="csv-digest-") as tmp:
+        point_a, point_b = _point_records(Path(tmp))
+        for p in (1.0, 2.0, 3.0):
+            yield f"tlp_table:point_pair:p={p:g}", dict(
+                kind="tlp_table", p=p, point_a=point_a, point_b=point_b)
 
 
 def _reject_constant(token):

@@ -213,10 +213,10 @@ MUTANTS = [
             f"{T_TRANSPORT}::TestTlpDistance::test_zero_dimensional_atoms")),
     # TL^2 rows certified by the product form of their reduced costs; the scaled tolerance
     Mutant("tl2-margin-dropped", TRANSPORT,
-           "floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
+           "floor = 8 * (self.mu.dim + 4) * _EPS / 2 * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol",)),
     Mutant("tl2-fallback-never-taken", TRANSPORT,
-           "if not self._certified(f, g, c, fsq + self.xsq, gsq + self.ysq):", "if False:",
+           "if not self._certified(f, g, c, fsq + xsq, gsq + ysq):", "if False:",
            (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol")),
     Mutant("tl2-cross-term-sign", TRANSPORT,
@@ -224,7 +224,7 @@ MUTANTS = [
            (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
     Mutant("tl2-dense-check-removed", TRANSPORT,
-           "        _check_cost(self.r @ fsq + self.s @ gsq - 2.0 * (f @ Pg) + self.dense_spatial, cost)\n",
+           "        _check_cost(r @ fsq + s @ gsq - 2.0 * (f @ Pg) + dense_spatial, cost)\n",
            "",
            (f"{T_TRANSPORT}::TestTlpDistances::test_corrupted_row_cost_trips_the_cost_check",)),
     Mutant("rc-tol-absolute", TRANSPORT,
@@ -261,11 +261,11 @@ MUTANTS = [
     # the W_2 recoveries read off the certified staircase; the relative cost tolerance.  The
     # margin and the fallback are the TL^2 certificate's own, here reached through a recovery
     Mutant("recovery-margin-dropped", TRANSPORT,
-           "floor = self.kappa_u * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
+           "floor = 8 * (self.mu.dim + 4) * _EPS / 2 * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_certified_recoveries_have_no_reduced_cost"
             "_below_tol",)),
     Mutant("recovery-fallback-never-taken", TRANSPORT,
-           "if not self._certified(f, g, c, fsq + self.xsq, gsq + self.ysq):", "if False:",
+           "if not self._certified(f, g, c, fsq + xsq, gsq + ysq):", "if False:",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
             f"{T_TRANSPORT}::TestSpatialRecovery::test_atoms_at_scale_20_fall_back")),
     Mutant("recovery-stagnation-over-cells", TRANSPORT,
@@ -279,11 +279,11 @@ MUTANTS = [
             f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_at_heat_sizes")),
     # one O(m + n) staircase per measure pair, shared by the distances and recoveries on it
     Mutant("recovery-writes-shared-cells", TRANSPORT,
-           "P[self.i, self.j] *= self.spatial",
-           "P[self.i, self.j] = np.multiply(self.flow, self.spatial, out=self.flow)",
+           "P[self.i, self.j] *= self._tl2[2]",
+           "P[self.i, self.j] = np.multiply(self.flow, self._tl2[2], out=self.flow)",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_shared_is_bitwise_fresh",)),
     Mutant("cell-marginal-check-dropped", TRANSPORT,
-           "    _check_marginals(*_marginal_errors(r, s, mu, nu))\n", "",
+           "        _check_marginals(*_marginal_errors(*self._sums(), mu, nu))\n", "",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_perturbed_flow_trips_the_marginal_check",)),
     Mutant("stacking-pair-rebuilt-per-call", STACKING,
            "pair = self._pairs[key] = _TLpPair(mu, nu, self.p)",
@@ -304,16 +304,32 @@ MUTANTS = [
            "key = (self._measure_key(mu), self._measure_key(nu))",
            (f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh",)),
     Mutant("pair-p3-rows-take-the-tl2-path", TRANSPORT,
-           "        if self.p != 2:\n            plans = _tlp_plans(",
-           "        if False:\n            plans = _tlp_plans(",
+           "        if self.p != 2:\n            return None\n", "",
            (f"{T_TRANSPORT}::TestMongeCertificate::test_certified_rows_match_linprog",
-            f"{T_STACKING}::TestTLpMemo::test_changed_p_or_measure_solves_afresh")),
+            f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
+            f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path")),
     Mutant("pair-p3-recovery-reads-w2", TRANSPORT,
-           "d, plan = wasserstein(self.mu, self.nu, self.p)", "d, plan = wasserstein(self.mu, self.nu, 2.0)",
+           "d, plan = self.plan(*zeros)", "d, plan = _TLpPair(self.mu, self.nu).plan(*zeros)",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",)),
-    Mutant("pair-p3-builds-the-staircase", TRANSPORT,
-           "        if p != 2:  # the dense path alone, which needs nothing below\n            return\n", "",
+    Mutant("pair-builds-the-tl2-vectors-eagerly", TRANSPORT,
+           "        self.monge = _monge_rows(mu, nu)\n",
+           "        self.monge = _monge_rows(mu, nu)\n        self._tl2\n",
            (f"{T_TRANSPORT}::test_tlp_allocates_three_cost_sized_arrays",)),
+    # one solver object: the dense solve is the pair's, the staircase built and checked once at every p
+    Mutant("pair-fallback-costs-to-wrong-rows", TRANSPORT,
+           "for k, (plan, _) in zip(rest, self.plans(", "for k, (plan, _) in zip(rest[::-1], self.plans(",
+           (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
+            f"{T_TRANSPORT}::TestSharedStaircase::test_one_staircase_per_pair[2.0]",
+            f"{T_TRANSPORT}::TestSharedStaircase::test_one_staircase_per_pair[3.0]")),
+    Mutant("pair-p3-skips-the-marginal-check", TRANSPORT,
+           "        _check_marginals(*_marginal_errors(*self._sums(), mu, nu))\n",
+           "        if p == 2:\n            _check_marginals(*_marginal_errors(*self._sums(), mu, nu))\n",
+           (f"{T_TRANSPORT}::TestSharedStaircase::test_perturbed_flow_trips_the_marginal_check",)),
+    Mutant("plan-drops-the-1-over-p-power", TRANSPORT,
+           "return float(max(plan.cost, 0.0) ** (1.0 / self.p)), plan",
+           "return float(max(plan.cost, 0.0)), plan",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_certified_rows_match_linprog",
+            f"{T_TRANSPORT}::TestWasserstein::test_two_atom_shift")),
     Mutant("cost-check-nan-passes", TRANSPORT,
            "if not abs(recomputed - cost) <= _cost_tol(recomputed, cost, tol):",
            "if abs(recomputed - cost) > _cost_tol(recomputed, cost, tol):",
