@@ -73,7 +73,6 @@ from .transport import (
     TLpPoint,
     TransportPlan,
     barycentric_map,
-    dump_tlp_point,
     interpolation_bound_check,
     load_tlp_point,
     solve_transport,

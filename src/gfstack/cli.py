@@ -4,8 +4,9 @@ Subcommands map to experiment kinds; a flat key = value config file supplies
 parameters and the flags --seed/--out/--tol override it.  Output is the
 deterministic CSV table (optionally mirrored to JSON with --json).  The exit
 code is 0 when every asserted row passes and 1 when one fails; a malformed
-config, a --config that cannot be read and an output that cannot be written
-print one 'config error:' line and exit 2.
+config, a --config that cannot be read, an output that cannot be written and
+a .json output with --json, whose mirror would overwrite the table, print
+one 'config error:' line and exit 2.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ def main(argv=None) -> int:
             tolerance=args.tol,
             output=str(args.out) if args.out else None,
         )
+        if args.json and cfg.output and Path(cfg.output).suffix == ".json":
+            raise ConfigError(f"output {cfg.output} ends in .json, so the --json mirror would overwrite it")
         rows = run_experiment(cfg)
     except ConfigError as exc:
         return _config_error(exc)

@@ -58,19 +58,10 @@ def weighted_lr_norm(values, weights, r) -> float:
     return float(np.sum(w * a**r) ** (1.0 / r))
 
 
-def omega_interval_contains(step: float, omega: float) -> bool:
-    """Whether step is finite and lies in (0, 1/omega) resp. (0, inf); False for NaN."""
-    if not 0.0 < step < math.inf:
-        return False
-    if omega > 0.0:
-        return step < 1.0 / omega
-    return True
-
-
 def check_admissible(step: float, omega: float, name: str = "step"):
-    """Raise IntervalError unless omega_interval_contains(step, omega)."""
-    if not omega_interval_contains(step, omega):
-        sup = 1.0 / omega if omega > 0.0 else np.inf
+    """Raise IntervalError unless step is in (0, 1/omega), or (0, inf) at omega <= 0: never inf or NaN."""
+    sup = 1.0 / omega if omega > 0.0 else math.inf
+    if not 0.0 < step < sup:
         raise IntervalError(f"{name}={step} outside the admissible interval (0, {sup}) for omega={omega}")
 
 

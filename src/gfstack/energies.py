@@ -117,11 +117,6 @@ class P0TestFunction:
     def flat_end(self) -> float:
         return self.a + self.plateau / self.slope  # == a + rise_width when the cap binds immediately
 
-    @property
-    def support_end(self) -> float:
-        """The derivative vanishes beyond this (mirrored if two-sided)."""
-        return self.flat_end + self.rise_width
-
     def __call__(self, x):
         if np.ndim(x) == 0:
             return self._value(float(x))
@@ -252,9 +247,8 @@ class GraphEnergy:
 
     Build from a dense adjacency, GraphEnergy(adjacency=A, ...), or from the
     edge list itself with GraphEnergy.from_edges, which forms no n x n
-    array.  An edge-built energy forms its adjacency, the upper-triangular
-    A with A_ij = c_ij, only when it is read (by pair_matrix, for the eigh
-    path).
+    array.  An edge-built energy has no adjacency (adjacency is None); its
+    pair_matrix, which the eigh path reads, comes from the edge list.
 
     A squared-loss energy also stores its spectral factors (evals, basis, s).
     The basis is the n x n eigenvector matrix Q from eigh, except on a path
@@ -296,8 +290,10 @@ class GraphEnergy:
         Takes integer pairs 0 <= iu < ju < n with coefficients c >= 0, at
         most one edge per pair; edges with c = 0 are dropped and the rest
         sorted by (i, j).  The energy then equals the one built from any
-        adjacency with A_ij + A_ji = c_ij: the same edge list, factors and
-        values.  Weights are validated as for an adjacency.
+        adjacency with A_ij + A_ji = c_ij: the same edge list and values, and
+        the same factors up to the summation order of the node degrees (none
+        on a path).  It stores no adjacency (None): pair_matrix comes from
+        the edges.  Weights are validated as for an adjacency.
         """
         iu, ju = np.asarray(iu).reshape(-1), np.asarray(ju).reshape(-1)
         c = np.asarray(c, dtype=float).reshape(-1)
@@ -315,6 +311,7 @@ class GraphEnergy:
         if np.any((np.diff(iu) == 0) & (np.diff(ju) == 0)):
             raise ConstructionError("a pair i < j may carry one edge only")
         ge = object.__new__(cls)
+        object.__setattr__(ge, "adjacency", None)
         object.__setattr__(ge, "loss_kind", loss_kind)
         object.__setattr__(ge, "node_weights", node_weights)
         object.__setattr__(ge, "name", name)
@@ -345,17 +342,6 @@ class GraphEnergy:
         for arr in (w, *edges, *factors):
             arr.flags.writeable = False
 
-    def __getattr__(self, name):
-        # Reached only when normal lookup fails: the adjacency of an edge-built
-        # energy, formed on each read and not kept, read-only like a stored one.
-        if name != "adjacency" or not self._edges:
-            raise AttributeError(name)
-        iu, ju, c = self._edges
-        A = np.zeros((self.n_nodes, self.n_nodes))
-        A[iu, ju] = c
-        A.flags.writeable = False
-        return A
-
     @property
     def n_nodes(self) -> int:
         return self.node_weights.size
@@ -371,7 +357,13 @@ class GraphEnergy:
     def pair_matrix(self) -> np.ndarray:
         """Symmetric quadratic-form matrix K with u' K u = sum_ij A_ij (u_i-u_j)^2."""
         A = self.adjacency
-        return np.diag(A.sum(axis=1) + A.sum(axis=0)) - (A + A.T)
+        if A is not None:
+            return np.diag(A.sum(axis=1) + A.sum(axis=0)) - (A + A.T)
+        iu, ju, c = self._edges
+        n = self.n_nodes
+        K = np.diag(np.bincount(iu, c, n) + np.bincount(ju, c, n))  # on a path: bitwise the dense K
+        K[iu, ju] = K[ju, iu] = -c
+        return K
 
     def to_functional(self) -> ProperFunctional:
         """View as a convex functional on the weighted node space.

@@ -23,7 +23,6 @@ from .convex import (
     ProperFunctional,
     as_point,
     check_admissible,
-    omega_interval_contains,
     prox,
     weighted_norm,
 )
@@ -55,9 +54,6 @@ class ResolventOperator:
 
     def norm(self, x) -> float:
         return weighted_norm(x, self.weights)
-
-    def step_ok(self, step: float) -> bool:
-        return omega_interval_contains(step, self.omega)
 
 
 @dataclass(frozen=True)

@@ -131,10 +131,6 @@ class TransportPlan:
         """Recompute sum(pi * C) over every cell, with no m x n product formed."""
         _check_cost(float(np.einsum("ij,ij->", self.pi, self.cost_matrix)), self.cost, tol)
 
-    def check(self, tol: float = MARGINAL_TOL):
-        self.check_marginals(tol)
-        self.check_cost(tol)
-
 
 def _marginal_errors(rows, cols, source: EmpiricalMeasure, target: EmpiricalMeasure):
     """How far a plan's row and column sums are from the source and target weights."""
@@ -663,10 +659,10 @@ class _TLpPair:
     def plan(self, f, g):
         """TL^p distance of the row (f, g) and its optimal plan, by the dense solve.
 
-        The plan's cost is summed over its basis cells; plan.check()
-        recomputes it densely over every cell, a check independent of that
-        sum, with the marginals.  The stagnation cost is summed last, with
-        the product written over the spatial matrix.
+        The plan's cost is summed over its basis cells; plans() re-sums it over
+        every cell (check_cost), a check independent of that sum, and checks the
+        marginals of a plan other than the staircase.  The stagnation cost is
+        summed last, with the product written over the spatial matrix.
         """
         (plan, spatial), = self.plans(f[None], g[None])
         plan.stagnation_cost = float(np.multiply(plan.pi, spatial, out=spatial).sum())
@@ -791,15 +787,6 @@ def interpolation_bound_check(
 # serialization used by the CLI
 
 
-def tlp_point_to_record(pt: TLpPoint) -> dict:
-    return {
-        "dim": pt.measure.dim,
-        "atoms": pt.measure.atoms.tolist(),
-        "weights": pt.measure.weights.tolist(),
-        "values": pt.values.tolist(),
-    }
-
-
 def tlp_point_from_record(rec: dict) -> TLpPoint:
     atoms = np.asarray(rec["atoms"], dtype=float)
     if atoms.ndim == 1:
@@ -808,10 +795,6 @@ def tlp_point_from_record(rec: dict) -> TLpPoint:
         raise ConstructionError("record dim disagrees with atom coordinates")
     measure = EmpiricalMeasure(atoms=atoms, weights=np.asarray(rec["weights"], dtype=float))
     return TLpPoint(measure=measure, values=np.asarray(rec["values"], dtype=float))
-
-
-def dump_tlp_point(pt: TLpPoint) -> str:
-    return json.dumps(tlp_point_to_record(pt), indent=1)
 
 
 def load_tlp_point(text: str) -> TLpPoint:

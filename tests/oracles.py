@@ -6,9 +6,11 @@ are the extreme points for uniform equal-size marginals; the staircase
 oracle walks the northwest-corner rule one cell at a time.  The P0 family's
 values are checked against adaptive Simpson quadrature of the derivative,
 and a closed-form path energy's factors against its dense DCT-II basis.
+tlp_point_json writes the function/measure pair record that the CLI reads.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -170,14 +172,15 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12, depth: int = 50)
 def p0_exact_value(g, x: float) -> float:
     """The P0 test function g at x by 1e-13 quadrature of its derivative."""
     x = float(x)
-    if x >= g.support_end:
+    end = g.flat_end + g.rise_width  # the derivative vanishes beyond it (and below -end if two-sided)
+    if x >= end:
         return g.plateau
     if g.one_sided and x <= g.a:
         return 0.0
     if not g.one_sided:
         if abs(x) <= g.a:
             return 0.0
-        if x <= -g.support_end:
+        if x <= -end:
             return -g.plateau
         if x < 0:
             return -p0_exact_value(g, -x)
@@ -210,3 +213,10 @@ def spectral_factors(ge):
     if basis.ndim == 1:
         basis = dct_basis(ge.n_nodes)
     return evals, basis, s
+
+
+def tlp_point_json(pt) -> str:
+    """The record {"dim", "atoms", "weights", "values"} of a TLpPoint, as JSON text."""
+    return json.dumps({"dim": pt.measure.dim, "atoms": pt.measure.atoms.tolist(),
+                       "weights": pt.measure.weights.tolist(), "values": pt.values.tolist()},
+                      indent=1)

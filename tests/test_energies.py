@@ -55,7 +55,7 @@ class TestP0Family:
         dv = np.array([g.derivative(float(x)) for x in xs])
         assert dv.min() >= 0.0 and dv.max() <= 1.0 + 1e-12
         assert np.all(dv[np.abs(xs) <= g.a] == 0.0)
-        assert np.all(dv[np.abs(xs) >= g.support_end] == 0.0)
+        assert np.all(dv[np.abs(xs) >= g.flat_end + g.rise_width] == 0.0)
 
     def test_value_below_identity_and_sign(self):
         for g in (p0_family(a=0.3, w=0.4), p0_family(a=0.1, w=0.2, cap=0.5, one_sided=True)):
@@ -560,6 +560,7 @@ class TestEdgeList:
         ge = GraphEnergy(adjacency=rng.random((4, 4)))
         for arr in ge._edges:
             assert not arr.flags.writeable
+        assert not ge.adjacency.flags.writeable  # the stored copy, like the edges
 
 
 def _dense_fine_grid(n):
@@ -587,7 +588,7 @@ class TestEdgeBuiltEnergy:
         calls = _count_eigh(monkeypatch)
         ge = fine_grid_dirichlet(line_measure(n))
         dense = _dense_fine_grid(n)
-        assert "adjacency" not in vars(ge)  # no n x n array was built
+        assert ge.adjacency is None  # no n x n array was built
         assert _same_arrays(ge._edges, dense._edges)
         assert _same_arrays(ge._factors, dense._factors)  # evals, twiddle, s: no basis kept
         assert _same_arrays(spectral_factors(ge), spectral_factors(dense))  # Q formed by the oracle
@@ -602,14 +603,29 @@ class TestEdgeBuiltEnergy:
                                   phi_dense.prox_iterated(0.05, 7, u))
         assert calls == []
 
-    def test_adjacency_formed_on_read(self):
+    def test_pair_matrix_from_edges(self):
         ge = GraphEnergy.from_edges(4, [0, 1], [2, 3], [1.5, 0.25], np.full(4, 0.25))
-        assert "adjacency" not in vars(ge)
-        A = ge.adjacency
-        assert A[0, 2] == 1.5 and A[1, 3] == 0.25 and np.count_nonzero(A) == 2
-        assert not A.flags.writeable  # read-only, like an adjacency-built energy's
-        assert "adjacency" not in vars(ge)  # formed on each read, not kept
+        assert ge.adjacency is None
+        A = np.zeros((4, 4))
+        A[0, 2], A[1, 3] = 1.5, 0.25
         assert np.array_equal(ge.pair_matrix(), GraphEnergy(adjacency=A).pair_matrix())
+
+    @pytest.mark.parametrize("n", [16, 96])
+    def test_eigh_fine_grid_equals_dense_build(self, monkeypatch, n, rng):
+        # below DCT_MIN_NODES, and off the powers of two, the fine grid takes
+        # eigh of the edge-built pair matrix: it, the factors and the prox are
+        # bitwise the dense build's
+        from gfstack.experiments import fine_grid_dirichlet, line_measure
+
+        calls = _count_eigh(monkeypatch)
+        ge = fine_grid_dirichlet(line_measure(n))
+        dense = _dense_fine_grid(n)
+        assert len(calls) == 2 and ge.adjacency is None
+        assert ge.pair_matrix().tobytes() == dense.pair_matrix().tobytes()
+        assert _same_arrays(ge._factors, dense._factors)  # evals, basis Q, s
+        for u in (np.cos(np.pi * line_measure(n).atoms[:, 0]), rng.normal(size=n)):
+            for gamma in (1e-3, 0.1, 1.0):
+                assert np.array_equal(graph_prox(ge, gamma, u), graph_prox(dense, gamma, u))
 
     @given(st.integers(min_value=1, max_value=10), st.floats(min_value=0.0, max_value=1.0),
            st.sampled_from(["squared", "absolute"]), st.integers(min_value=0, max_value=10_000))

@@ -24,7 +24,9 @@ from gfstack.experiments import (
     rows_to_json,
     run_experiment,
 )
-from gfstack.transport import TLpPoint, dump_tlp_point, tlp_distance, uniform_measure
+from gfstack.transport import TLpPoint, tlp_distance, uniform_measure
+
+from oracles import tlp_point_json
 
 
 class TestConfigGrammar:
@@ -223,6 +225,20 @@ class TestCli:
         self._assert_one_line_config_error(capsys, code, cfgfile)
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("via", ["--out", "output"])
+    def test_json_out_with_json_mirror_is_config_error(self, monkeypatch, capsys, tmp_path, via):
+        # the mirror's path would be the output itself and overwrite the table
+        import gfstack.experiments as exps
+
+        ran = []
+        monkeypatch.setitem(exps.RUNNERS, "tlp_table", lambda cfg: ran.append(cfg) or [])
+        out, cfgfile = tmp_path / "t.json", tmp_path / "exp.cfg"
+        cfgfile.write_text(f"output = {out}\n" if via == "output" else "")
+        argv = ["tlp", "--config", str(cfgfile), "--json"]
+        code = cli_main(argv + (["--out", str(out)] if via == "--out" else []))
+        self._assert_one_line_config_error(capsys, code, out)
+        assert ran == [] and sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
     def test_unwritable_out_is_config_error(self, monkeypatch, capsys, tmp_path):
         import gfstack.experiments as exps
 
@@ -255,8 +271,8 @@ class TestCli:
         a = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([0.0, 1.0]))
         b = TLpPoint(uniform_measure([[0.0], [1.0]]), np.array([1.0, 0.0]))
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        pa.write_text(dump_tlp_point(a))
-        pb.write_text(dump_tlp_point(b))
+        pa.write_text(tlp_point_json(a))
+        pb.write_text(tlp_point_json(b))
         out = tmp_path / "t.csv"
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"kind = tlp_table\npoint_a = {pa}\npoint_b = {pb}\n")
@@ -274,7 +290,7 @@ class TestCli:
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         if record_a is not None:
             pa.write_text(record_a)
-        pb.write_text(dump_tlp_point(b))
+        pb.write_text(tlp_point_json(b))
         out = tmp_path / "t.csv"
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"kind = tlp_table\npoint_a = {pa}\npoint_b = {pb}\n")
@@ -310,7 +326,7 @@ class TestCli:
     @pytest.mark.parametrize("given, missing", [("point_a", "point_b"), ("point_b", "point_a")])
     def test_half_a_point_pair_is_config_error(self, capsys, tmp_path, given, missing):
         record = tmp_path / "p.json"
-        record.write_text(dump_tlp_point(TLpPoint(uniform_measure([[0.0], [1.0]]), np.zeros(2))))
+        record.write_text(tlp_point_json(TLpPoint(uniform_measure([[0.0], [1.0]]), np.zeros(2))))
         with pytest.raises(ConfigError, match=f"{given} is set but {missing} is not"):
             run_experiment(ExperimentConfig(kind="tlp_table", **{given: str(record)}))
         out = tmp_path / "t.csv"
@@ -526,3 +542,47 @@ def test_every_traced_name_resolves():
             cls_name, meth = attr.split(".")
             owner, attr = getattr(owner, cls_name), meth
         assert callable(getattr(owner, attr)), (mod, attr)
+
+
+def _sweep_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("gfstack_tools_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
+class TestSweepTool:
+    CONFIG = "kind = d2c_heat\nsampling = uniform\nsizes = 16, 32, 64, 128\ntime_grid = 3\n"
+
+    def test_counts_equal_the_runner_rows(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(self.CONFIG + "seed = 7\n")  # replaced by each swept seed
+        tool = _sweep_tool()
+        outputs = []
+        for _ in range(2):
+            assert tool.main([str(cfgfile), "--seeds", "0-1", "--check-rows"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        summary = json.loads(outputs[0], parse_constant=lambda token: pytest.fail(token))
+        rows = [r for seed in (0, 1) for r in run_experiment(parse_config(self.CONFIG, seed=seed))]
+        groups = {(g["experiment"], g["metric"], g["n"]): g for g in summary["groups"]}
+        assert summary["seeds"] == [0, 1] and sum(g["count"] for g in groups.values()) == len(rows)
+        for (experiment, metric, n), g in groups.items():
+            mine = [r for r in rows if (r.experiment, r.metric, r.n) == (experiment, metric, n)]
+            asserted = [r for r in mine if r.rhs != np.inf]
+            assert g["count"] == len(mine)
+            assert g["false"] == sum(not r.passed for r in asserted)
+            assert g["sign_disagrees"] == sum(r.passed != (r.slack >= 0) for r in asserted)
+            lhs = sorted(r.lhs for r in mine)
+            assert (g["lhs"]["min"], g["lhs"]["max"]) == (lhs[0], lhs[-1])
+        assert summary["false"] == sum(not r.passed for r in rows) > 0  # seed 0's speed rows
+        assert groups[("d2c", "speed_integral_lower_bound", 128)]["false"] == 1
+
+    @pytest.mark.parametrize("seeds", ["", "3-", "a", "1,,2", "5-2"])
+    def test_bad_seed_list_exits_2(self, tmp_path, capsys, seeds):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(self.CONFIG)
+        assert _sweep_tool().main([str(cfgfile), "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("sweep error: ")

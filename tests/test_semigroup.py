@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfstack import semigroup
-from gfstack.convex import abs_functional, quadratic_functional
+from gfstack.convex import abs_functional, check_admissible, quadratic_functional
 from gfstack.errors import IntervalError, PreconditionError, SolverDiagnosticError
 from gfstack.flow import gradient_flow
 from gfstack.semigroup import (
@@ -56,7 +56,8 @@ class TestResolventIterate:
     def test_non_finite_step_is_interval_error(self, quad_resolvent, zero_resolvent, t):
         # at omega <= 0 the interval is (0, inf), which holds neither NaN nor inf
         for R in (quad_resolvent, zero_resolvent):
-            assert not R.step_ok(t)
+            with pytest.raises(IntervalError):
+                check_admissible(t, R.omega)
             with pytest.raises(IntervalError):
                 resolvent_iterate(R, t, 4, np.ones(R.dim))
 

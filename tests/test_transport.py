@@ -18,7 +18,6 @@ from gfstack.transport import (
     EmpiricalMeasure,
     TLpPoint,
     barycentric_map,
-    dump_tlp_point,
     interpolation_bound_check,
     load_tlp_point,
     solve_transport,
@@ -28,7 +27,7 @@ from gfstack.transport import (
     wasserstein,
 )
 
-from oracles import northwest_corner_loop, permutation_transport_optimum
+from oracles import northwest_corner_loop, permutation_transport_optimum, tlp_point_json
 
 
 def _linprog_cost(a, b, C):
@@ -61,6 +60,12 @@ def _pt(atoms, values, weights=None):
     else:
         m = EmpiricalMeasure(atoms=atoms, weights=np.asarray(weights, dtype=float))
     return TLpPoint(m, np.asarray(values, dtype=float))
+
+
+def _check(plan):
+    """The plan checks of the dense solve, in its order: the marginals, then the cost."""
+    plan.check_marginals()
+    plan.check_cost()
 
 
 class TestWasserstein:
@@ -96,11 +101,11 @@ class TestWasserstein:
             w = rng.random(6) + 0.1
             nu = EmpiricalMeasure(atoms=rng.normal(size=(6, 2)), weights=w / w.sum())
             _, plan = wasserstein(mu, nu, 2.0)
-            plan.check()
+            _check(plan)
 
 
 class TestPlanCheck:
-    """plan.check() recomputes sum(P * C) densely, independent of the solver's cell sum."""
+    """check_cost recomputes sum(P * C) densely, independent of the solver's cell sum."""
 
     def _plan(self, rng):
         a = _pt(rng.random(5), rng.normal(size=5))
@@ -111,9 +116,9 @@ class TestPlanCheck:
 
     def test_stored_cost_off_by_1e6_raises(self, rng):
         plan = self._plan(rng)
-        replace(plan, cost=plan.cost + 1e-10).check()  # within MARGINAL_TOL
+        _check(replace(plan, cost=plan.cost + 1e-10))  # within MARGINAL_TOL
         with pytest.raises(PreconditionError, match="stored cost"):
-            replace(plan, cost=plan.cost + 1e-6).check()
+            _check(replace(plan, cost=plan.cost + 1e-6))
 
     def test_stored_cost_off_by_1e12_relative_raises_at_large_costs(self, rng):
         # near a cost of 1e8 the tolerance is 16 eps cost, about 4e-7: the
@@ -122,9 +127,9 @@ class TestPlanCheck:
         b = _pt(rng.random(7), 1e4 * rng.normal(size=7))
         _, plan = tlp_distance(a, b, 2.0)
         assert plan.cost > 1e7
-        replace(plan, cost=plan.cost * (1.0 + 4 * np.finfo(float).eps)).check()
+        _check(replace(plan, cost=plan.cost * (1.0 + 4 * np.finfo(float).eps)))
         with pytest.raises(PreconditionError, match="stored cost"):
-            replace(plan, cost=plan.cost * (1.0 + 1e-12)).check()
+            _check(replace(plan, cost=plan.cost * (1.0 + 1e-12)))
 
     def test_non_finite_cost_or_recomputation_is_a_solver_diagnostic(self, rng):
         # an inf or NaN difference passes no comparison: a NaN cost, and a
@@ -134,7 +139,7 @@ class TestPlanCheck:
         C[plan.pi == 0] = np.inf
         for bad in (replace(plan, cost=np.inf), replace(plan, cost=np.nan), replace(plan, cost_matrix=C)):
             with pytest.raises(SolverDiagnosticError, match="not finite"):
-                bad.check()
+                _check(bad)
 
     def test_row_marginal_off_by_1e8_raises(self, rng):
         plan = self._plan(rng)
@@ -146,7 +151,7 @@ class TestPlanCheck:
         row, col = replace(plan, pi=pi).marginal_errors()
         assert row >= 0.99e-8 and col <= 1e-15
         with pytest.raises(PreconditionError, match="marginals"):
-            replace(plan, pi=pi).check()
+            _check(replace(plan, pi=pi))
 
     @given(
         st.integers(min_value=1, max_value=10),
@@ -363,7 +368,7 @@ class TestValidationAndSerialization:
 
     def test_roundtrip(self, rng):
         pt = _pt(rng.normal(size=(4, 2)), rng.normal(size=4))
-        text = dump_tlp_point(pt)
+        text = tlp_point_json(pt)
         back = load_tlp_point(text)
         assert np.allclose(back.measure.atoms, pt.measure.atoms)
         assert np.allclose(back.measure.weights, pt.measure.weights)

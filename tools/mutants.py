@@ -200,9 +200,10 @@ MUTANTS = [
            "order = np.lexsort((eps, pos))", "order = np.lexsort((-eps, pos))",
            (f"{T_TRANSPORT}::TestStaircaseStart::test_staircase_is_a_nondegenerate_basis",)),
     Mutant("check-without-cost-test", TRANSPORT,
-           "        self.check_marginals(tol)\n        self.check_cost(tol)\n",
-           "        self.check_marginals(tol)\n",
-           (f"{T_TRANSPORT}::TestPlanCheck::test_stored_cost_off_by_1e6_raises",)),
+           "                plan.check_marginals()\n            plan.check_cost()\n",
+           "                plan.check_marginals()\n",
+           (f"{T_TRANSPORT}::TestMongeCertificate::test_overflowing_rows_raise[False-2.0]",
+            f"{T_TRANSPORT}::TestMongeCertificate::test_overflowing_rows_raise[True-3.0]")),
     Mutant("check-without-row-test", TRANSPORT,
            "if row > tol or col > tol:", "if col > tol:",
            (f"{T_TRANSPORT}::TestPlanCheck::test_row_marginal_off_by_1e8_raises",)),
@@ -357,8 +358,13 @@ MUTANTS = [
            "np.any(iu < 0) or np.any(ju >= n)",
            (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_from_edges_validation[iu3-ju3-c3-w3]",)),
     Mutant("formed-adjacency-writable", ENERGIES,
-           "        A[iu, ju] = c\n        A.flags.writeable = False\n", "        A[iu, ju] = c\n",
-           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_adjacency_formed_on_read",)),
+           "        A = A.copy()\n        A.flags.writeable = False\n", "        A = A.copy()\n",
+           (f"{T_ENERGIES}::TestEdgeList::test_edges_read_only",)),
+    Mutant("edge-pair-matrix-one-endpoint", ENERGIES,
+           "np.bincount(iu, c, n) + np.bincount(ju, c, n)", "np.bincount(iu, c, n)",
+           (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_pair_matrix_from_edges",
+            f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_eigh_fine_grid_equals_dense_build[16]",
+            f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_eigh_fine_grid_equals_dense_build[96]")),
     Mutant("fine-grid-half-coefficient", EXPERIMENTS,
            "2.0 * coef, measure.weights", "coef, measure.weights",
            (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_fine_grid_equals_dense_build[64]",
@@ -372,7 +378,7 @@ MUTANTS = [
             f"{T_ENERGIES}::TestGraphEnergy::test_zero_adjacency_identity",
             f"{T_ENERGIES}::TestGraphEnergy::test_constant_vector_fixed_point")),
     Mutant("non-finite-step-admitted", CONVEX,
-           "if not 0.0 < step < math.inf:", "if step <= 0.0:",
+           "if not 0.0 < step < sup:", "if math.isfinite(step) and not 0.0 < step < sup:",
            (f"{T_CONVEX}::TestProx::test_non_finite_gamma_is_interval_error[quadratic_functional-nan]",
             f"{T_CONVEX}::TestProx::test_non_finite_gamma_is_interval_error[abs_functional-inf]",
             f"{T_SEMIGROUP}::TestResolventIterate::test_non_finite_step_is_interval_error[nan]",
@@ -407,6 +413,10 @@ MUTANTS = [
     Mutant("cli-write-not-caught", "src/gfstack/cli.py",
            "except OSError as exc:", "except () as exc:",
            (f"{T_EXPERIMENTS}::TestCli::test_unwritable_out_is_config_error",)),
+    Mutant("cli-json-output-collision-unchecked", "src/gfstack/cli.py",
+           'if args.json and cfg.output and Path(cfg.output).suffix == ".json":', "if False:",
+           (f"{T_EXPERIMENTS}::TestCli::test_json_out_with_json_mirror_is_config_error[--out]",
+            f"{T_EXPERIMENTS}::TestCli::test_json_out_with_json_mirror_is_config_error[output]")),
     # the TL^p stacking memo
     Mutant("memo-point-not-copied", STACKING,
            "return hit[0].copy(), hit[1]", "return hit[0], hit[1]",
