@@ -248,7 +248,7 @@ class GraphEnergy:
     Build from a dense adjacency, GraphEnergy(adjacency=A, ...), or from the
     edge list itself with GraphEnergy.from_edges, which forms no n x n
     array.  An edge-built energy has no adjacency (adjacency is None); its
-    pair_matrix, which the eigh path reads, comes from the edge list.
+    pair_matrix, which the eigh path reads, forms it from the edge list.
 
     A squared-loss energy also stores its spectral factors (evals, basis, s).
     The basis is the n x n eigenvector matrix Q from eigh, except on a path
@@ -290,10 +290,10 @@ class GraphEnergy:
         Takes integer pairs 0 <= iu < ju < n with coefficients c >= 0, at
         most one edge per pair; edges with c = 0 are dropped and the rest
         sorted by (i, j).  The energy then equals the one built from any
-        adjacency with A_ij + A_ji = c_ij: the same edge list and values, and
-        the same factors up to the summation order of the node degrees (none
-        on a path).  It stores no adjacency (None): pair_matrix comes from
-        the edges.  Weights are validated as for an adjacency.
+        adjacency with A_ij + A_ji = c_ij: the same edge list, factors and
+        values.  It stores no adjacency (None): pair_matrix forms the
+        upper-triangular one from the edges.  Weights are validated as for an
+        adjacency.
         """
         iu, ju = np.asarray(iu).reshape(-1), np.asarray(ju).reshape(-1)
         c = np.asarray(c, dtype=float).reshape(-1)
@@ -357,13 +357,11 @@ class GraphEnergy:
     def pair_matrix(self) -> np.ndarray:
         """Symmetric quadratic-form matrix K with u' K u = sum_ij A_ij (u_i-u_j)^2."""
         A = self.adjacency
-        if A is not None:
-            return np.diag(A.sum(axis=1) + A.sum(axis=0)) - (A + A.T)
-        iu, ju, c = self._edges
-        n = self.n_nodes
-        K = np.diag(np.bincount(iu, c, n) + np.bincount(ju, c, n))  # on a path: bitwise the dense K
-        K[iu, ju] = K[ju, iu] = -c
-        return K
+        if A is None:  # edge-built: the upper-triangular A with A_ij = c_ij
+            iu, ju, c = self._edges
+            A = np.zeros((self.n_nodes, self.n_nodes))
+            A[iu, ju] = c
+        return np.diag(A.sum(axis=1) + A.sum(axis=0)) - (A + A.T)
 
     def to_functional(self) -> ProperFunctional:
         """View as a convex functional on the weighted node space.

@@ -561,7 +561,7 @@ class TestSweepTool:
         tool = _sweep_tool()
         outputs = []
         for _ in range(2):
-            assert tool.main([str(cfgfile), "--seeds", "0-1", "--check-rows"]) == 0
+            assert tool.main([str(cfgfile), "--seeds", "0-1"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         summary = json.loads(outputs[0], parse_constant=lambda token: pytest.fail(token))
@@ -577,9 +577,10 @@ class TestSweepTool:
             lhs = sorted(r.lhs for r in mine)
             assert (g["lhs"]["min"], g["lhs"]["max"]) == (lhs[0], lhs[-1])
         assert summary["false"] == sum(not r.passed for r in rows) > 0  # seed 0's speed rows
+        assert summary["sign_disagrees"] == sum(g["sign_disagrees"] for g in groups.values())
         assert groups[("d2c", "speed_integral_lower_bound", 128)]["false"] == 1
 
-    @pytest.mark.parametrize("seeds", ["", "3-", "a", "1,,2", "5-2"])
+    @pytest.mark.parametrize("seeds", ["", "3-", "a", "1,,2", "5-2", "0,5-2"])
     def test_bad_seed_list_exits_2(self, tmp_path, capsys, seeds):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(self.CONFIG)

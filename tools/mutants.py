@@ -360,8 +360,8 @@ MUTANTS = [
     Mutant("formed-adjacency-writable", ENERGIES,
            "        A = A.copy()\n        A.flags.writeable = False\n", "        A = A.copy()\n",
            (f"{T_ENERGIES}::TestEdgeList::test_edges_read_only",)),
-    Mutant("edge-pair-matrix-one-endpoint", ENERGIES,
-           "np.bincount(iu, c, n) + np.bincount(ju, c, n)", "np.bincount(iu, c, n)",
+    Mutant("edge-pair-matrix-no-scatter", ENERGIES,
+           "            A[iu, ju] = c\n", "",
            (f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_pair_matrix_from_edges",
             f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_eigh_fine_grid_equals_dense_build[16]",
             f"{T_ENERGIES}::TestEdgeBuiltEnergy::test_eigh_fine_grid_equals_dense_build[96]")),

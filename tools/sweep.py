@@ -1,6 +1,6 @@
 """Run one runner config over a range of seeds and summarise its rows as JSON.
 
-    python3 tools/sweep.py <config> --seeds 0-11 [--check-rows]
+    python3 tools/sweep.py <config> --seeds 0-11
 
 <config> is a file in the flat ``key = value`` grammar that ``gfstack
 --config`` reads (``parse_config``), and it must set ``kind``.  ``--seeds``
@@ -12,14 +12,13 @@ next to this tool.
 The tool prints one JSON object.  Its ``groups`` hold one entry per
 (experiment, metric, n), sorted by (experiment, n, metric).  An entry gives
 ``count``, its rows over all seeds and times; the min, median and max of
-lhs, rhs and slack; and ``false``, the number of asserted rows that read
-false.  An evidence row (rhs = inf) is not asserted.  A non-finite number is
-written as the CSV writes it ("inf", "-inf", "nan"), so the output is strict
-JSON.  ``false`` at the top sums the groups.
-
-``--check-rows`` also counts, per group and in total, the asserted rows
-whose pass flag disagrees with the sign of their slack (pass exactly when
-slack >= 0).  It reports them; it does not fail on them.
+lhs, rhs and slack; ``false``, the number of asserted rows that read
+false; and ``sign_disagrees``, the number of asserted rows whose pass flag
+disagrees with the sign of their slack (pass exactly when slack >= 0),
+reported, not failed on.  An evidence row (rhs = inf) is not asserted.  A
+non-finite number is written as the CSV writes it ("inf", "-inf", "nan"), so
+the output is strict JSON.  ``false`` and ``sign_disagrees`` at the top sum
+the groups.
 
 Identical config and seeds give identical output.  The exit code is 0, or 2
 for a config or seed list that cannot be read.
@@ -46,11 +45,9 @@ def parse_seeds(text: str) -> list:
     seeds = []
     for part in text.split(","):
         lo, sep, hi = part.strip().partition("-")
-        if not lo.isdigit() or (sep and not hi.isdigit()):
+        if not lo.isdigit() or (sep and (not hi.isdigit() or int(hi) < int(lo))):
             raise ValueError(f"bad seed list {text!r}: expected e.g. 0-11 or 0,3,5-7")
         seeds += range(int(lo), int(hi if sep else lo) + 1)
-    if not seeds:
-        raise ValueError(f"bad seed list {text!r}: it names no seed")
     return seeds
 
 
@@ -63,7 +60,7 @@ def _spread(values) -> dict:
     return {k: _number(f(a)) for k, f in (("min", np.min), ("median", np.median), ("max", np.max))}
 
 
-def sweep(text: str, seeds, check_rows: bool = False) -> dict:
+def sweep(text: str, seeds) -> dict:
     """The summary object of the config text's runner over the seeds."""
     groups = {}
     kind = None
@@ -78,15 +75,12 @@ def sweep(text: str, seeds, check_rows: bool = False) -> dict:
         entry = {"experiment": experiment, "metric": metric, "n": n, "count": len(rows),
                  "lhs": _spread([r.lhs for r in rows]), "rhs": _spread([r.rhs for r in rows]),
                  "slack": _spread([r.slack for r in rows]),
-                 "false": sum(not r.passed for r in asserted)}
-        if check_rows:
-            entry["sign_disagrees"] = sum(r.passed != (r.slack >= 0) for r in asserted)
+                 "false": sum(not r.passed for r in asserted),
+                 "sign_disagrees": sum(r.passed != (r.slack >= 0) for r in asserted)}
         out.append(entry)
-    summary = {"kind": kind, "seeds": list(seeds), "groups": out,
-               "false": sum(g["false"] for g in out)}
-    if check_rows:
-        summary["sign_disagrees"] = sum(g["sign_disagrees"] for g in out)
-    return summary
+    return {"kind": kind, "seeds": list(seeds), "groups": out,
+            "false": sum(g["false"] for g in out),
+            "sign_disagrees": sum(g["sign_disagrees"] for g in out)}
 
 
 def _error(exc) -> int:
@@ -98,8 +92,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("config", type=Path, help="flat key = value runner config")
     parser.add_argument("--seeds", required=True, help="e.g. 0-11 or 0,3,5-7")
-    parser.add_argument("--check-rows", action="store_true",
-                        help="count asserted rows whose pass disagrees with the sign of their slack")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -107,7 +99,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, ValueError) as exc:
         return _error(exc)
     try:
-        summary = sweep(text, seeds, args.check_rows)
+        summary = sweep(text, seeds)
     except ConfigError as exc:
         return _error(exc)
     print(json.dumps(summary, indent=1, allow_nan=False))
