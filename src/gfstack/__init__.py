@@ -70,6 +70,7 @@ from .stacking import (
 )
 from .transport import (
     EmpiricalMeasure,
+    TLpPair,
     TLpPoint,
     TransportPlan,
     barycentric_map,
@@ -77,7 +78,6 @@ from .transport import (
     load_tlp_point,
     solve_transport,
     tlp_distance,
-    tlp_distances,
     uniform_measure,
     wasserstein,
 )

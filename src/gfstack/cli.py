@@ -5,8 +5,9 @@ parameters and the flags --seed/--out/--tol override it.  Output is the
 deterministic CSV table (optionally mirrored to JSON with --json).  The exit
 code is 0 when every asserted row passes and 1 when one fails; a malformed
 config, a --config that cannot be read, an output that cannot be written and
-a .json output with --json, whose mirror would overwrite the table, print
-one 'config error:' line and exit 2.
+an output that is a file the run reads (--config, point_a or point_b) or the
+other output (a .json table with its --json mirror) print one 'config
+error:' line and exit 2, before anything is written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _SCHEMA = f"""config grammar (one 'key = value' per line, '#' comments):
   time_grid  = number of time samples                    (default 6)
   p          = finite transport exponent >= 1            (default 2)
   tolerance  = finite positive slack tolerance           (default 1e-6)
-  seed       = 64-bit integer                            (default 0)
+  seed       = nonnegative integer                       (default 0)
   output     = output path                               (default stdout)
   q          = integrability exponent > 2, inf allowed   (default 4)
   sampling   = equispaced | uniform                      (default equispaced)
@@ -74,6 +75,19 @@ def _config_error(exc) -> int:
     return 2
 
 
+def _check_outputs(args, cfg) -> None:
+    """Raise ConfigError when a file the run writes is one it reads or writes again, paths taken from the cwd."""
+    reads = {"--config": args.config, "point_a": cfg.point_a, "point_b": cfg.point_b}
+    writes = {"the output": cfg.output}
+    if args.json and cfg.output and Path(cfg.output).name:
+        writes["the --json mirror"] = Path(cfg.output).with_suffix(".json")
+    seen = {Path(path).resolve(): name for name, path in reads.items() if path}
+    for name, path in writes.items():
+        first = seen.setdefault(Path(path).resolve(), name) if path else name
+        if first != name:
+            raise ConfigError(f"{name} {path} is the same file as {first}; the run would overwrite it")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     text = ""
@@ -90,8 +104,7 @@ def main(argv=None) -> int:
             tolerance=args.tol,
             output=str(args.out) if args.out else None,
         )
-        if args.json and cfg.output and Path(cfg.output).suffix == ".json":
-            raise ConfigError(f"output {cfg.output} ends in .json, so the --json mirror would overwrite it")
+        _check_outputs(args, cfg)
         rows = run_experiment(cfg)
     except ConfigError as exc:
         return _config_error(exc)

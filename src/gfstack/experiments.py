@@ -56,8 +56,8 @@ from .stacking import (
 )
 from .transport import (
     EmpiricalMeasure,
+    TLpPair,
     TLpPoint,
-    _TLpPair,
     interpolation_bound_check,
     load_tlp_point,
     tlp_distance,
@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("p must be finite and >= 1")
         if not 0 < self.tolerance < np.inf:
             raise ConfigError("tolerance must be finite and positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.q > 2:  # q = inf is allowed
             raise ConfigError("q must be > 2 (the interpolation rows use p = 1 and r = 2)")
         if self.sampling not in ("equispaced", "uniform"):
@@ -267,7 +269,7 @@ class HeatInstance:
     measure: EmpiricalMeasure
     functional: ProperFunctional
     initial: np.ndarray
-    pair: Optional[_TLpPair] = None  # TL^2 pair (measure, the fine measure); None on the fine one
+    pair: Optional[TLpPair] = None  # TL^2 pair (measure, the fine measure); None on the fine one
 
 
 def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -283,7 +285,7 @@ def build_heat_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     for n in cfg.sizes:
         measure = line_measure(n, rng=rng, sampling=cfg.sampling)
         phi = neighborhood_graph_energy(measure, bandwidth(n)).to_functional()
-        pair = _TLpPair(measure, fine_measure)
+        pair = TLpPair(measure, fine_measure)
         _, x_n, _ = pair.recovery(x_inf)
         instances.append(HeatInstance(n, measure, phi, x_n, pair))
     return instances, fine
@@ -715,7 +717,7 @@ def run_stacking_audit(cfg: ExperimentConfig) -> List[Row]:
     # Dirichlet energies over the transport stacking: lower-bound evidence
     energies = {n: neighborhood_graph_energy(meas[n], bandwidth(n)).to_functional() for n in sizes}
     energies[LIMIT] = fine_grid_dirichlet(meas[LIMIT]).to_functional()
-    e = EnergySequence(functionals=energies, limit_index=LIMIT)
+    e = EnergySequence(functionals=energies)
     rep_lim = gamma_liminf_check(e, tl, seqree, tol=0.3)
     rows.append(Row("stacking", sizes[-1], 0.0, "gamma_liminf_dirichlet",
                     rep_lim.liminf_estimate, rep_lim.limit_value - 0.3,
@@ -726,7 +728,7 @@ def run_stacking_audit(cfg: ExperimentConfig) -> List[Row]:
         n: (lambda n: (lambda u: energies[n].evaluate(u) / n))(n) for n in sizes
     }
     bad[LIMIT] = energies[LIMIT]
-    e_bad = EnergySequence(functionals=bad, limit_index=LIMIT)
+    e_bad = EnergySequence(functionals=bad)
     rep_bad = gamma_liminf_check(e_bad, tl, seqree, tol=1e-3)
     rows.append(Row("stacking", sizes[-1], 0.0, "gamma_liminf_broken_scaling_fails",
                     rep_bad.liminf_estimate, rep_bad.limit_value - 1e-3,

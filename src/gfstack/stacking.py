@@ -22,7 +22,7 @@ import numpy as np
 
 from .convex import ProperFunctional, as_point, weighted_lr_norm
 from .errors import ConstructionError, PreconditionError
-from .transport import EmpiricalMeasure, TLpPoint, _TLpPair
+from .transport import EmpiricalMeasure, TLpPair, TLpPoint
 
 LIMIT = "inf"  # conventional limit-index key
 
@@ -145,14 +145,16 @@ class TLpStacking(Stacking):
     optimal spatial plan (the recovery construction).
 
     Each distinct transport problem is solved once per instance, through
-    one _TLpPair per (p, source, target measure), O(m + n) data; no m x n
-    array outlives a call.  distance keeps the float it returns, keyed by p
-    and the exact bytes of both points (atoms, weights and values; the
-    atoms' shape fixes the rest), so a changed p or a replaced measure is
-    a new key, never a stale hit.  A recovery is kept only as its point
-    (n floats) and stagnation cost, per (p, source, target, limit values),
-    and its W_p distance as the distance between the zero functions.  The
-    pair's docstring gives its certificates and their order.
+    one TLpPair per (p, source, target measure), O(m + n) data, and its two
+    entry points: distance calls its distances, approximating_point its
+    recovery.  No m x n array outlives a call.  distance keeps the float it
+    returns, keyed by p and the exact bytes of both points (atoms, weights
+    and values; the atoms' shape fixes the rest), so a changed p or a
+    replaced measure is a new key, never a stale hit.  A recovery is kept
+    only as its point (n floats) and stagnation cost, per (p, source,
+    target, limit values), and its W_p distance as the distance between the
+    zero functions.  The pair's docstring gives its certificates and their
+    order.
     """
 
     def __init__(self, measures: Dict[Hashable, EmpiricalMeasure], p: float = 2.0):
@@ -163,17 +165,17 @@ class TLpStacking(Stacking):
         self._measure_keys = {}  # content key -> itself, so memo keys share one copy
         self._distances = {}  # (p, measure key, values, measure key, values) -> TL^p distance
         self._recoveries = {}  # (p, measure key, measure key, values) -> (point, stagnation)
-        self._pairs = {}  # (p, measure key, measure key) -> their _TLpPair
+        self._pairs = {}  # (p, measure key, measure key) -> their TLpPair
 
     def _measure_key(self, mu: EmpiricalMeasure):
         key = (mu.atoms.shape, mu.atoms.tobytes(), mu.weights.tobytes())
         return self._measure_keys.setdefault(key, key)
 
-    def _pair(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> _TLpPair:
+    def _pair(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TLpPair:
         key = (self.p, self._measure_key(mu), self._measure_key(nu))
         pair = self._pairs.get(key)
         if pair is None:
-            pair = self._pairs[key] = _TLpPair(mu, nu, self.p)
+            pair = self._pairs[key] = TLpPair(mu, nu, self.p)
         return pair
 
     def space_dim(self, idx):
@@ -251,10 +253,9 @@ class CircleStacking(Stacking):
 
 @dataclass
 class EnergySequence:
-    """Per-index energies plus the limit energy, indexed like the stacking."""
+    """Per-index energies plus the limit energy, at LIMIT, indexed like the stacking."""
 
     functionals: Dict[Hashable, object]  # ProperFunctional or plain callable
-    limit_index: Hashable = LIMIT
 
     def evaluate(self, idx, x) -> float:
         f = self.functionals[idx]
@@ -265,12 +266,11 @@ class EnergySequence:
 
 @dataclass
 class IndexedSequence:
-    """A cross-space sequence (x_n) with a declared limit point."""
+    """A cross-space sequence (x_n) with a declared limit point, at index LIMIT."""
 
     indices: list
     points: list
     limit_point: object
-    limit_index: Hashable = LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +292,17 @@ def check_stacking_axioms(
     s: Stacking,
     sequences: Sequence[IndexedSequence],
     decay_tol: float = 1e-6,
-    lipschitz_tol: float = 1e-9,
-    scalar: float = -1.5,
 ) -> AxiomReport:
     """Probe the four stacking axioms on declared convergent sequences.
 
-    (i) embeddings 1-Lipschitz on sampled same-index pairs; (ii) a
-    constructive approximating sequence for each declared limit point;
-    (iii) sums and scalar multiples of two convergent sequences converge to
-    the sum/multiple of the limits; (iv) norms converge along convergent
-    sequences.  Pass means all final gaps fall below decay_tol.
+    (i) embeddings 1-Lipschitz, up to 1e-9, on sampled same-index pairs;
+    (ii) a constructive approximating sequence for each declared limit
+    point; (iii) sums and multiples by -1.5 of two convergent sequences
+    converge to the sum/multiple of the limits; (iv) norms converge along
+    convergent sequences.  Pass means all final gaps fall below decay_tol.
     """
     if not sequences:
         raise PreconditionError("need at least one declared sequence")
-    limit_index = sequences[0].limit_index
 
     # same-index pairs: each point with the zero, then neighbouring sequences' points
     pairs = [(idx, x, s.zero(idx)) for seq in sequences for idx, x in zip(seq.indices, seq.points)]
@@ -315,15 +312,15 @@ def check_stacking_axioms(
     for idx, x, y in pairs:
         lhs = stacking_distance(s, idx, x, idx, y)
         rhs = s.norm(idx, np.asarray(x) - np.asarray(y))
-        if lhs > rhs + lipschitz_tol:
+        if lhs > rhs + 1e-9:
             lipschitz.append((idx, lhs - rhs))
 
     approx_gaps = {}
     for k, seq in enumerate(sequences):
         gaps = []
         for idx in seq.indices:
-            cand = s.approximating_point(idx, limit_index, seq.limit_point)
-            gaps.append(stacking_distance(s, idx, cand, limit_index, seq.limit_point))
+            cand = s.approximating_point(idx, LIMIT, seq.limit_point)
+            gaps.append(stacking_distance(s, idx, cand, LIMIT, seq.limit_point))
         approx_gaps[k] = np.asarray(gaps)
 
     sum_gaps = scalar_gaps = None
@@ -335,28 +332,21 @@ def check_stacking_axioms(
             xa = np.asarray(a.points[a.indices.index(idx)], dtype=float)
             xb = np.asarray(b.points[b.indices.index(idx)], dtype=float)
             lim = np.asarray(a.limit_point, dtype=float) + np.asarray(b.limit_point, dtype=float)
-            sums.append(stacking_distance(s, idx, xa + xb, limit_index, lim))
-            scals.append(
-                stacking_distance(
-                    s, idx, scalar * xa, limit_index, scalar * np.asarray(a.limit_point, dtype=float)
-                )
-            )
+            sums.append(stacking_distance(s, idx, xa + xb, LIMIT, lim))
+            scaled = -1.5 * np.asarray(a.limit_point, dtype=float)
+            scals.append(stacking_distance(s, idx, -1.5 * xa, LIMIT, scaled))
         sum_gaps = np.asarray(sums)
         scalar_gaps = np.asarray(scals)
 
     norm_gaps = {}
     for k, seq in enumerate(sequences):
-        lim_norm = s.norm(limit_index, seq.limit_point)
+        lim_norm = s.norm(LIMIT, seq.limit_point)
         norm_gaps[k] = np.asarray(
             [abs(s.norm(idx, x) - lim_norm) for idx, x in zip(seq.indices, seq.points)]
         )
 
-    zero_gaps = np.asarray(
-        [
-            stacking_distance(s, idx, s.zero(idx), limit_index, s.zero(limit_index))
-            for idx in sequences[0].indices
-        ]
-    )
+    zero_gaps = np.asarray([stacking_distance(s, idx, s.zero(idx), LIMIT, s.zero(LIMIT))
+                            for idx in sequences[0].indices])
 
     final_gaps = [g[-1] for g in approx_gaps.values()] + [g[-1] for g in norm_gaps.values()]
     final_gaps.append(zero_gaps[-1])
@@ -397,15 +387,11 @@ def gamma_liminf_check(
     control; it cannot refute convergence.
     """
     energies = np.asarray([e.evaluate(idx, x) for idx, x in zip(seq.indices, seq.points)])
-    distances = np.asarray(
-        [
-            stacking_distance(s, idx, x, seq.limit_index, seq.limit_point)
-            for idx, x in zip(seq.indices, seq.points)
-        ]
-    )
+    distances = np.asarray([stacking_distance(s, idx, x, LIMIT, seq.limit_point)
+                            for idx, x in zip(seq.indices, seq.points)])
     tail = energies[len(energies) // 2 :]
     liminf_estimate = float(np.min(tail))
-    limit_value = e.evaluate(seq.limit_index, seq.limit_point)
+    limit_value = e.evaluate(LIMIT, seq.limit_point)
     return LiminfReport(
         energies=energies,
         liminf_estimate=liminf_estimate,
@@ -439,18 +425,18 @@ def recovery_sequence(
     """
     if not isinstance(s, TLpStacking):
         raise PreconditionError("recovery construction is specific to the transport stacking")
-    nu = s.measures[e.limit_index]
+    nu = s.measures[LIMIT]
     x_inf = as_point(x_inf, nu.n_atoms)
     pts, stag = [], []
     for idx in indices:
-        x, cost = s._recovery(idx, e.limit_index, x_inf)
+        x, cost = s._recovery(idx, LIMIT, x_inf)
         pts.append(x)
         stag.append(cost)
     energies = np.asarray([e.evaluate(idx, x) for idx, x in zip(indices, pts)])
     distances = np.asarray(
-        [stacking_distance(s, idx, x, e.limit_index, x_inf) for idx, x in zip(indices, pts)]
+        [stacking_distance(s, idx, x, LIMIT, x_inf) for idx, x in zip(indices, pts)]
     )
-    limit_value = e.evaluate(e.limit_index, x_inf)
+    limit_value = e.evaluate(LIMIT, x_inf)
     tail = energies[len(energies) // 2 :]
     limsup_estimate = float(np.max(tail))
     ok = bool(np.isinf(limit_value)) or limsup_estimate <= limit_value + tol
@@ -506,9 +492,8 @@ def equicoercivity_probe(
     max_tail = float(max((D[i, j] for i in tail for j in tail if j > i), default=0.0))
     limit_distances = limit_attained = None
     if limit_candidate is not None:
-        lim_idx = getattr(e, "limit_index", LIMIT)
         limit_distances = np.asarray(
-            [stacking_distance(s, idxs[i], pts[i], lim_idx, limit_candidate) for i in range(k)]
+            [stacking_distance(s, idxs[i], pts[i], LIMIT, limit_candidate) for i in range(k)]
         )
         limit_attained = bool(limit_distances[-1] <= tol)
     return EquicoercivityReport(
@@ -542,7 +527,7 @@ def circle_minimizer_fixture(indices):
 
     functionals = {n: make(n) for n in indices}
     functionals[LIMIT] = lambda x: abs(float(np.atleast_1d(x)[0]))
-    e = EnergySequence(functionals=functionals, limit_index=LIMIT)
+    e = EnergySequence(functionals=functionals)
     minimizers = [(n, np.array([float(n)])) for n in indices]
     return s, e, minimizers
 
@@ -552,7 +537,7 @@ def escaping_sequence_fixture(indices, dim: int = 2):
     s = SubspaceStacking(ambient_dim=dim, dims={**{n: dim for n in indices}, LIMIT: dim})
     functionals = {n: (lambda x: 0.0) for n in indices}
     functionals[LIMIT] = lambda x: 0.0
-    e = EnergySequence(functionals=functionals, limit_index=LIMIT)
+    e = EnergySequence(functionals=functionals)
     candidates = []
     for n in indices:
         x = np.zeros(dim)

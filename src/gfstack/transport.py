@@ -18,12 +18,12 @@ simplex never pivots on the rounding of the costs.
 The TL^p distance between pairs (u, mu) and (v, nu) uses the ground cost
 |u_i - v_j|^p + |x_i - y_j|^p; the spatial part alone is the plan's
 stagnation cost, the certificate of measure convergence.  Every TL^p
-distance, plan and recovery (tlp_distance, wasserstein, tlp_distances, the
-TL^p stacking and the heat instances) is one call on a _TLpPair, the
-measure pair's checked staircase; its docstring gives the certificates and
-their order.  A dense solve allocates three m x n arrays: the spatial part,
-the cost and the plan.  A cost that is not finite raises
-SolverDiagnosticError.
+distance, plan and recovery (tlp_distance, wasserstein, the TL^p stacking
+and the heat instances) is one call on a TLpPair, the measure pair's
+checked staircase, through its two entry points: distances of value rows
+and the W_p recovery.  Its docstring gives the certificates and their
+order.  A dense solve allocates three m x n arrays: the spatial part, the
+cost and the plan.  A cost that is not finite raises SolverDiagnosticError.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class EmpiricalMeasure:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size != atoms.shape[0]:
             raise ConstructionError("one weight per atom required")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # a NaN weight is not positive
             raise ConstructionError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ConstructionError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
@@ -143,17 +143,10 @@ def _check_marginals(row, col, tol: float = MARGINAL_TOL):
 
 
 def _pow_p(vals: np.ndarray, p: float) -> np.ndarray:
-    """|vals|^p, evaluated in log space for large p to limit overflow.
-
-    Works in place on vals and returns it.
-    """
-    a = np.abs(vals, out=vals)
-    if p <= 8:
-        a **= p
-        return a
-    pos = a > 0
-    a[pos] = np.exp(p * np.log(a[pos]))
-    return a
+    """|vals|^p, in place on vals, which it returns; inf where the power overflows."""
+    np.abs(vals, out=vals)
+    vals **= p
+    return vals
 
 
 class _SpanningTree:
@@ -269,13 +262,14 @@ def _cost_tol(recomputed, cost, tol=MARGINAL_TOL) -> float:
     return float(scaled) if tol < scaled < np.inf else tol
 
 
-def _check_cost(recomputed, cost, tol=MARGINAL_TOL):
+def _check_cost(recomputed, cost, tol=MARGINAL_TOL, scale=0.0):
     """Raise unless a stored cost and its dense recomputation agree within _cost_tol.
 
-    A NaN difference (inf - inf, or 0 * inf) fails too: finite costs that
-    disagree raise PreconditionError, a non-finite one SolverDiagnosticError.
+    scale, when above |recomputed|, bounds the terms of a recomputation that
+    cancel.  A NaN difference (inf - inf, 0 * inf) fails too: finite costs
+    that disagree raise PreconditionError, a non-finite one SolverDiagnosticError.
     """
-    if not abs(recomputed - cost) <= _cost_tol(recomputed, cost, tol):
+    if not abs(recomputed - cost) <= _cost_tol(max(abs(recomputed), scale), cost, tol):
         if np.isfinite(recomputed) and np.isfinite(cost):
             raise PreconditionError("stored cost disagrees with its dense recomputation")
         raise SolverDiagnosticError(f"transport cost {cost!r} (recomputed {recomputed!r}) is not finite")
@@ -403,7 +397,7 @@ def solve_transport(a, b, C):
 
     A public entry point for callers with their own cost matrix, and the one
     the linprog oracle tests solve through.  No runner path calls it: the
-    TL^p plans go through _TLpPair.plans, which shares _solve.
+    TL^p plans go through TLpPair._plans, which shares _solve.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -505,8 +499,12 @@ def _products_at_least(A, B, floor, scratch) -> bool:
     return True
 
 
-class _TLpPair:
+class TLpPair:
     """The TL^p measure pair (mu, nu): the one solver of its TL^p distances, plans and recoveries.
+
+    Two entry points: distances(U, V), the TL^p distances of value rows on
+    mu and nu, and recovery(target_values), W_p(mu, nu) with the barycentric
+    map of the target values and the stagnation cost.
 
     A pair builds the _northwest_corner staircase of the weights once, kept
     as its cells (i_k, j_k) and flows, O(m + n) data, and checks the
@@ -523,7 +521,7 @@ class _TLpPair:
        u = v = 0, which rules out an overflow in c and in the dense check.
     2. The product test, at p = 2, for every other row, below.  Its
        absolute margin certifies no row with S >= 311 (d = 1).
-    3. The dense solve (plans), for every row at p != 2 and every row
+    3. The dense solve (_plans), for every row at p != 2 and every row
        neither certifies.  It keeps the staircase of a Monge row whose cost
        is finite, runs the m x n reduced-cost test in row blocks on every
        other row, and pivots a row whose staircase is not optimal into a
@@ -531,10 +529,10 @@ class _TLpPair:
        dense cost check.
 
     At p = 2 the costs c = (f_i - g_j)^2 + |x_i - y_j|^2 are formed on the
-    staircase cells only, by the operations plans applies to every cell, so
+    staircase cells only, by the operations _plans applies to every cell, so
     c, u, v and the cost sum(flow * c) are bitwise those of the dense solve,
     which keeps the staircase and this cost on a certified row.  The O(m + n)
-    vectors this takes are built on the first cost call, so a pair that only
+    vectors this takes are built on the first _cost call, so a pair that only
     solves densely allocates nothing more than the dense solve.
 
     The product test.  The reduced costs of all cells are the product R of
@@ -569,6 +567,9 @@ class _TLpPair:
     staircase plan P, zero off the cells, so expanded over them as
     r.(f^2 + |x|^2) + s.(g^2 + |y|^2) - 2 (f.Pg + sum(x * Py)) with r, s, Pg
     and Py bincounts of the cells, as TransportPlan.check_cost checks its cost.
+    Its terms cancel where values or atoms are large and close, so the check
+    scales with r.a + s.b, at least half their absolute sum, as
+    2|f_i g_j| <= f_i^2 + g_j^2 and 2|<x_i, y_j>| <= |x_i|^2 + |y_j|^2.
     """
 
     def __init__(self, mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0):
@@ -588,7 +589,7 @@ class _TLpPair:
 
     @cached_property
     def _tl2(self):
-        """The vectors cost reads, built on its first call, so a pair that only solves densely holds none.
+        """The vectors _cost reads, built on its first call, so a pair that only solves densely holds none.
 
         r and s, the cells' |x_i - y_j|^2, |x|^2, |y|^2 and the staircase's sum_ij P_ij |x_i - y_j|^2.
         """
@@ -615,7 +616,7 @@ class _TLpPair:
         floor = 8 * (self.mu.dim + 4) * _EPS / 2 * (S + _RC_TOL) - _RC_TOL  # KAPPA (eps/2) (S + tol) - tol
         return bool(np.isfinite(4.0 * S) and _products_at_least(A, B, floor, _rc_scratch(*self.shape)))
 
-    def cost(self, f, g):
+    def _cost(self, f, g):
         """The staircase's TL^2 cost for the row (f, g), checked densely; None at p != 2 or uncertified."""
         if self.p != 2:
             return None
@@ -623,14 +624,15 @@ class _TLpPair:
         c = _pow_p(f[self.i] - g[self.j], 2.0)
         c += spatial
         fsq, gsq = f * f, g * g
-        if not self._certified(f, g, c, fsq + xsq, gsq + ysq):
+        a, b = fsq + xsq, gsq + ysq
+        if not self._certified(f, g, c, a, b):
             return None
         cost = float(np.sum(self.flow * c))
         Pg = np.bincount(self.i, self.flow * g[self.j], len(f))
-        _check_cost(r @ fsq + s @ gsq - 2.0 * (f @ Pg) + dense_spatial, cost)
+        _check_cost(r @ fsq + s @ gsq - 2.0 * (f @ Pg) + dense_spatial, cost, scale=r @ a + s @ b)
         return cost
 
-    def plans(self, U, V):
+    def _plans(self, U, V):
         """Checked optimal plans for the TL^p costs of the rows (U[k], V[k]): the dense solve.
 
         Yields (plan, spatial) for each row; plan.stagnation_cost is left
@@ -656,25 +658,34 @@ class _TLpPair:
             plan.check_cost()
             yield plan, spatial
 
-    def plan(self, f, g):
+    def _plan(self, f, g):
         """TL^p distance of the row (f, g) and its optimal plan, by the dense solve.
 
-        The plan's cost is summed over its basis cells; plans() re-sums it over
+        The plan's cost is summed over its basis cells; _plans re-sums it over
         every cell (check_cost), a check independent of that sum, and checks the
         marginals of a plan other than the staircase.  The stagnation cost is
         summed last, with the product written over the spatial matrix.
         """
-        (plan, spatial), = self.plans(f[None], g[None])
+        (plan, spatial), = self._plans(f[None], g[None])
         plan.stagnation_cost = float(np.multiply(plan.pi, spatial, out=spatial).sum())
         return float(max(plan.cost, 0.0) ** (1.0 / self.p)), plan
 
     def distances(self, U, V) -> np.ndarray:
-        """TL^p distances of the rows (U[k], V[k]): each row's cost, else one dense solve of the rest."""
-        U, V = _checked_rows(self.mu, self.nu, U, V)
-        costs = [self.cost(f, g) for f, g in zip(U, V)]
+        """TL^p distances of the (k, m) and (k, n) value rows (U[k], V[k]) on mu and nu.
+
+        Each is bitwise what tlp_distance gives the row pair, with the same
+        checks: the row's _cost, else one dense solve of the rows left.
+        """
+        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+        if U.ndim != 2 or V.ndim != 2 or len(U) != len(V) or (U.shape[1], V.shape[1]) != self.shape:
+            raise PreconditionError(f"need (k, {self.shape[0]}) and (k, {self.shape[1]}) value rows, "
+                                    f"got {U.shape} and {V.shape}")
+        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+            raise ConstructionError("values must be finite")
+        costs = [self._cost(f, g) for f, g in zip(U, V)]
         rest = [k for k, cost in enumerate(costs) if cost is None]
         if rest:  # one dense solve of the rows left, passed as views, not copies
-            for k, (plan, _) in zip(rest, self.plans([U[k] for k in rest], [V[k] for k in rest])):
+            for k, (plan, _) in zip(rest, self._plans([U[k] for k in rest], [V[k] for k in rest])):
                 costs[k] = plan.cost
         return np.array([max(cost, 0.0) ** (1.0 / self.p) for cost in costs])
 
@@ -682,17 +693,17 @@ class _TLpPair:
         """W_p(mu, nu), the barycentric map of target_values and the stagnation cost.
 
         Bitwise what wasserstein, barycentric_map and plan.stagnation_cost
-        give.  When cost certifies the zero functions, the three are read
+        give.  When _cost certifies the zero functions, the three are read
         off the staircase plan P, formed for this call alone: the
         conditional averages over P's row sums, and the sum of P with the
         spatial costs multiplied into its cells, the array
-        np.multiply(pi, spatial) sums.  Otherwise they come from plan, the
+        np.multiply(pi, spatial) sums.  Otherwise they come from _plan, the
         dense solve wasserstein runs.
         """
         zeros = np.zeros(self.shape[0]), np.zeros(self.shape[1])
-        cost = self.cost(*zeros)
+        cost = self._cost(*zeros)
         if cost is None:
-            d, plan = self.plan(*zeros)
+            d, plan = self._plan(*zeros)
             return d, barycentric_map(plan, target_values), plan.stagnation_cost
         P = _dense_plan(self.i, self.j, self.flow, self.shape)
         point = _conditional_averages(P, P.sum(axis=1), target_values)
@@ -700,34 +711,9 @@ class _TLpPair:
         return max(cost, 0.0) ** 0.5, point, float(P.sum())
 
 
-def _checked_rows(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V):
-    """U and V as (k, m) and (k, n) float value rows on mu and nu, every value finite."""
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if (U.ndim != 2 or V.ndim != 2 or len(U) != len(V)
-            or U.shape[1] != mu.n_atoms or V.shape[1] != nu.n_atoms):
-        raise PreconditionError(
-            f"need (k, {mu.n_atoms}) and (k, {nu.n_atoms}) value rows, got {U.shape} and {V.shape}")
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise ConstructionError("values must be finite")
-    return U, V
-
-
 def tlp_distance(a: TLpPoint, b: TLpPoint, p: float = 2.0):
-    """TL^p distance between (u, mu) and (v, nu) and an optimal plan (_TLpPair.plan)."""
-    return _TLpPair(a.measure, b.measure, p).plan(a.values, b.values)
-
-
-def tlp_distances(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V, p: float = 2.0) -> np.ndarray:
-    """TL^p distances between (U[k], mu) and (V[k], nu) for every row k (_TLpPair.distances).
-
-    For trajectories sampled on one pair of measures, such as a graph flow
-    and its limit at common times.  Each distance is bitwise the one
-    tlp_distance returns for the row pair, with the same checks; only the
-    work that does not depend on the values is shared.
-    """
-    U, V = _checked_rows(mu, nu, U, V)  # before the pair, so a bad row is reported first
-    return _TLpPair(mu, nu, p).distances(U, V)
+    """TL^p distance between (u, mu) and (v, nu) and an optimal plan (TLpPair._plan)."""
+    return TLpPair(a.measure, b.measure, p)._plan(a.values, b.values)
 
 
 def _conditional_averages(pi, rows, target_values) -> np.ndarray:
@@ -787,15 +773,19 @@ def interpolation_bound_check(
 # serialization used by the CLI
 
 
-def tlp_point_from_record(rec: dict) -> TLpPoint:
-    atoms = np.asarray(rec["atoms"], dtype=float)
+def load_tlp_point(text: str) -> TLpPoint:
+    """A JSON point record's TLpPoint: ValueError for bad JSON, KeyError for a missing key, else ConstructionError."""
+    rec = json.loads(text)
+    if not isinstance(rec, dict):
+        raise ConstructionError(f"a point record must be a JSON object, got {type(rec).__name__}")
+    if type(rec["dim"]) is not int:  # bool, an int subclass, is refused too
+        raise ConstructionError(f"record dim must be an integer, got {rec['dim']!r}")
+    try:
+        atoms, weights, values = (np.asarray(rec[key], dtype=float) for key in ("atoms", "weights", "values"))
+    except TypeError as exc:  # a JSON object where numbers belong
+        raise ConstructionError(f"record arrays must hold numbers: {exc}") from exc
     if atoms.ndim == 1:
         atoms = atoms[:, None]
-    if atoms.shape[1] != int(rec["dim"]):
-        raise ConstructionError("record dim disagrees with atom coordinates")
-    measure = EmpiricalMeasure(atoms=atoms, weights=np.asarray(rec["weights"], dtype=float))
-    return TLpPoint(measure=measure, values=np.asarray(rec["values"], dtype=float))
-
-
-def load_tlp_point(text: str) -> TLpPoint:
-    return tlp_point_from_record(json.loads(text))
+    if atoms.ndim != 2 or atoms.shape[1] != rec["dim"]:
+        raise ConstructionError(f"record atoms of shape {atoms.shape} disagree with dim {rec['dim']}")
+    return TLpPoint(measure=EmpiricalMeasure(atoms=atoms, weights=weights), values=values)

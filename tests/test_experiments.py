@@ -13,7 +13,7 @@ import pytest
 
 from gfstack import energies, experiments, flow, semigroup
 from gfstack.cli import main as cli_main
-from gfstack.errors import ConfigError, SolverDiagnosticError
+from gfstack.errors import ConfigError, ConstructionError, SolverDiagnosticError
 from gfstack.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from gfstack.experiments import (
     rows_to_json,
     run_experiment,
 )
-from gfstack.transport import TLpPoint, tlp_distance, uniform_measure
+from gfstack.transport import TLpPoint, load_tlp_point, tlp_distance, uniform_measure
 
 from oracles import tlp_point_json
 
@@ -89,6 +89,8 @@ class TestConfigGrammar:
             ExperimentConfig(kind="d2c_heat", tolerance=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(kind="d2c_heat", sampling="weird")
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            ExperimentConfig(kind="d2c_heat", seed=-1)
 
 
 class TestCsvContract:
@@ -239,6 +241,49 @@ class TestCli:
         self._assert_one_line_config_error(capsys, code, out)
         assert ran == [] and sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
+    @pytest.mark.parametrize("out, json_mirror, written", [
+        ("a.csv", True, "a.json"),  # the mirror of a.csv is point_a
+        ("a.json", False, "a.json"),
+        ("b.json", True, "b.json"),
+        ("exp.cfg", False, "exp.cfg"),
+        ("exp.csv", True, "exp.json"),
+    ])
+    def test_output_that_is_an_input_is_config_error(self, monkeypatch, capsys, tmp_path,
+                                                     out, json_mirror, written):
+        # the records are named relative to the working directory and the
+        # output by its absolute path: they still name one file
+        import gfstack.experiments as exps
+
+        ran = []
+        monkeypatch.setitem(exps.RUNNERS, "tlp_table", lambda cfg: ran.append(cfg) or [])
+        monkeypatch.chdir(tmp_path)
+        record = tlp_point_json(TLpPoint(uniform_measure([[0.0], [1.0]]), np.zeros(2)))
+        Path("a.json").write_text(record)
+        Path("b.json").write_text(record)
+        cfgfile = Path("exp.json" if written == "exp.json" else "exp.cfg")
+        cfgfile.write_text("kind = tlp_table\npoint_a = a.json\npoint_b = b.json\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = ["tlp", "--config", str(cfgfile), "--out", str(tmp_path / out)]
+        code = cli_main(argv + (["--json"] if json_mirror else []))
+        self._assert_one_line_config_error(capsys, code, tmp_path / written)
+        assert ran == [] and {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_one_record_for_both_points_is_no_collision(self, tmp_path):
+        record = tmp_path / "a.json"
+        record.write_text(tlp_point_json(TLpPoint(uniform_measure([[0.0], [1.0]]), np.zeros(2))))
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"kind = tlp_table\npoint_a = {record}\npoint_b = {record}\n")
+        assert cli_main(["tlp", "--config", str(cfgfile), "--out", str(tmp_path / "t.csv"), "--json"]) == 0
+        assert (tmp_path / "t.csv").exists() and (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "d2c", "resolvents", "tlp", "audit-stacking", "audit-p0"])
+    def test_negative_seed_is_config_error(self, capsys, tmp_path, command):
+        out = tmp_path / "t.csv"
+        code = cli_main([command, "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
+
     def test_unwritable_out_is_config_error(self, monkeypatch, capsys, tmp_path):
         import gfstack.experiments as exps
 
@@ -254,6 +299,7 @@ class TestCli:
         ("tlp", "q = 2"),
         ("d2c", "tolerance = nan"),
         ("d2c", "horizon = inf"),
+        ("d2c", "seed = -1"),
         ("d2c", "sizes ="),
         ("resolvents", "sizes = ,"),
         ("audit-stacking", "sizes ="),
@@ -319,6 +365,19 @@ class TestCli:
         self._assert_point_a_config_error(
             capsys, tmp_path, '{"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}')
         self._assert_point_a_config_error(capsys, tmp_path, '{"dim": 1, "atoms": ')
+        # not a JSON object, a dim that is not an integer, atoms that are not
+        # a 1-D or 2-D array of numbers, a null weight (read as NaN)
+        rest = '"weights": [0.5, 0.5], "values": [0.0, 1.0]'
+        for record in ['[1, 2]', '"record"', '3', f'{{"dim": null, "atoms": [0.0, 1.0], {rest}}}',
+                       f'{{"dim": 1.5, "atoms": [0.0, 1.0], {rest}}}',
+                       f'{{"dim": true, "atoms": [0.0, 1.0], {rest}}}',
+                       f'{{"dim": 1, "atoms": null, {rest}}}', f'{{"dim": 1, "atoms": 0.5, {rest}}}',
+                       f'{{"dim": 1, "atoms": [[[0.0]], [[1.0]]], {rest}}}',
+                       f'{{"dim": 1, "atoms": {{"x": 0.0}}, {rest}}}',
+                       '{"dim": 1, "atoms": [0.0, 1.0], "weights": [null, 0.5], "values": [0.0, 1.0]}']:
+            with pytest.raises(ConstructionError):
+                load_tlp_point(record)
+            self._assert_point_a_config_error(capsys, tmp_path, record)
 
     def test_missing_point_record_file_is_config_error(self, capsys, tmp_path):
         self._assert_point_a_config_error(capsys, tmp_path, None)

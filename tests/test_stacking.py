@@ -92,7 +92,7 @@ class TestTLpMemo:
 
     @staticmethod
     def count_solves(monkeypatch):
-        """Record each problem handed to a _TLpPair's plans (the dense
+        """Record each problem handed to a TLpPair's _plans (the dense
         solve), distances or recovery, a recovery as the TL^p problem of the
         zero functions, the W_p problem it solves.
 
@@ -122,9 +122,9 @@ class TestTLpMemo:
 
             return counted
 
-        pair = transport._TLpPair
+        pair = transport.TLpPair
         pair_rows = lambda pr, U, V: rows(pr.mu, pr.nu, U, V, pr.p)  # noqa: E731
-        for name, problem in (("plans", pair_rows), ("distances", pair_rows), ("recovery", spatial)):
+        for name, problem in (("_plans", pair_rows), ("distances", pair_rows), ("recovery", spatial)):
             monkeypatch.setattr(pair, name, counting(getattr(pair, name), problem))
         return calls
 

@@ -16,13 +16,13 @@ from gfstack.errors import ConstructionError, PreconditionError, SolverDiagnosti
 from gfstack.stacking import TLpStacking
 from gfstack.transport import (
     EmpiricalMeasure,
+    TLpPair,
     TLpPoint,
     barycentric_map,
     interpolation_bound_check,
     load_tlp_point,
     solve_transport,
     tlp_distance,
-    tlp_distances,
     uniform_measure,
     wasserstein,
 )
@@ -349,6 +349,8 @@ class TestValidationAndSerialization:
             EmpiricalMeasure(atoms=np.zeros((2, 1)), weights=[0.5, 0.6])
         with pytest.raises(ConstructionError):
             EmpiricalMeasure(atoms=np.zeros((2, 1)), weights=[1.0, 0.0])
+        with pytest.raises(ConstructionError, match="positive"):  # a NaN also passes the sum test
+            EmpiricalMeasure(atoms=np.zeros((2, 1)), weights=[np.nan, 0.5])
 
     def test_value_count_validated(self):
         mu = uniform_measure([[0.0], [1.0]])
@@ -406,6 +408,14 @@ class TestSolverCore:
         b = _pt([0.0], [0.0])
         d, _ = tlp_distance(a, b, 12.0)
         assert abs(d - 100.0) < 1e-6
+
+    @pytest.mark.parametrize("p", [9.0, 12.0, 50.0])
+    def test_large_power_is_the_plain_power(self, p):
+        x = np.random.default_rng(0).uniform(-3.0, 3.0, 2000)
+        x[:3] = 0.0, 1e30, -1e30  # an overflow is inf, as in np.abs(x) ** p
+        with np.errstate(over="ignore"):
+            got, want = transport._pow_p(x.copy(), p), np.abs(x) ** p
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAgainstLinearProgramming:
@@ -522,6 +532,23 @@ def test_large_costs_pass_the_cost_check(scale):
         C = np.subtract.outer(f, g) ** 2 + np.subtract.outer(x, y) ** 2
         ref = _linprog_cost(plan.source.weights, plan.target.weights, C)
         assert abs(d**2 - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
+def test_large_close_values_or_atoms_pass_the_certified_cost_check(shift):
+    # on a Monge row the expanded cost check sums terms near shift^2 to a
+    # cost near 1; its tolerance follows the terms.  Relative to the cost
+    # it raised on 79 of these 80 rows from shift 1e4.  Each answer is
+    # bitwise the dense solve's
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        x, y = np.sort(r.random(7)), np.sort(r.random(9))
+        f, g = np.sort(r.normal(size=7)), np.sort(r.normal(size=9))
+        for xs, ys, fs, gs in [(x, y, shift + f, shift + g), (shift + x, shift + y, f, g)]:
+            mu, nu = uniform_measure(xs), uniform_measure(ys)
+            pair = TLpPair(mu, nu)
+            assert pair.distances(fs[None], gs[None])[0] == tlp_distance(TLpPoint(mu, fs), TLpPoint(nu, gs))[0]
+            assert pair.recovery(gs)[0] == wasserstein(mu, nu)[0]
 
 
 def test_cost_tol_floor_and_scale():
@@ -708,7 +735,7 @@ class TestTlpDistances:
         nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
         U = scale * (_value_rows(r, k, m, sort) + shift)
         V = scale * (_value_rows(r, k, n, sort) + shift)
-        batch = _outcome(lambda: tlp_distances(mu, nu, U, V, p).tolist())
+        batch = _outcome(lambda: TLpPair(mu, nu, p).distances(U, V).tolist())
         single = _outcome(lambda: [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v), p)[0]
                                    for u, v in zip(U, V)])
         assert batch == single
@@ -731,7 +758,7 @@ class TestTlpDistances:
         rising = np.vstack([x, x**2, np.zeros(16)]), np.vstack([y, y**2, np.zeros(64)])
         U = np.vstack([rising[0][:1], -3 * x, rising[0][1:]])  # the middle row pivots
         V = np.vstack([rising[1][:1], y, rising[1][1:]])
-        batch = tlp_distances(mu, nu, U, V, 2.0)
+        batch = TLpPair(mu, nu, 2.0).distances(U, V)
         assert len(built) == 1
         single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v), 2.0)[0] for u, v in zip(U, V)]
         assert batch.tolist() == single
@@ -742,27 +769,27 @@ class TestTlpDistances:
     def test_shapes_and_values_validated(self):
         mu, nu = uniform_measure(np.arange(3.0)), uniform_measure(np.arange(4.0))
         U, V = np.zeros((2, 3)), np.zeros((2, 4))
-        assert tlp_distances(mu, nu, U, V).tolist() == [wasserstein(mu, nu)[0]] * 2
-        assert tlp_distances(mu, nu, U[:0], V[:0]).shape == (0,)
+        assert TLpPair(mu, nu).distances(U, V).tolist() == [wasserstein(mu, nu)[0]] * 2
+        assert TLpPair(mu, nu).distances(U[:0], V[:0]).shape == (0,)
         for bad_u, bad_v in [(U[:1], V), (U.T, V), (U[0], V[0]), (U[:, :2], V), (U, V[:, :3])]:
             with pytest.raises(PreconditionError):
-                tlp_distances(mu, nu, bad_u, bad_v)
+                TLpPair(mu, nu).distances(bad_u, bad_v)
         for bad in (np.nan, np.inf):
             V_bad = V.copy()
             V_bad[1, 2] = bad
             with pytest.raises(ConstructionError, match="finite"):
-                tlp_distances(mu, nu, U, V_bad)
+                TLpPair(mu, nu).distances(U, V_bad)
         with pytest.raises(PreconditionError):
-            tlp_distances(mu, uniform_measure([[0.0, 0.0]] * 4), U, V)
+            TLpPair(mu, uniform_measure([[0.0, 0.0]] * 4)).distances(U, V)
         with pytest.raises(PreconditionError):
-            tlp_distances(mu, nu, U, V, 0.5)
+            TLpPair(mu, nu, 0.5).distances(U, V)
 
     def test_corrupted_row_cost_trips_the_cost_check(self, monkeypatch):
         # the third row's cell costs are raised by 1e-6 once its certificate
         # has passed, so only its cost, summed over the cells, is off: by
         # 1e-6 at unit mass.  Rising rows pass the Monge test, sin(pi x)
         # rows, which rise and fall, the product test
-        certified = transport._TLpPair._certified
+        certified = transport.TLpPair._certified
         calls = []
 
         def corrupt_third_row(staircase, f, g, c, a, b):
@@ -772,8 +799,8 @@ class TestTlpDistances:
                 c += 1e-6
             return ok
 
-        monkeypatch.setattr(transport._TLpPair, "_certified", corrupt_third_row)
-        monkeypatch.setattr(transport._TLpPair, "plans", _no_fallback)
+        monkeypatch.setattr(transport.TLpPair, "_certified", corrupt_third_row)
+        monkeypatch.setattr(transport.TLpPair, "_plans", _no_fallback)
         products = _Spy(monkeypatch, "_products_at_least")
         x = (np.arange(8) + 0.5) / 8
         mu = uniform_measure(x)
@@ -782,7 +809,7 @@ class TestTlpDistances:
             products.calls = 0
             U = np.vstack([profile * s for s in (0.25, 0.5, 0.75, 1.0)])
             with pytest.raises(PreconditionError, match="stored cost"):
-                tlp_distances(mu, mu, U, 1.25 * U)
+                TLpPair(mu, mu).distances(U, 1.25 * U)
             assert calls == [True] * 3  # the check stops the batch at the corrupted row
             assert products.calls == product_tests
 
@@ -802,8 +829,8 @@ class _Spy:
 
 
 def _dense_solves(monkeypatch):
-    """A _Spy on _TLpPair.plans, the dense solve of every path."""
-    return _Spy(monkeypatch, "plans", transport._TLpPair)
+    """A _Spy on TLpPair._plans, the dense solve of every path."""
+    return _Spy(monkeypatch, "_plans", transport.TLpPair)
 
 
 class TestTl2Certificate:
@@ -832,7 +859,7 @@ class TestTl2Certificate:
             offset = (1.0 if seed % 3 == 0 else 300.0) * (1.0 + r.random())
             mu, nu, f, g = self._near_tie(r, offset, 1.0 if seed % 2 else -1.0)
             fallbacks.calls = 0
-            d = tlp_distances(mu, nu, f[None], g[None])[0]
+            d = TLpPair(mu, nu).distances(f[None], g[None])[0]
             row_certified = fallbacks.calls == 0
             trees.calls = 0
             assert d == tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g))[0]
@@ -857,9 +884,9 @@ class TestTl2Certificate:
             V = np.vstack([(np.sin(np.pi * y) - 0.5) * np.exp(-t) for t in (0.0, 0.5, 2.0)])
             single = [tlp_distance(TLpPoint(mu, u), TLpPoint(nu, v))[0] for u, v in zip(U, V)]
             with monkeypatch.context() as mp:
-                mp.setattr(transport._TLpPair, "plans", _no_fallback)
+                mp.setattr(transport.TLpPair, "_plans", _no_fallback)
                 products = _Spy(mp, "_products_at_least")
-                assert tlp_distances(mu, nu, U, V).tolist() == single
+                assert TLpPair(mu, nu).distances(U, V).tolist() == single
                 assert products.calls == 3
 
 
@@ -904,7 +931,7 @@ class TestMongeCertificate:
             spies = [_Spy(mp, name) for name in
                      ("_products_at_least", "_SpanningTree", "_any_reduced_cost_below")]
             fallbacks = _dense_solves(mp)
-            batch = tlp_distances(mu, nu, f[None], g[None], p)[0]
+            batch = TLpPair(mu, nu, p).distances(f[None], g[None])[0]
             assert fallbacks.calls == (0 if p == 2 else 1)
             single, plan = tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g), p)
             assert [spy.calls for spy in spies] == [0, 0, 0]
@@ -940,7 +967,7 @@ class TestMongeCertificate:
         tested = [_Spy(monkeypatch, "_products_at_least"), _dense_solves(monkeypatch)]
         direct = _Spy(monkeypatch, "_any_reduced_cost_below")
         trees = _Spy(monkeypatch, "_SpanningTree")
-        batch = lambda: _bits(lambda: tlp_distances(mu, nu, f[None], g[None]))
+        batch = lambda: _bits(lambda: TLpPair(mu, nu).distances(f[None], g[None]))
         single = lambda: _bits(lambda: np.array(tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g))[0]))
         got = batch()
         assert sum(spy.calls for spy in tested) >= 1
@@ -965,7 +992,7 @@ class TestMongeCertificate:
         mu = uniform_measure(x)
         f = 1e160 * np.linspace(-1.0, 1.0, 6)
         g = -f if opposite else f + 1e159
-        for solve in (lambda: tlp_distances(mu, mu, f[None], g[None], p),
+        for solve in (lambda: TLpPair(mu, mu, p).distances(f[None], g[None]),
                       lambda: tlp_distance(TLpPoint(mu, f), TLpPoint(mu, g), p),
                       lambda: TLpStacking({0: mu, 1: mu}, p).distance(TLpPoint(mu, f), TLpPoint(mu, g))):
             with pytest.raises(SolverDiagnosticError, match="not finite"):
@@ -1004,7 +1031,7 @@ def _direct_recovery(mu, nu, v, p=2.0):
 
 def _pair_recovery(mu, nu, v, p):
     """W_p, barycentric point and stagnation cost from a fresh measure pair."""
-    return transport._TLpPair(mu, nu, p).recovery(v)
+    return TLpPair(mu, nu, p).recovery(v)
 
 
 def _recovery_bits(recover, *args):
@@ -1074,7 +1101,7 @@ class TestSpatialRecovery:
             assert recovery == _recovery_bits(_direct_recovery, mu, nu, v)
             f, g = np.sin(np.pi * x), np.sin(np.pi * y)
             solves.calls = 0
-            dist = tlp_distances(mu, nu, f[None], g[None])[0]
+            dist = TLpPair(mu, nu).distances(f[None], g[None])[0]
             assert solves.calls == expected
             assert dist == tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g))[0]
 
@@ -1107,14 +1134,14 @@ class TestSpatialRecovery:
         # a heat-1d round recovers 15 initial and approximating points, all
         # on sorted 1-D atoms in [0, 1], each through a kept staircase's
         # recovery: none, and no distance row, needs the dense solve
-        recover, recovered = transport._TLpPair.recovery, []
+        recover, recovered = transport.TLpPair.recovery, []
 
         def counted(*args):
             recovered.append(args)
             return recover(*args)
 
-        monkeypatch.setattr(transport._TLpPair, "plans", _no_fallback)
-        monkeypatch.setattr(transport._TLpPair, "recovery", counted)
+        monkeypatch.setattr(transport.TLpPair, "_plans", _no_fallback)
+        monkeypatch.setattr(transport.TLpPair, "recovery", counted)
         for seed in (0, 7):
             recovered.clear()
             for kind, fields in _HEAT_CALLS:
@@ -1129,13 +1156,13 @@ class TestSharedStaircase:
         # d2c keeps one staircase per size, for its recovery and its rows;
         # resolvent_convergence one for each of its 3 sizes; the stacking
         # audit one per (source, target) measure pair it compares: 14
-        build, built = transport._TLpPair.__init__, []
+        build, built = transport.TLpPair.__init__, []
 
         def counted(pair, mu, nu, p=2.0):
             built.append(tuple(a.tobytes() for a in (mu.atoms, mu.weights, nu.atoms, nu.weights)))
             build(pair, mu, nu, p)
 
-        monkeypatch.setattr(transport._TLpPair, "__init__", counted)
+        monkeypatch.setattr(transport.TLpPair, "__init__", counted)
         for seed in (0, 7):
             per_call = []
             for kind, fields in _HEAT_CALLS:
@@ -1166,16 +1193,16 @@ class TestSharedStaircase:
         a, b = r.random(m) + 0.05, r.random(n) + 0.05
         mu = EmpiricalMeasure(atoms=x, weights=a / a.sum())
         nu = EmpiricalMeasure(atoms=y, weights=b / b.sum())
-        shared = transport._TLpPair(mu, nu)
+        shared = TLpPair(mu, nu)
         for call in calls:
             if call == "recovery":
                 v = r.normal(size=n)
-                fresh = transport._TLpPair(mu, nu)
+                fresh = TLpPair(mu, nu)
                 got = _outcome(lambda: _recovery_bits(shared.recovery, v))
                 assert got == _outcome(lambda: _recovery_bits(fresh.recovery, v))
             else:
                 U, V = _value_rows(r, 2, m, call == "sorted rows"), _value_rows(r, 2, n, True)
-                fresh = transport._TLpPair(mu, nu)
+                fresh = TLpPair(mu, nu)
                 got = _outcome(lambda: shared.distances(U, V).tolist())
                 assert got == _outcome(lambda: fresh.distances(U, V).tolist())
 
@@ -1188,7 +1215,7 @@ class TestSharedStaircase:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            staircase = transport._TLpPair(mu, nu)
+            staircase = TLpPair(mu, nu)
             staircase.distances(np.cos(np.pi * x)[None], np.cos(np.pi * y)[None])
             staircase.recovery(np.cos(np.pi * y))
             held = tracemalloc.get_traced_memory()[0] - before
@@ -1220,7 +1247,7 @@ class TestSharedStaircase:
         direct = _recovery_bits(_direct_recovery, mu, nu, v, p)
         corners, products = _Spy(monkeypatch, "_northwest_corner"), _Spy(monkeypatch, "_products_at_least")
         solves = _dense_solves(monkeypatch)
-        pair = transport._TLpPair(mu, nu, p)
+        pair = TLpPair(mu, nu, p)
         assert pair.distances(U, V).tolist() == single
         assert _recovery_bits(pair.recovery, v) == direct
         assert corners.calls == 1
@@ -1230,7 +1257,7 @@ class TestSharedStaircase:
         # two p = 2 rows left to the dense solve: one call, one m x n spatial matrix
         mu, nu, U, V = self._opposite_atoms()
         solves, spatial = _dense_solves(monkeypatch), _Spy(monkeypatch, "_spatial_cost_matrix")
-        transport._TLpPair(mu, nu).distances(U, V)
+        TLpPair(mu, nu).distances(U, V)
         assert (solves.calls, spatial.calls) == (1, 1)
 
     def test_perturbed_flow_trips_the_marginal_check(self, monkeypatch):
@@ -1245,8 +1272,8 @@ class TestSharedStaircase:
         x = (np.arange(16) + 0.5) / 16
         mu, nu = uniform_measure(x), uniform_measure(np.sort(np.random.default_rng(0).random(24)))
         f, g = np.cos(np.pi * x), np.zeros(24)
-        for solve in (lambda: transport._TLpPair(mu, nu),
-                      lambda: tlp_distances(mu, nu, f[None], g[None], 2.0),
+        for solve in (lambda: TLpPair(mu, nu),
+                      lambda: TLpPair(mu, nu, 2.0).distances(f[None], g[None]),
                       lambda: tlp_distance(TLpPoint(mu, f), TLpPoint(nu, g), 3.0)):
             with pytest.raises(PreconditionError, match="plan marginals off by"):
                 solve()
@@ -1275,7 +1302,7 @@ def test_tlp_allocates_three_cost_sized_arrays():
         rows = []
         for k in (1, 6):
             U, V = np.tile(a.values, (k, 1)), np.tile(b.values, (k, 1))
-            rows.append(_peak_mib(lambda: tlp_distances(a.measure, b.measure, U, V, p)))
+            rows.append(_peak_mib(lambda: TLpPair(a.measure, b.measure, p).distances(U, V)))
         assert rows[0] < bound
         assert rows[1] - rows[0] < 0.01  # the row buffers are reused, never stacked
 
@@ -1284,7 +1311,7 @@ def test_certified_recovery_forms_only_the_plan(monkeypatch):
     # the staircase plan is 1 MiB at 128 x 1024; the product test's block
     # adds 1/8 MiB and the cells' vectors a few KiB, below a second m x n
     # array.  The dense solve forms the spatial part and the cost as well
-    monkeypatch.setattr(transport._TLpPair, "plans", _no_fallback)
+    monkeypatch.setattr(transport.TLpPair, "_plans", _no_fallback)
     x, y = (np.arange(128) + 0.5) / 128, (np.arange(1024) + 0.5) / 1024
     mu, nu = uniform_measure(x), uniform_measure(y)
     v = np.cos(np.pi * y)

@@ -217,15 +217,25 @@ MUTANTS = [
            "floor = 8 * (self.mu.dim + 4) * _EPS / 2 * (S + _RC_TOL) - _RC_TOL", "floor = -_RC_TOL",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol",)),
     Mutant("tl2-fallback-never-taken", TRANSPORT,
-           "if not self._certified(f, g, c, fsq + xsq, gsq + ysq):", "if False:",
+           "if not self._certified(f, g, c, a, b):", "if False:",
            (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestTl2Certificate::test_certified_rows_have_no_reduced_cost_below_tol")),
     Mutant("tl2-cross-term-sign", TRANSPORT,
            "b - v, -2.0 * g, -2.0 * self.nu.atoms.T]", "b - v, 2.0 * g, -2.0 * self.nu.atoms.T]",
            (f"{T_TRANSPORT}::TestTl2Certificate::test_heat_rows_are_certified",
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances")),
+    Mutant("tl2-dense-check-scale-dropped", TRANSPORT,
+           ", cost, scale=r @ a + s @ b)", ", cost)",
+           (f"{T_TRANSPORT}::test_large_close_values_or_atoms_pass_the_certified_cost_check[10000.0]",
+            f"{T_TRANSPORT}::test_large_close_values_or_atoms_pass_the_certified_cost_check[1000000.0]")),
+    Mutant("pow-p-log-space-for-large-p", TRANSPORT,
+           "    vals **= p\n",
+           "    if p <= 8:\n        vals **= p\n    else:\n"
+           "        pos = vals > 0\n        vals[pos] = np.exp(p * np.log(vals[pos]))\n",
+           (f"{T_TRANSPORT}::TestSolverCore::test_large_power_is_the_plain_power[9.0]",
+            f"{T_TRANSPORT}::TestSolverCore::test_large_power_is_the_plain_power[50.0]")),
     Mutant("tl2-dense-check-removed", TRANSPORT,
-           "        _check_cost(r @ fsq + s @ gsq - 2.0 * (f @ Pg) + dense_spatial, cost)\n",
+           "        _check_cost(r @ fsq + s @ gsq - 2.0 * (f @ Pg) + dense_spatial, cost, scale=r @ a + s @ b)\n",
            "",
            (f"{T_TRANSPORT}::TestTlpDistances::test_corrupted_row_cost_trips_the_cost_check",)),
     Mutant("rc-tol-absolute", TRANSPORT,
@@ -266,7 +276,7 @@ MUTANTS = [
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_certified_recoveries_have_no_reduced_cost"
             "_below_tol",)),
     Mutant("recovery-fallback-never-taken", TRANSPORT,
-           "if not self._certified(f, g, c, fsq + xsq, gsq + ysq):", "if False:",
+           "if not self._certified(f, g, c, a, b):", "if False:",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",
             f"{T_TRANSPORT}::TestSpatialRecovery::test_atoms_at_scale_20_fall_back")),
     Mutant("recovery-stagnation-over-cells", TRANSPORT,
@@ -287,12 +297,12 @@ MUTANTS = [
            "        _check_marginals(*_marginal_errors(*self._sums(), mu, nu))\n", "",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_perturbed_flow_trips_the_marginal_check",)),
     Mutant("stacking-pair-rebuilt-per-call", STACKING,
-           "pair = self._pairs[key] = _TLpPair(mu, nu, self.p)",
-           "pair = _TLpPair(mu, nu, self.p)",
+           "pair = self._pairs[key] = TLpPair(mu, nu, self.p)",
+           "pair = TLpPair(mu, nu, self.p)",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",)),
     Mutant("heat-pair-rebuilt-per-call", EXPERIMENTS,
            "dists = inst.pair.distances(",
-           "dists = _TLpPair(inst.measure, fine.measure).distances(",
+           "dists = TLpPair(inst.measure, fine.measure).distances(",
            (f"{T_TRANSPORT}::TestSharedStaircase::test_one_build_per_measure_pair_per_runner_call",)),
     Mutant("stacking-pair-key-without-target", STACKING,
            "key = (self.p, self._measure_key(mu), self._measure_key(nu))",
@@ -310,7 +320,7 @@ MUTANTS = [
             f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path")),
     Mutant("pair-p3-recovery-reads-w2", TRANSPORT,
-           "d, plan = self.plan(*zeros)", "d, plan = _TLpPair(self.mu, self.nu).plan(*zeros)",
+           "d, plan = self._plan(*zeros)", "d, plan = TLpPair(self.mu, self.nu)._plan(*zeros)",
            (f"{T_TRANSPORT}::TestSpatialRecovery::test_bitwise_equal_to_the_plan_path",)),
     Mutant("pair-builds-the-tl2-vectors-eagerly", TRANSPORT,
            "        self.monge = _monge_rows(mu, nu)\n",
@@ -318,7 +328,7 @@ MUTANTS = [
            (f"{T_TRANSPORT}::test_tlp_allocates_three_cost_sized_arrays",)),
     # one solver object: the dense solve is the pair's, the staircase built and checked once at every p
     Mutant("pair-fallback-costs-to-wrong-rows", TRANSPORT,
-           "for k, (plan, _) in zip(rest, self.plans(", "for k, (plan, _) in zip(rest[::-1], self.plans(",
+           "for k, (plan, _) in zip(rest, self._plans(", "for k, (plan, _) in zip(rest[::-1], self._plans(",
            (f"{T_TRANSPORT}::TestTlpDistances::test_bitwise_equal_to_per_row_distances",
             f"{T_TRANSPORT}::TestSharedStaircase::test_one_staircase_per_pair[2.0]",
             f"{T_TRANSPORT}::TestSharedStaircase::test_one_staircase_per_pair[3.0]")),
@@ -332,8 +342,8 @@ MUTANTS = [
            (f"{T_TRANSPORT}::TestMongeCertificate::test_certified_rows_match_linprog",
             f"{T_TRANSPORT}::TestWasserstein::test_two_atom_shift")),
     Mutant("cost-check-nan-passes", TRANSPORT,
-           "if not abs(recomputed - cost) <= _cost_tol(recomputed, cost, tol):",
-           "if abs(recomputed - cost) > _cost_tol(recomputed, cost, tol):",
+           "if not abs(recomputed - cost) <= _cost_tol(max(abs(recomputed), scale), cost, tol):",
+           "if abs(recomputed - cost) > _cost_tol(max(abs(recomputed), scale), cost, tol):",
            (f"{T_TRANSPORT}::TestPlanCheck::test_non_finite_cost_or_recomputation_is_a_solver_diagnostic",
             f"{T_TRANSPORT}::TestMongeCertificate::test_overflowing_rows_raise[False-2.0]",
             f"{T_TRANSPORT}::TestMongeCertificate::test_overflowing_rows_raise[True-3.0]",
@@ -414,9 +424,39 @@ MUTANTS = [
            "except OSError as exc:", "except () as exc:",
            (f"{T_EXPERIMENTS}::TestCli::test_unwritable_out_is_config_error",)),
     Mutant("cli-json-output-collision-unchecked", "src/gfstack/cli.py",
-           'if args.json and cfg.output and Path(cfg.output).suffix == ".json":', "if False:",
+           'writes["the --json mirror"] = Path(cfg.output).with_suffix(".json")', "pass",
            (f"{T_EXPERIMENTS}::TestCli::test_json_out_with_json_mirror_is_config_error[--out]",
             f"{T_EXPERIMENTS}::TestCli::test_json_out_with_json_mirror_is_config_error[output]")),
+    # no file a run writes is one it reads; a malformed record and a negative seed are config errors
+    Mutant("cli-input-collision-unchecked", "src/gfstack/cli.py",
+           'reads = {"--config": args.config, "point_a": cfg.point_a, "point_b": cfg.point_b}',
+           "reads = {}",
+           (f"{T_EXPERIMENTS}::TestCli::test_output_that_is_an_input_is_config_error[a.csv-True-a.json]",
+            f"{T_EXPERIMENTS}::TestCli::test_output_that_is_an_input_is_config_error[a.json-False-a.json]",
+            f"{T_EXPERIMENTS}::TestCli::test_output_that_is_an_input_is_config_error[exp.cfg-False-exp.cfg]",
+            f"{T_EXPERIMENTS}::TestCli::test_output_that_is_an_input_is_config_error"
+            "[exp.csv-True-exp.json]")),
+    Mutant("record-type-unchecked", TRANSPORT,
+           "    if not isinstance(rec, dict):\n"
+           '        raise ConstructionError(f"a point record must be a JSON object, got {type(rec).__name__}")\n',
+           "",
+           (f"{T_EXPERIMENTS}::TestCli::test_malformed_point_record_is_config_error",)),
+    Mutant("record-dim-bool-accepted", TRANSPORT,
+           'if type(rec["dim"]) is not int:', 'if not isinstance(rec["dim"], int):',
+           (f"{T_EXPERIMENTS}::TestCli::test_malformed_point_record_is_config_error",)),
+    Mutant("record-nested-object-uncaught", TRANSPORT,
+           "except TypeError as exc:", "except () as exc:",
+           (f"{T_EXPERIMENTS}::TestCli::test_malformed_point_record_is_config_error",)),
+    Mutant("nan-weight-accepted", TRANSPORT,
+           "if not np.all(w > 0):", "if np.any(w <= 0):",
+           (f"{T_TRANSPORT}::TestValidationAndSerialization::test_weights_validated",
+            f"{T_EXPERIMENTS}::TestCli::test_malformed_point_record_is_config_error")),
+    Mutant("negative-seed-accepted", EXPERIMENTS,
+           "        if self.seed < 0:\n", "        if self.seed < -1:\n",
+           (f"{T_EXPERIMENTS}::TestConfigGrammar::test_validation",
+            f"{T_EXPERIMENTS}::TestCli::test_negative_seed_is_config_error[d2c]",
+            f"{T_EXPERIMENTS}::TestCli::test_nonfinite_or_out_of_range_number_is_config_error"
+            "[d2c-seed = -1]")),
     # the TL^p stacking memo
     Mutant("memo-point-not-copied", STACKING,
            "return hit[0].copy(), hit[1]", "return hit[0], hit[1]",
